@@ -24,7 +24,8 @@ from typing import List, Optional
 import numpy as np
 
 from . import smalllin
-from .errors import MaxIterations, NonFiniteValue, Singular, SingularJacobian
+from .errors import (MaxIterations, NonFiniteValue, Singular, SingularJacobian,
+                     SlowflowError)
 from .odeint import PeriodicField
 
 __all__ = [
@@ -253,7 +254,7 @@ def scan_roots(f: PeriodicField, box, grid_n: int = 32,
     for seed in seeds:
         try:
             r = find_root(f, seed, root_tol, n_nodes)
-        except (MaxIterations, SingularJacobian, NonFiniteValue):
+        except SlowflowError:      # e.g. a DSL domain error off the box
             continue
         if np.any(r.v0 < box[:, 0] - 0.5) or np.any(r.v0 > box[:, 1] + 0.5):
             continue

@@ -4,8 +4,9 @@
 Poincare (period) map, with a finite-difference Jacobian: the field may be
 only Lipschitz, so variational equations are not assumed to exist, but the
 flow itself is Lipschitz and differentiates cleanly through quadrature-grade
-integration.  Floquet multipliers are the eigenvalues of the FD Jacobian of P
-at the fixed point.
+integration; its 2k perturbed states share one batched step sequence.
+Floquet multipliers are the eigenvalues of the FD Jacobian of P at the fixed
+point.
 
 An unforced self-oscillator has no exact fixed point of the 2*pi map: its own
 period differs from 2*pi at order eps^2 and the map instead carries an
@@ -13,7 +14,8 @@ attracting invariant circle (one neutral phase direction).  Newton then stalls
 at a small residual floor; when the multiplier pattern at the stall point
 shows exactly one unit-magnitude multiplier and the rest strictly inside the
 unit circle, the result is reported as an orbitally stable cycle rather than
-an error.
+an error.  Newton tries the truncated step first whenever it drops a
+direction, so it stalls on the circle instead of creeping along it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import smalllin
-from .errors import MaxIterations, Singular, SingularJacobian
+from .errors import MaxIterations, Singular, SingularJacobian, SlowflowError
 from .odeint import IntegratorConfig, PeriodicField, flow_batch, poincare_map
 
 __all__ = [
@@ -85,22 +87,19 @@ class SweepResult:
 def poincare_jacobian(f: PeriodicField, v, eps: float,
                       cfg: IntegratorConfig = IntegratorConfig(),
                       fd_step: Optional[float] = None) -> np.ndarray:
-    """Central-difference Jacobian of the period map at v."""
+    """Central-difference Jacobian of the period map at v.
+
+    The states v +- h*e_j are flowed as one batch, so all columns share one
+    step sequence and its noise cancels in the differences.
+    """
     v = np.asarray(v, dtype=float)
-    h = fd_step if fd_step is not None else 1e-7 * (1.0 + float(np.linalg.norm(v)))
     k = f.dim
-    J = np.empty((k, k))
-    for j in range(k):
-        e = np.zeros(k)
-        e[j] = h
-        J[:, j] = (poincare_map(f, v + e, eps, cfg)
-                   - poincare_map(f, v - e, eps, cfg)) / (2.0 * h)
-    return J
-
-
-def _multipliers(f, v, eps, cfg, mult_step):
-    DP = poincare_jacobian(f, v, eps, cfg, fd_step=mult_step * (1.0 + float(np.linalg.norm(v))))
-    return smalllin.eigenvalues(DP).values
+    if eps == 0.0:
+        return np.eye(k)
+    h = fd_step if fd_step is not None else 1e-7 * (1.0 + float(np.linalg.norm(v)))
+    E = h * np.eye(k)
+    X = flow_batch(f, 0.0, f.period, np.concatenate([v + E, v - E]), eps, cfg)
+    return (X[:k] - X[k:]).T / (2.0 * h)
 
 
 def _phase_pattern(mults, band: float) -> bool:
@@ -139,17 +138,17 @@ def find_periodic(f: PeriodicField, v0_guess, eps: float,
         h = newton_fd_scale * (1.0 + float(np.linalg.norm(v)))
         DP = poincare_jacobian(f, v, eps, cfg, fd_step=h)
         J = DP - np.eye(f.dim)
-        # plain Newton step first; if it cannot decrease the residual (the
-        # Jacobian is near-singular along a neutral phase direction, so the
-        # raw step is noise-dominated there), retry with a truncated
-        # pseudo-inverse step that moves only in the well-conditioned
-        # directions
+        # plain Newton step, and a truncated pseudo-inverse step that moves
+        # only in the well-conditioned directions; the truncated one goes
+        # first when it drops a (neutral phase) direction, where the plain
+        # step would creep along the invariant circle instead of stalling
+        truncated, dropped = _truncated_step(J, Fv)
         steps = []
         try:
             steps.append(smalllin.solve(J, -Fv))
         except Singular:
             pass
-        steps.append(_truncated_step(J, Fv))
+        steps.insert(0 if dropped else len(steps), truncated)
         if all(float(np.max(np.abs(s))) == 0.0 for s in steps):
             raise SingularJacobian(f"period-map Jacobian singular at {v}")
         improved = False
@@ -181,33 +180,33 @@ def find_periodic(f: PeriodicField, v0_guess, eps: float,
                 f"Newton stalled at residual {res:.3e} (> tol {tol:g}) with "
                 f"no phase-neutral multiplier pattern"
             )
-    if res <= tol:
-        return _finish(f, v, eps, cfg, res, ref, max_iter, True,
-                       multiplier_fd_scale, phase_band)
-    r = _finish(f, v, eps, cfg, res, ref, max_iter, False,
+    r = _finish(f, v, eps, cfg, res, ref, max_iter, res <= tol,
                 multiplier_fd_scale, phase_band)
-    if r.orbitally_stable:
+    if r.converged or r.orbitally_stable:
         return r
     raise MaxIterations(f"no fixed point after {max_iter} iterations "
                         f"(residual {res:.3e})")
 
 
-def _truncated_step(J, Fv, trunc_ratio: float = 1e-2) -> np.ndarray:
+def _truncated_step(J, Fv, trunc_ratio: float = 1e-2):
     """Least-squares Newton step with singular directions below
-    trunc_ratio * sigma_max removed (their content is FD noise)."""
+    trunc_ratio * sigma_max removed (their content is FD noise), and whether
+    any direction was removed."""
     w, V = smalllin.symeig(J.T @ J)
     w = np.clip(w, 0.0, None)
     wmax = float(np.max(w))
     if wmax == 0.0:
-        return np.zeros(J.shape[0])
+        return np.zeros(J.shape[0]), False
     keep = w > (trunc_ratio ** 2) * wmax
     y = V.T @ (-(J.T @ Fv))
     y = np.where(keep, y / np.where(keep, w, 1.0), 0.0)
-    return V @ y
+    return V @ y, not bool(np.all(keep))
 
 
 def _finish(f, v, eps, cfg, res, ref, iters, converged, mult_scale, band):
-    mults = _multipliers(f, v, eps, cfg, mult_scale)
+    DP = poincare_jacobian(f, v, eps, cfg,
+                           fd_step=mult_scale * (1.0 + float(np.linalg.norm(v))))
+    mults = smalllin.eigenvalues(DP).values
     mags = np.abs(mults)
     # a multiplier inside the phase band is indistinguishable from unit
     # magnitude at FD resolution, so it cannot support a strict stability
@@ -245,7 +244,7 @@ def eps_sweep(f: PeriodicField, v0, eps_list: Sequence[float],
             r = find_periodic(f, guess, eps, cfg, tol=tol, v0=v0, **kwargs)
             entries.append(SweepEntry(eps, r))
             guess = r.v_star.copy()
-        except (MaxIterations, SingularJacobian) as exc:
+        except SlowflowError as exc:
             entries.append(SweepEntry(eps, None, error=str(exc)))
     pts = [(e.eps, e.result.dist_to_v0) for e in entries
            if e.result is not None and e.result.dist_to_v0 > 0]

@@ -89,8 +89,7 @@ class ResonancePoint:
 # --- built-in fields ----------------------------------------------------------
 
 
-def _slow_field(damping_scalar, damping_array, p: ForcingParams, kinks, name,
-                lipschitz_hint):
+def _slow_field(damping_scalar, damping_array, p: ForcingParams, kinks, name):
     a, lam = p.a, p.lam
 
     def evaluate(t, x, eps):
@@ -109,7 +108,7 @@ def _slow_field(damping_scalar, damping_array, p: ForcingParams, kinks, name,
         return np.stack([F * c, -F * s], axis=-1)
 
     return PeriodicField(dim=2, period=TWO_PI, evaluate=evaluate,
-                         lipschitz_hint=lipschitz_hint, kinks=kinks, name=name)
+                         kinks=kinks, name=name)
 
 
 def nonsmooth_vdp_field(p: ForcingParams = ForcingParams()) -> PeriodicField:
@@ -128,17 +127,14 @@ def nonsmooth_vdp_field(p: ForcingParams = ForcingParams()) -> PeriodicField:
         return tuple(sorted(((phi + math.pi / 2) % TWO_PI,
                              (phi - math.pi / 2) % TWO_PI)))
 
-    # |dF/d(M,N)| <= |u'| + |u| + 1 + |a| per component on a ball of radius R
-    hint = 2.0 * (2.0 * 4.0 + 1.0 + abs(p.a))
     return _slow_field(lambda u: abs(u) - 1.0, lambda u: np.abs(u) - 1.0,
-                       p, kinks, "nonsmooth_vdp", hint)
+                       p, kinks, "nonsmooth_vdp")
 
 
 def classical_vdp_field(p: ForcingParams = ForcingParams()) -> PeriodicField:
     """Slow-frame field of u'' + eps(u^2 - 1)u' + (1 + a*eps)u = eps*lam*sin t."""
-    hint = 2.0 * (3.0 * 4.0 ** 2 + 1.0 + abs(p.a))
     return _slow_field(lambda u: u * u - 1.0, lambda u: u * u - 1.0,
-                       p, None, "classical_vdp", hint)
+                       p, None, "classical_vdp")
 
 
 def linear_test_field() -> PeriodicField:
@@ -157,7 +153,7 @@ def linear_test_field() -> PeriodicField:
         return np.stack([val], axis=-1)
 
     return PeriodicField(dim=1, period=TWO_PI, evaluate=evaluate,
-                         lipschitz_hint=1.0, name="linear_test")
+                         name="linear_test")
 
 
 # --- closed-form averaged data (test oracles and fast paths) -------------------

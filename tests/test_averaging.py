@@ -9,6 +9,7 @@ from slowflow.averaging import (
     averaged_function, averaged_jacobian, averaged_report, find_root,
     scan_roots,
 )
+from slowflow.errors import DomainError
 from slowflow.exprdsl import FieldSpec, field_from_spec
 from slowflow.odeint import PeriodicField
 
@@ -179,6 +180,19 @@ def test_scan_roots_unforced_circle(unforced_nonsmooth):
             continue
         assert abs(amp - target) < 1e-7
         assert r.non_isolated
+
+
+def test_scan_roots_survives_dsl_domain_error():
+    # Newton from the seeds right of the root overshoots below x = -1, where
+    # the square root is undefined; the scan must still return the root
+    src = "sqrt(x1 + 1) - 1.2 + 0.3*cos(2*x1)"
+    f = field_from_spec(FieldSpec.from_strings(1, TWO_PI, [src]))
+    with pytest.raises(DomainError):
+        find_root(f, np.array([1.0]), n_nodes=256)
+    roots = scan_roots(f, np.array([[-0.9, 4.0]]), grid_n=12, n_nodes=256)
+    assert len(roots) == 1
+    x = float(roots[0].v0[0])
+    assert abs(math.sqrt(x + 1.0) - 1.2 + 0.3 * math.cos(2.0 * x)) < 1e-10
 
 
 def test_scan_roots_validation(unforced_nonsmooth):

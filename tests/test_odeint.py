@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import rk4
-from slowflow import certify
+from slowflow import certify, exprdsl, odeint, vdp
 from slowflow.errors import NonFiniteState, StepLimitExceeded
 from slowflow.odeint import (
     IntegratorConfig, PeriodicField, flow, flow_batch, g_eps, integrate,
@@ -231,3 +231,79 @@ def test_trajectory_samples_monotone(linear_field):
     traj = integrate(linear_field, 0.0, TWO_PI, np.array([0.2]), 0.1)
     assert np.all(np.diff(traj.times) > 0)
     assert traj.times[0] == 0.0 and traj.times[-1] == TWO_PI
+
+
+# --- reference Dormand-Prince loop ---------------------------------------------
+# The tableau as rows and a generator sum over the stages, in the order the
+# unrolled stepper must reproduce bit for bit.
+
+_REF_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_REF_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_REF_E = (35 / 384 - 5179 / 57600, 0.0, 500 / 1113 - 7571 / 16695,
+          125 / 192 - 393 / 640, -2187 / 6784 + 92097 / 339200,
+          11 / 84 - 187 / 2100, -1 / 40)
+
+
+def _ref_dopri(rhs, t0, t1, x0, atol, rtol):
+    t, x = t0, np.asarray(x0, dtype=float)
+    h = (t1 - t0) / 50.0
+    k1 = rhs(t, x)
+    ts, xs = [t0], [x.copy()]
+    while t < t1:
+        h = min(h, t1 - t)
+        ks = [k1]
+        for i in range(1, 7):
+            xi = x + h * sum(a * k for a, k in zip(_REF_A[i], ks))
+            ks.append(rhs(t + _REF_C[i] * h, xi))
+        err = h * sum(e * k for e, k in zip(_REF_E, ks))
+        scale = atol + rtol * np.maximum(np.abs(x), np.abs(xi))
+        enorm = float(np.max(np.abs(err) / scale))
+        if enorm <= 1.0:
+            t, x, k1 = t + h, xi, ks[6]
+            ts.append(t)
+            xs.append(x.copy())
+        fac = 0.9 * enorm ** -0.2 if enorm > 0 else 5.0
+        h = h * min(5.0, max(0.2, fac))
+    ts[-1] = t1
+    return np.asarray(ts), np.asarray(xs)
+
+
+def _bit_check_fields():
+    dsl = exprdsl.FieldSpec.from_strings(2, TWO_PI, [
+        "(-(abs(x1*sin(t)+x2*cos(t))-1)*(x1*cos(t)-x2*sin(t))"
+        "-a*(x1*sin(t)+x2*cos(t))+lam*sin(t))*cos(t)",
+        "-((-(abs(x1*sin(t)+x2*cos(t))-1)*(x1*cos(t)-x2*sin(t))"
+        "-a*(x1*sin(t)+x2*cos(t))+lam*sin(t)))*sin(t)"], {"a": 0.1, "lam": 1.0})
+    return [vdp.nonsmooth_vdp_field(vdp.ForcingParams(0.1, 1.0)),
+            vdp.classical_vdp_field(vdp.ForcingParams(0.1, 1.0)),
+            vdp.linear_test_field(), exprdsl.field_from_spec(dsl)]
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+def test_dopri_bit_identical_to_reference_loop(tol):
+    cfg = IntegratorConfig(abs_tol=tol, rel_tol=tol)
+    rng = np.random.default_rng(2024)
+    for f in _bit_check_fields():
+        for eps in (0.05, 0.3):
+            rhs = odeint._make_rhs(f, eps)
+            x0 = rng.uniform(-3.0, 3.0, f.dim)
+            got = flow(f, 0.0, f.period, x0, eps, cfg)
+            assert got.tobytes() == _ref_dopri(rhs, 0.0, f.period, x0,
+                                               tol, tol)[1][-1].tobytes()
+            X0 = rng.uniform(-3.0, 3.0, (5, f.dim))
+            got = flow_batch(f, 0.0, f.period, X0, eps, cfg)
+            assert got.tobytes() == _ref_dopri(rhs, 0.0, f.period, X0,
+                                               tol, tol)[1][-1].tobytes()
+            t0 = float(rng.uniform(0.0, 1.0))
+            ts, xs = _ref_dopri(rhs, t0, t0 + 2.0 * f.period, x0, tol, tol)
+            traj = integrate(f, t0, t0 + 2.0 * f.period, x0, eps, cfg)
+            assert traj.times.tobytes() == ts.tobytes()
+            assert traj.states.tobytes() == xs.tobytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 
 from conftest import certified_forced_params
 from slowflow import certify, vdp
-from slowflow.odeint import IntegratorConfig, poincare_map
+from slowflow.odeint import IntegratorConfig, PeriodicField, poincare_map
 from slowflow.orbit import (
     ORBITAL_NOTE, basin_probe, eps_sweep, find_periodic, measure_contraction,
+    poincare_jacobian,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -42,6 +44,8 @@ def test_unforced_orbitally_stable(unforced_nonsmooth):
     assert abs(mags[-1] - 1.0) <= 1e-4           # phase direction
     assert mags[0] < 1.0 - 1e-4                  # contracting direction
     assert r.residual < 1e-2
+    # the truncated step stalls on the circle instead of creeping along it
+    assert r.iterations <= 6
 
 
 def test_unforced_amplitude_approaches_prediction(unforced_nonsmooth):
@@ -53,6 +57,56 @@ def test_unforced_amplitude_approaches_prediction(unforced_nonsmooth):
         guess = r.v_star
         assert devs[-1] < 5.0 * eps
     assert devs[1] < devs[0]
+
+
+def _counted(f):
+    """f with its evaluate calls counted in the returned one-item list."""
+    calls = [0]
+    ev = f.evaluate
+
+    def evaluate(t, x, eps):
+        calls[0] += 1
+        return ev(t, x, eps)
+
+    return dataclasses.replace(f, evaluate=evaluate), calls
+
+
+def _closed_form_root(a, lam):
+    # amplitude from the resonance equation, then (M, N) from the 2x2 system
+    # [[k, -a pi], [a pi, k]] (M, N) = (0, lam pi), k = pi - 4A/3
+    (A,) = vdp.amplitude_roots("nonsmooth", a, lam)
+    k = math.pi - 4.0 * A / 3.0
+    return np.linalg.solve(np.array([[k, -a * math.pi], [a * math.pi, k]]),
+                           np.array([0.0, lam * math.pi]))
+
+
+def test_forced_solve_evaluation_count():
+    root = _closed_form_root(0.1, 1.0)
+    f, calls = _counted(vdp.nonsmooth_vdp_field(vdp.ForcingParams(0.1, 1.0)))
+    r = find_periodic(f, root, 0.05, v0=root)
+    assert r.converged and r.stable
+    assert r.iterations <= 3
+    assert calls[0] <= 20_000
+
+
+def test_batched_jacobian_accuracy():
+    # one shared step sequence for all columns: the default-step Jacobian at
+    # the solver's tolerance matches a tight, wide-step reference
+    f = vdp.nonsmooth_vdp_field(vdp.ForcingParams(0.1, 1.0))
+    v, eps = np.array([0.5, 1.2]), 0.05
+    tight = IntegratorConfig(abs_tol=1e-13, rel_tol=1e-13)
+    ref = np.empty((2, 2))
+    for j, e in enumerate(1e-4 * np.eye(2)):
+        ref[:, j] = (poincare_map(f, v + e, eps, tight)
+                     - poincare_map(f, v - e, eps, tight)) / 2e-4
+    J = poincare_jacobian(f, v, eps, IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12))
+    assert np.max(np.abs(J - ref)) <= 1e-5
+
+
+def test_poincare_jacobian_identity_at_eps_zero():
+    f = vdp.nonsmooth_vdp_field()
+    assert np.array_equal(poincare_jacobian(f, np.array([0.5, 1.2]), 0.0),
+                          np.eye(2))
 
 
 def test_forced_point_stable_multipliers():
@@ -192,6 +246,23 @@ def test_uniqueness_of_fixed_point():
         points.append(find_periodic(f, guess, eps, v0=root).v_star)
     spread = max(np.linalg.norm(p - points[0]) for p in points)
     assert spread < 1e-7
+
+
+def test_sweep_entry_error_does_not_abort():
+    # x' = eps(-x + cos t), except that at the largest eps the field grows
+    # without bound: that entry's NonFiniteState becomes its error
+    def evaluate(t, x, eps):
+        x = np.asarray(x, dtype=float)
+        if eps > 0.09:
+            return 1e3 * (x + 1.0)
+        return np.cos(t) - x
+
+    f = PeriodicField(dim=1, period=TWO_PI, evaluate=evaluate)
+    sw = eps_sweep(f, np.array([0.0]), [0.1, 0.05, 0.02])
+    assert sw.entries[0].result is None and "blew up" in sw.entries[0].error
+    for entry, eps in zip(sw.entries[1:], (0.05, 0.02)):
+        assert entry.result is not None and entry.result.converged
+        assert abs(entry.result.v_star[0] - eps * eps / (1 + eps * eps)) < 1e-8
 
 
 def test_sweep_keeps_partial_failures(unforced_nonsmooth):
