@@ -17,7 +17,6 @@ quadrature values with a central-difference Jacobian.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -141,13 +140,9 @@ def averaged_report(f: PeriodicField, v, n_nodes: int = DEFAULT_NODES,
 
 
 def _singular_ratio(J: np.ndarray) -> float:
-    """sigma_min / sigma_max via eigenvalues of J'J (k is tiny)."""
-    s = smalllin.eigenvalues(J.T @ J).values.real
-    s = np.clip(s, 0.0, None)
-    smax = float(np.max(s))
-    if smax == 0.0:
-        return 0.0
-    return math.sqrt(float(np.min(s)) / smax)
+    """sigma_min / sigma_max of J (0.0 for the zero matrix)."""
+    s = np.linalg.svd(J, compute_uv=False)
+    return float(s[-1] / s[0]) if s[0] > 0.0 else 0.0
 
 
 def find_root(f: PeriodicField, guess, root_tol: float = 1e-10,

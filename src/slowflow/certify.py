@@ -131,9 +131,9 @@ def pnorm_operator_sampled(M, P, n_samples: int = 10_000, seed: int = 0) -> floa
     Random sampling alone cannot localize the maximizer to 1e-6 in dimension
     three and up (and the optimal alpha typically ties the top two singular
     values, which also defeats plain power iteration), so the sampled maximum
-    is polished by a Jacobi-rotation Rayleigh-Ritz solve of the equivalent
-    symmetric problem -- an algorithmic route disjoint from the Hessenberg-QR
-    eigensolver used by `pnorm_operator`.
+    is polished by the top eigenvalue of the symmetric matrix B'B from LAPACK
+    ``eigvalsh`` -- a route disjoint from the `eig2x2` closed form (k = 2) and
+    the nonsymmetric ``eigvals`` (k > 2) used by `pnorm_operator`.
     """
     M = np.asarray(M, dtype=float)
     P = np.asarray(P, dtype=float)
@@ -146,7 +146,7 @@ def pnorm_operator_sampled(M, P, n_samples: int = 10_000, seed: int = 0) -> floa
     num = np.linalg.norm(Y @ B.T, axis=1)
     den = np.linalg.norm(Y, axis=1)
     best = float(np.max(num / den))
-    w, _ = smalllin.symeig(B.T @ B)
+    w = np.linalg.eigvalsh(B.T @ B)
     polished = math.sqrt(max(0.0, float(w[-1])))
     return max(best, polished)
 
@@ -290,9 +290,7 @@ def uniform_limit_diagnostic(f: PeriodicField, v0, delta: float,
     k = f.dim
     T = f.period
     tq = np.linspace(0.0, T, n_quad + 1)
-    w = np.ones(n_quad + 1)
-    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-    w *= (T / n_quad) / 3.0
+    w = averaging._simpson_weights(n_quad) * ((T / n_quad) / 3.0)
     knots = np.linspace(0.0, T, n_knots)
     worst = 0.0
     for _ in range(n_samples):

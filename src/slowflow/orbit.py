@@ -189,18 +189,15 @@ def find_periodic(f: PeriodicField, v0_guess, eps: float,
 
 
 def _truncated_step(J, Fv, trunc_ratio: float = 1e-2):
-    """Least-squares Newton step with singular directions below
-    trunc_ratio * sigma_max removed (their content is FD noise), and whether
-    any direction was removed."""
-    w, V = smalllin.symeig(J.T @ J)
-    w = np.clip(w, 0.0, None)
-    wmax = float(np.max(w))
-    if wmax == 0.0:
-        return np.zeros(J.shape[0]), False
-    keep = w > (trunc_ratio ** 2) * wmax
-    y = V.T @ (-(J.T @ Fv))
-    y = np.where(keep, y / np.where(keep, w, 1.0), 0.0)
-    return V @ y, not bool(np.all(keep))
+    """Truncated-SVD Newton step -pinv_r(J) Fv, and whether it dropped a
+    direction.
+
+    LAPACK ``gelsd`` (``numpy.linalg.lstsq``) zeroes every singular value
+    sigma <= trunc_ratio * sigma_max, whose content is FD noise; working on J
+    itself rather than J'J keeps the condition number unsquared.
+    """
+    step, _, rank, _ = np.linalg.lstsq(J, -Fv, rcond=trunc_ratio)
+    return step, bool(rank < J.shape[1])
 
 
 def _finish(f, v, eps, cfg, res, ref, iters, converged, mult_scale, band):

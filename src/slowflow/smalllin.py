@@ -1,11 +1,12 @@
 """Dense linear algebra for small (k <= 16) real matrices.
 
-Everything here is sized for stability certificates of low-dimensional
-averaged systems: LU solves for Newton steps, eigenvalues via Hessenberg
-reduction plus Francis double-shift QR (closed form for k = 2), and a
-Kronecker-structured direct solve of the Lyapunov equation A'P + PA = -I.
-At k^2 <= 256 unknowns the direct solve is trivial and leaves fewer
-algorithms to validate than Bartels-Stewart.
+Sized for stability certificates of low-dimensional averaged systems.
+Solves, eigenvalues and Cholesky factors are LAPACK calls through
+``numpy.linalg``, whose failures surface as ``Singular`` (``NoConvergence``
+for eigenvalues); 2x2 spectra use a closed form, so two-dimensional verdicts
+do not depend on the LAPACK build.  The Lyapunov equation A'P + PA = -I is
+one Kronecker-structured direct solve: at k^2 <= 256 unknowns that is trivial
+and leaves fewer algorithms to validate than Bartels-Stewart.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ __all__ = [
 # strict margin: max Re < -HURWITZ_MARGIN counts as Hurwitz, |Re| <= margin
 # is the degenerate band (the unforced oscillator sits exactly there)
 HURWITZ_MARGIN = 1e-9
-
-_EPS = np.finfo(float).eps
 
 
 def _as_square(A) -> np.ndarray:
@@ -56,67 +55,35 @@ class Spectrum:
         return bool(np.any(np.abs(self.values.real) <= band))
 
 
-def _sorted_spectrum(vals) -> Spectrum:
-    vals = np.asarray(vals, dtype=complex)
-    order = np.lexsort((vals.imag, vals.real))
-    return Spectrum(vals[order])
+def _lapack(fn, *args, error=Singular):
+    """fn(*args) for a numpy.linalg routine, its LinAlgError raised as `error`."""
+    try:
+        return fn(*args)
+    except np.linalg.LinAlgError as exc:
+        raise error(f"{fn.__name__}: {exc}") from exc
 
 
-# --- LU ----------------------------------------------------------------------
-
-def _lu_factor(A):
-    A = _as_square(A).copy()
-    n = A.shape[0]
-    piv = np.arange(n)
-    thresh = 1e-13 * math.sqrt(float(np.sum(A * A)))
-    for j in range(n):
-        p = j + int(np.argmax(np.abs(A[j:, j])))
-        if abs(A[p, j]) <= thresh:
-            raise Singular(f"pivot {abs(A[p, j]):.3e} below threshold {thresh:.3e}")
-        if p != j:
-            A[[j, p]] = A[[p, j]]
-            piv[[j, p]] = piv[[p, j]]
-        A[j + 1:, j] /= A[j, j]
-        A[j + 1:, j + 1:] -= np.outer(A[j + 1:, j], A[j, j + 1:])
-    return A, piv
+def _nonsingular(A) -> np.ndarray:
+    """A as a float square matrix; Singular when sigma_min <= 1e-13 |A|_F."""
+    A = _as_square(A)
+    smin = float(np.linalg.svd(A, compute_uv=False)[-1])
+    thresh = 1e-13 * float(np.linalg.norm(A))
+    if smin <= thresh:
+        raise Singular(f"sigma_min {smin:.3e} below threshold {thresh:.3e}")
+    return A
 
 
 def solve(A, b) -> np.ndarray:
-    """Solve A x = b by LU with partial pivoting; b may be a vector or matrix."""
-    LU, piv = _lu_factor(A)
-    b = np.asarray(b, dtype=float)
-    vec = b.ndim == 1
-    x = b.reshape(len(b), -1)[piv].astype(float, copy=True)
-    n = LU.shape[0]
-    for j in range(n):                      # forward (unit lower)
-        x[j + 1:] -= np.outer(LU[j + 1:, j], x[j])
-    for j in range(n - 1, -1, -1):          # backward
-        x[j] /= LU[j, j]
-        x[:j] -= np.outer(LU[:j, j], x[j])
-    return x[:, 0] if vec else x
+    """Solve A x = b (LAPACK gesv); b may be a vector or matrix."""
+    return _lapack(np.linalg.solve, _nonsingular(A), np.asarray(b, dtype=float))
 
 
 def det(A) -> float:
-    """Determinant via the same pivoted LU (0.0 when singular)."""
+    """Determinant of A; 0.0 when A is singular by the `solve` threshold."""
     try:
-        LU, piv = _lu_factor(A)
+        return float(np.linalg.det(_nonsingular(A)))
     except Singular:
         return 0.0
-    sign = 1.0
-    seen = piv.copy()
-    # permutation parity from cycle decomposition
-    visited = np.zeros(len(seen), dtype=bool)
-    for i in range(len(seen)):
-        if visited[i]:
-            continue
-        j, clen = i, 0
-        while not visited[j]:
-            visited[j] = True
-            j = seen[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign * float(np.prod(np.diag(LU)))
 
 
 # --- eigenvalues -------------------------------------------------------------
@@ -136,199 +103,36 @@ def eig2x2(a, b, c, d):
     return complex(m, s), complex(m, -s)
 
 
-def _hessenberg(A):
-    H = A.copy()
-    n = H.shape[0]
-    for j in range(n - 2):
-        x = H[j + 1:, j]
-        nx = math.sqrt(float(x @ x))
-        if nx == 0.0:
-            continue
-        v = x.copy()
-        v[0] += math.copysign(nx, x[0])
-        nv = math.sqrt(float(v @ v))
-        if nv == 0.0:
-            continue
-        v /= nv
-        H[j + 1:, j:] -= 2.0 * np.outer(v, v @ H[j + 1:, j:])
-        H[:, j + 1:] -= 2.0 * np.outer(H[:, j + 1:] @ v, v)
-    return H
-
-
-def _francis_sweep(H, lo, hi):
-    """One implicit double-shift QR sweep on the active block H[lo:hi+1]."""
-    n = hi - lo + 1
-    s = H[hi - 1, hi - 1] + H[hi, hi]
-    t = H[hi - 1, hi - 1] * H[hi, hi] - H[hi - 1, hi] * H[hi, hi - 1]
-    x = H[lo, lo] * H[lo, lo] + H[lo, lo + 1] * H[lo + 1, lo] - s * H[lo, lo] + t
-    y = H[lo + 1, lo] * (H[lo, lo] + H[lo + 1, lo + 1] - s)
-    z = H[lo + 2, lo + 1] * H[lo + 1, lo] if n > 2 else 0.0
-    _bulge_chase(H, lo, hi, x, y, z)
-
-
-def _exceptional_sweep(H, lo, hi, ex):
-    # ad-hoc shifts to break rare cycling (EISPACK-style constants)
-    s = 1.5 * ex
-    t = -0.4375 * ex * ex
-    x = H[lo, lo] * H[lo, lo] + H[lo, lo + 1] * H[lo + 1, lo] - s * H[lo, lo] + t
-    y = H[lo + 1, lo] * (H[lo, lo] + H[lo + 1, lo + 1] - s)
-    z = H[lo + 2, lo + 1] * H[lo + 1, lo] if hi - lo > 1 else 0.0
-    _bulge_chase(H, lo, hi, x, y, z)
-
-
-def _bulge_chase(H, lo, hi, x, y, z):
-    for k in range(lo, hi):
-        if k > lo:
-            x, y = H[k, k - 1], H[k + 1, k - 1]
-            z = H[k + 2, k - 1] if k + 2 <= hi else None
-        vec = np.array([x, y]) if z is None else np.array([x, y, z])
-        nv = math.sqrt(float(vec @ vec))
-        if nv == 0.0:
-            continue
-        v = vec.copy()
-        v[0] += math.copysign(nv, vec[0])
-        vn = math.sqrt(float(v @ v))
-        if vn == 0.0:
-            continue
-        v /= vn
-        rows = slice(k, k + len(v))
-        c0 = k - 1 if k > lo else lo
-        H[rows, c0:] -= 2.0 * np.outer(v, v @ H[rows, c0:])
-        rmax = min(hi, k + 3)
-        H[:rmax + 1, rows] -= 2.0 * np.outer(H[:rmax + 1, rows] @ v, v)
-        if k > lo:
-            H[k + 1:min(k + 2, hi) + 1, k - 1] = 0.0
-
-
-def eigenvalues(A, max_iter: int = 100_000) -> Spectrum:
+def eigenvalues(A) -> Spectrum:
     """All eigenvalues of a real square matrix (k <= 16).
 
-    Hessenberg reduction followed by Francis double-shift QR with deflation;
-    k = 1 and 2 use closed forms.  Raises NoConvergence if the iteration cap
-    is hit (does not happen for k <= 4 in practice).
+    k = 2 uses the closed form `eig2x2`; every other size uses LAPACK
+    (``numpy.linalg.eigvals``).
     """
     A = _as_square(A)
     n = A.shape[0]
     if n > 16:
         raise ValueError("eigenvalues() is limited to k <= 16")
-    if n == 1:
-        return _sorted_spectrum([A[0, 0]])
     if n == 2:
-        return _sorted_spectrum(eig2x2(A[0, 0], A[0, 1], A[1, 0], A[1, 1]))
-
-    H = _hessenberg(A)
-    vals = []
-    hi = n - 1
-    iters = 0
-    stall = 0
-    while hi >= 0:
-        if hi == 0:
-            vals.append(complex(H[0, 0]))
-            break
-        # deflate negligible subdiagonals
-        lo = hi
-        while lo > 0:
-            small = _EPS * (abs(H[lo - 1, lo - 1]) + abs(H[lo, lo])) + 1e-300
-            if abs(H[lo, lo - 1]) <= small:
-                H[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if lo == hi:
-            vals.append(complex(H[hi, hi]))
-            hi -= 1
-            stall = 0
-            continue
-        if lo == hi - 1:
-            vals.extend(eig2x2(H[lo, lo], H[lo, hi], H[hi, lo], H[hi, hi]))
-            hi -= 2
-            stall = 0
-            continue
-        if iters >= max_iter:
-            raise NoConvergence(f"QR iteration cap {max_iter} reached")
-        iters += 1
-        stall += 1
-        if stall % 12 == 0:
-            ex = abs(H[hi, hi - 1]) + abs(H[hi - 1, hi - 2])
-            _exceptional_sweep(H, lo, hi, ex)
-        else:
-            _francis_sweep(H, lo, hi)
-    return _sorted_spectrum(vals)
+        vals = np.array(eig2x2(A[0, 0], A[0, 1], A[1, 0], A[1, 1]))
+    else:
+        vals = _lapack(np.linalg.eigvals, A, error=NoConvergence).astype(complex)
+    return Spectrum(vals[np.lexsort((vals.imag, vals.real))])
 
 
 # --- symmetric factorizations & Lyapunov -------------------------------------
 
-def symeig(S, max_sweeps: int = 60):
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (w, V) with eigenvalues w ascending and orthonormal columns V;
-    S @ V = V @ diag(w).
-    """
-    A = _as_square(S).copy()
-    n = A.shape[0]
-    V = np.eye(n)
-    scale = float(np.max(np.abs(A))) or 1.0
-    for _ in range(max_sweeps):
-        off = math.sqrt(float(np.sum(np.tril(A, -1) ** 2)))
-        if off <= 1e-15 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rp, rq = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp, cq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    w = np.diag(A).copy()
-    order = np.argsort(w)
-    return w[order], V[:, order]
-
-
 def cholesky(P) -> np.ndarray:
     """Lower-triangular L with P = L L'; raises Singular if P is not SPD."""
-    P = _as_square(P)
-    n = P.shape[0]
-    L = np.zeros_like(P)
-    for j in range(n):
-        d = P[j, j] - float(L[j, :j] @ L[j, :j])
-        if d <= 0.0:
-            raise Singular(f"matrix not positive definite (pivot {d:.3e})")
-        L[j, j] = math.sqrt(d)
-        if j + 1 < n:
-            L[j + 1:, j] = (P[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
-    return L
+    return _lapack(np.linalg.cholesky, _as_square(P))
 
 
 def solve_lower(L, B) -> np.ndarray:
-    B = np.asarray(B, dtype=float)
-    vec = B.ndim == 1
-    X = B.reshape(len(B), -1).astype(float, copy=True)
-    n = L.shape[0]
-    for j in range(n):
-        X[j] /= L[j, j]
-        X[j + 1:] -= np.outer(L[j + 1:, j], X[j])
-    return X[:, 0] if vec else X
+    return _lapack(np.linalg.solve, _as_square(L), np.asarray(B, dtype=float))
 
 
 def solve_upper(U, B) -> np.ndarray:
-    B = np.asarray(B, dtype=float)
-    vec = B.ndim == 1
-    X = B.reshape(len(B), -1).astype(float, copy=True)
-    n = U.shape[0]
-    for j in range(n - 1, -1, -1):
-        X[j] /= U[j, j]
-        X[:j] -= np.outer(U[:j, j], X[j])
-    return X[:, 0] if vec else X
+    return _lapack(np.linalg.solve, _as_square(U), np.asarray(B, dtype=float))
 
 
 def lyapunov_solve(A, residual_tol: float = 1e-8) -> np.ndarray:

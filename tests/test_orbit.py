@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import certified_forced_params
-from slowflow import certify, vdp
+from slowflow import certify, smalllin, vdp
 from slowflow.odeint import IntegratorConfig, PeriodicField, poincare_map
 from slowflow.orbit import (
-    ORBITAL_NOTE, basin_probe, eps_sweep, find_periodic, measure_contraction,
-    poincare_jacobian,
+    ORBITAL_NOTE, _truncated_step, basin_probe, eps_sweep, find_periodic,
+    measure_contraction, poincare_jacobian,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -78,6 +78,29 @@ def _closed_form_root(a, lam):
     k = math.pi - 4.0 * A / 3.0
     return np.linalg.solve(np.array([[k, -a * math.pi], [a * math.pi, k]]),
                            np.array([0.0, lam * math.pi]))
+
+
+def test_truncated_step_drops_directions_below_ratio():
+    # singular values 1, 0.011, 0.009 against the default 1e-2 cut: only the
+    # 0.009 direction is FD noise
+    rng = np.random.default_rng(41)
+    Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    J = Q @ np.diag([1.0, 0.011, 0.009]) @ Q.T
+    Fv = rng.standard_normal(3)
+    step, dropped = _truncated_step(J, Fv)
+    assert dropped
+    expected = Q @ np.diag([1.0, 1.0 / 0.011, 0.0]) @ Q.T @ (-Fv)
+    assert np.linalg.norm(step - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_truncated_step_well_conditioned_is_newton_step():
+    rng = np.random.default_rng(43)
+    J = rng.standard_normal((3, 3)) + 4.0 * np.eye(3)
+    Fv = rng.standard_normal(3)
+    step, dropped = _truncated_step(J, Fv)
+    assert not dropped
+    expected = smalllin.solve(J, -Fv)
+    assert np.linalg.norm(step - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_forced_solve_evaluation_count():

@@ -4,7 +4,7 @@ import pytest
 from slowflow.errors import NotHurwitz, Singular
 from slowflow.smalllin import (
     Spectrum, cholesky, det, eig2x2, eigenvalues, lyapunov_solve, solve,
-    solve_lower, solve_upper, symeig,
+    solve_lower, solve_upper,
 )
 
 
@@ -26,6 +26,15 @@ def test_solve_diagonal():
 def test_solve_zero_matrix_singular():
     with pytest.raises(Singular):
         solve(np.zeros((3, 3)), np.ones(3))
+
+
+def test_solve_nearly_singular_matrix_singular():
+    # a non-zero matrix whose sigma_min (~5.6e-16) sits far below the
+    # 1e-13 * |A|_F threshold (2e-13)
+    A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+    with pytest.raises(Singular):
+        solve(A, np.ones(2))
+    assert det(A) == 0.0
 
 
 def test_solve_residual_contract():
@@ -172,13 +181,3 @@ def test_cholesky_rejects_indefinite():
     with pytest.raises(Singular):
         cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
-
-def test_symeig_decomposition():
-    rng = np.random.default_rng(31)
-    for n in (2, 4, 6):
-        B = rng.standard_normal((n, n))
-        S = 0.5 * (B + B.T)
-        w, V = symeig(S)
-        assert np.all(np.diff(w) >= -1e-12)
-        assert np.max(np.abs(V.T @ V - np.eye(n))) < 1e-10
-        assert np.max(np.abs(S @ V - V @ np.diag(w))) < 1e-9
