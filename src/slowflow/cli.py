@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -371,6 +372,12 @@ def resonance_svg(points: List[vdp.ResonancePoint], model: str,
 # --- entry point ----------------------------------------------------------------
 
 
+# argparse reads only -1 and -1.5 as negative numbers, so -3.6e-06 (how
+# format_float prints a small coordinate) parses as an unknown option; this
+# pattern, set on every parser, admits every float literal
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="slowflow",
@@ -426,6 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", default=None)
     p.set_defaults(fn=cmd_resonance)
 
+    # --point, --box, --eps and --a take negative values
+    for parser in (ap, *sub.choices.values()):
+        parser._negative_number_matcher = _NEGATIVE_NUMBER
     return ap
 
 

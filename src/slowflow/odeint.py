@@ -12,6 +12,10 @@ The adaptive stepper is strongly preferred for Poincare-map work: corners in
 the field make a fixed step lose order globally, while the embedded error
 estimate localizes the damage to the few steps that straddle a corner.
 
+``flow_batch`` flows an ensemble either on one shared step grid or, with
+``shared_steps=False``, with a Dormand-Prince step size and error norm per
+member; see its docstring for which suits what.
+
 The Dormand-Prince stages are written out and must stay bit-identical to the
 left-to-right sums a_i1*k1 + a_i2*k2 + ... of the reference loop in the tests
 (no BLAS dot, no FMA): whether Newton on a nonsmooth period map meets its
@@ -20,6 +24,7 @@ residual target can depend on the last bits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -49,7 +54,9 @@ class PeriodicField:
     ``evaluate(t, x, eps)`` must broadcast: scalar ``t`` with ``x`` of shape
     ``(k,)`` returns ``(k,)``; an array of times with frozen ``x`` of shape
     ``(k,)`` returns ``(len(t), k)``; scalar ``t`` with an ensemble ``(m, k)``
-    returns ``(m, k)``.
+    returns ``(m, k)``; paired times ``t`` of shape ``(m,)`` with an ensemble
+    ``(m, k)`` evaluate row i at ``(t[i], x[i])`` and return ``(m, k)`` (the
+    per-member stepper of ``flow_batch``).  Rows must not interact.
 
     ``kinks``, when given, maps ``(x, eps)`` to the times in ``[0, T)`` where
     ``t -> g(t, x, eps)`` (state frozen) is not smooth.  Quadratures use it to
@@ -126,6 +133,7 @@ _A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
                                 49 / 176, -5103 / 18656)
 _A71, _A73, _A74, _A75, _A76 = (35 / 384, 500 / 1113, 125 / 192,
                                 -2187 / 6784, 11 / 84)
+_C_STAGES = np.array([[_C2], [_C3], [_C4], [_C5], [1.0]])
 _E1, _E3, _E4, _E5, _E6, _E7 = (
     35 / 384 - 5179 / 57600,
     500 / 1113 - 7571 / 16695,
@@ -226,6 +234,84 @@ def _run_dopri(rhs, t0, t1, x0, atol, rtol, max_steps, record):
     return x
 
 
+def _run_dopri_members(rhs, t0, t1, x0, atol, rtol, max_steps):
+    """Dormand-Prince with its own step size and error control per member.
+
+    ``x0`` is an (m, k) ensemble; ``t`` and ``h`` are (m,) arrays and the
+    field is called with paired times.  Each member's error norm is its own
+    scaled max-norm, so an accepted member advances while a rejected one
+    retries, and every member's result depends on its own start alone.  A
+    finished member gets h = 0.  A member whose accepted state passes
+    ``BLOWUP_NORM`` (or is not finite), or whose step underflows, is frozen
+    (parked at t1 with h = 0) and returned as a NaN row.
+
+    A member takes the steps the scalar loop would take for it, up to
+    numpy's vectorised ``**`` differing from libm's ``pow`` in the last bit.
+    """
+    m = x0.shape[0]
+    span = t1 - t0
+    hmin = span * 1e-14
+    x = x0.copy()
+    if not span > 0:
+        return x            # as the scalar loop; a negative h would never stop
+    t = np.full(m, float(t0))
+    h = np.full(m, span / 50.0)
+    frozen = np.zeros(m, dtype=bool)
+    k1 = rhs(t, x)
+    abs_x = np.abs(x)
+    steps = 0
+    while True:
+        h = np.minimum(h, t1 - t)
+        if not h.any():
+            break
+        if steps >= max_steps:
+            raise StepLimitExceeded(f"max_steps={max_steps} reached at "
+                                    f"t={float(np.min(t)):.6g}")
+        steps += 1
+        # stage times t + c_i*h, one row per stage
+        tc = _C_STAGES * h + t
+        t_new = np.minimum(tc[4], t1)
+        hc = h[:, None]
+        k2 = rhs(tc[0], x + hc * (_A21 * k1))
+        k3 = rhs(tc[1], x + hc * (_A31 * k1 + _A32 * k2))
+        k4 = rhs(tc[2], x + hc * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+        k5 = rhs(tc[3], x + hc * (_A51 * k1 + _A52 * k2 + _A53 * k3
+                                  + _A54 * k4))
+        k6 = rhs(t_new, x + hc * (_A61 * k1 + _A62 * k2 + _A63 * k3
+                                  + _A64 * k4 + _A65 * k5))
+        x5 = x + hc * (_A71 * k1 + _A73 * k3 + _A74 * k4 + _A75 * k5
+                       + _A76 * k6)
+        k7 = rhs(t_new, x5)
+        err = hc * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6
+                    + _E7 * k7)
+        abs_x5 = np.abs(x5)
+        scale = atol + rtol * np.maximum(abs_x, abs_x5)
+        # row max as a column fold: a reduction along a short last axis is
+        # several times slower at these sizes
+        enorm = functools.reduce(np.maximum, (np.abs(err) / scale).T)
+        acc = enorm <= 1.0
+        t = np.where(acc, t_new, t)
+        if not abs_x5.max() <= BLOWUP_NORM:
+            blown = acc & ~(abs_x5.max(axis=1) <= BLOWUP_NORM)
+            acc &= ~blown
+            frozen |= blown
+            t[blown] = t1
+        a = acc[:, None]
+        x = np.where(a, x5, x)
+        abs_x = np.where(a, abs_x5, abs_x)
+        k1 = np.where(a, k7, k1)
+        # the scalar loop's factor; fmax sends a NaN enorm (non-finite
+        # stages) to the 0.2 shrink of a rejection
+        fac = 0.9 * np.maximum(enorm, 1e-300) ** -0.2
+        h = h * np.fmin(5.0, np.fmax(0.2, fac))
+        under = (h < hmin) & (t < t1)
+        if under.any():
+            frozen |= under
+            t[under] = t1
+    x[frozen] = np.nan
+    return x
+
+
 def _make_rhs(f: PeriodicField, eps: float):
     ev = f.evaluate
     if eps == 0.0:
@@ -274,16 +360,35 @@ def flow(f: PeriodicField, t0: float, t1: float, x0, eps: float,
 
 
 def flow_batch(f: PeriodicField, t0: float, t1: float, X0, eps: float,
-               cfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
-    """Flow an ensemble X0 of shape (m, k) over [t0, t1] on a shared step grid.
+               cfg: IntegratorConfig = IntegratorConfig(), *,
+               shared_steps: bool = True) -> np.ndarray:
+    """Flow an ensemble X0 of shape (m, k) over [t0, t1]; members do not interact.
 
-    Adaptive error control reduces over the whole batch, so accuracy matches
-    the worst member; members do not interact.
+    With ``shared_steps`` (the default) every member rides one accepted step
+    sequence: adaptive error control reduces over the whole batch, so the
+    grid resolves every member's corners and accuracy matches the worst
+    member.  Integration errors of nearby members are then correlated, which
+    finite differences and close pairs need (``poincare_jacobian``,
+    ``measure_contraction``).  A blow-up of any member raises.
+
+    With ``shared_steps=False`` each member gets its own Dormand-Prince step
+    size and error norm, so a member takes only the steps its own corners
+    need and its result does not depend on the rest of the batch (permuting
+    or subsetting X0 permutes or subsets the result bit for bit).  A member
+    that blows up past ``BLOWUP_NORM``, goes non-finite or underflows its
+    step comes back as a NaN row instead of aborting the others.  The field
+    is called with paired times (``t`` of shape (m,) with ``x`` of shape
+    (m, k)).  ``rk4-fixed`` has one step size anyway and ignores the flag.
     """
     X0 = np.asarray(X0, dtype=float)
     if X0.ndim != 2 or X0.shape[1] != f.dim:
         raise ValueError(f"X0 must have shape (m, {f.dim})")
-    return _run(f, t0, t1, X0, eps, cfg, record=False)
+    if shared_steps or cfg.method == "rk4-fixed":
+        return _run(f, t0, t1, X0, eps, cfg, record=False)
+    if not np.all(np.isfinite(X0)):
+        raise NonFiniteState("initial state is not finite")
+    return _run_dopri_members(_make_rhs(f, eps), t0, t1, X0, cfg.abs_tol,
+                              cfg.rel_tol, cfg.max_steps)
 
 
 def poincare_map(f: PeriodicField, v, eps: float,

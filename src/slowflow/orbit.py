@@ -8,6 +8,13 @@ integration; its 2k perturbed states share one batched step sequence.
 Floquet multipliers are the eigenvalues of the FD Jacobian of P at the fixed
 point.
 
+Which ensemble flows share a step grid: ``poincare_jacobian`` and
+``measure_contraction`` do, because FD columns and close pairs need
+correlated integration errors that cancel in their differences.
+``basin_probe`` does not: its starts are independent, a shared grid would
+have to resolve the corners of every one of them, and with its own step
+sizes each start costs only the steps it needs.
+
 An unforced self-oscillator has no exact fixed point of the 2*pi map: its own
 period differs from 2*pi at order eps^2 and the map instead carries an
 attracting invariant circle (one neutral phase direction).  Newton then stalls
@@ -259,9 +266,11 @@ def measure_contraction(f: PeriodicField, v_star, eps: float,
                         cfg: IntegratorConfig = IntegratorConfig()) -> float:
     """Sampled Lipschitz constant of the period map near v_star.
 
-    Pairs are drawn in B_radius(v_star) and flowed as one batch; the ratio is
-    measured in the Lyapunov norm when `norm_matrix` (P) is given, else
-    Euclidean.  At eps = 0 the map is the identity and the factor is 1.
+    Pairs are drawn in B_radius(v_star) and flowed as one batch on a shared
+    step grid, so the integration errors of a close pair are correlated and
+    cancel in its difference; the ratio is measured in the Lyapunov norm when
+    `norm_matrix` (P) is given, else Euclidean.  At eps = 0 the map is the
+    identity and the factor is 1.
     """
     v_star = np.asarray(v_star, dtype=float)
     rng = np.random.default_rng(seed)
@@ -297,12 +306,19 @@ def basin_probe(f: PeriodicField, v_star, eps: float, radius: float,
 
     A start counts once its period-map iterates enter the capture ball around
     v_star -- or, for an orbitally stable cycle, once its distance to the
-    invariant circle |v| = |v_star| drops below the capture radius.
+    invariant circle |v| = |v_star| drops below the capture radius.  With the
+    adaptive stepper, a start that escapes (blows up or underflows its step)
+    counts as not attracted.
+
+    Each period flows only the starts not yet captured or escaped, every one
+    on its own step sizes (``flow_batch(..., shared_steps=False)``): a shared
+    grid would have to resolve the corners of every member, and a member's
+    result does not depend on the rest of the batch, so dropping the settled
+    starts changes nothing.
     """
     v_star = np.asarray(v_star, dtype=float)
     rng = np.random.default_rng(seed)
     X = v_star + radius * _ball_batch(rng, n_starts, f.dim)
-    entered = np.zeros(n_starts, dtype=bool)
     r_star = float(np.linalg.norm(v_star))
 
     def dist(Y):
@@ -310,10 +326,13 @@ def basin_probe(f: PeriodicField, v_star, eps: float, radius: float,
             return np.abs(np.linalg.norm(Y, axis=1) - r_star)
         return np.linalg.norm(Y - v_star, axis=1)
 
-    entered |= dist(X) <= capture_radius
+    entered = dist(X) <= capture_radius
+    live = np.flatnonzero(~entered)
     for _ in range(n_periods):
-        if np.all(entered):
+        if live.size == 0:
             break
-        X = flow_batch(f, 0.0, f.period, X, eps, cfg)
-        entered |= dist(X) <= capture_radius
+        Y = flow_batch(f, 0.0, f.period, X[live], eps, cfg, shared_steps=False)
+        entered[live] = dist(Y) <= capture_radius     # NaN rows compare False
+        X[live] = Y
+        live = live[~entered[live] & ~np.isnan(Y[:, 0])]
     return float(np.mean(entered))

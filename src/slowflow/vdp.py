@@ -100,12 +100,15 @@ def _slow_field(damping_scalar, damping_array, p: ForcingParams, kinks, name):
             du = x[0] * c - x[1] * s
             F = -damping_scalar(u) * du - a * u + lam * s
             return np.array([F * c, -F * s])
-        t = np.asarray(t, dtype=float)
         s, c = np.sin(t), np.cos(t)
-        u = x[..., 0] * s + x[..., 1] * c
-        du = x[..., 0] * c - x[..., 1] * s
+        x0, x1 = x[..., 0], x[..., 1]
+        u = x0 * s + x1 * c
+        du = x0 * c - x1 * s
         F = -damping_array(u) * du - a * u + lam * s
-        return np.stack([F * c, -F * s], axis=-1)
+        out = np.empty(np.shape(F) + (2,))
+        np.multiply(F, c, out=out[..., 0])
+        np.multiply(-F, s, out=out[..., 1])
+        return out
 
     return PeriodicField(dim=2, period=TWO_PI, evaluate=evaluate,
                          kinks=kinks, name=name)
@@ -148,9 +151,7 @@ def linear_test_field() -> PeriodicField:
         x = np.asarray(x, dtype=float)
         if isinstance(t, float) and x.ndim == 1:
             return np.array([math.cos(t) - x[0]])
-        t = np.asarray(t, dtype=float)
-        val = np.cos(t) - x[..., 0]
-        return np.stack([val], axis=-1)
+        return (np.cos(t) - x[..., 0])[..., None]
 
     return PeriodicField(dim=1, period=TWO_PI, evaluate=evaluate,
                          name="linear_test")

@@ -219,3 +219,32 @@ def test_usage_error_exit_code():
         main(["resonance", "--model", "bogus", "--lambda", "0",
               "--a", "0", "0", "--n", "1"])
     assert ei.value.code == 2
+
+
+@pytest.mark.parametrize("argv,dest,value", [
+    (["avg", "--point", "1.0", "-3.6e-06"], "point", [1.0, -3.6e-06]),
+    (["roots", "--box", "-4", "4", "-1e-3", "4"], "box", [-4, 4, -1e-3, 4]),
+    (["verify", "--point", "-1E+2", "-.5", "--eps", "-1e-2"], "eps", [-1e-2]),
+    (["resonance", "--model", "nonsmooth", "--lambda", "-2e0", "--a",
+      "-1.5e-1", "1", "--n", "1"], "a", [-0.15, 1.0]),
+])
+def test_negative_exponent_numbers_parse(argv, dest, value):
+    args = cli.build_parser().parse_args(argv)
+    assert getattr(args, dest) == value
+
+
+def test_roots_csv_coordinate_round_trips_into_certify(tmp_path, capsys):
+    # roots prints -3.6e-06 in exponent form with 17 digits; certify must
+    # read the printed root back
+    cfg = _write_cfg(tmp_path, {"system": {
+        "dim": 2, "period": 2 * math.pi,
+        "components": ["-(x1 + 1.25)", "-(x2 + 3.6e-06)"]}})
+    out = tmp_path / "roots.csv"
+    assert main(["roots", "--config", cfg, "--box", "-4", "4", "-1e-3", "4",
+                 "--grid", "8", "--out", str(out)]) == 0
+    v = out.read_text().splitlines()[1].split(",")[1].split(";")
+    assert v[1].startswith("-") and "e-" in v[1]
+    assert main(["certify", "--config", cfg, "--point", *v]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["point"] == [float(x) for x in v]
+    assert rep["verdict"] == "certified"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rk4
+from conftest import certified_forced_params, rk4
 from slowflow import certify, exprdsl, odeint, vdp
 from slowflow.errors import NonFiniteState, StepLimitExceeded
 from slowflow.odeint import (
@@ -225,6 +225,95 @@ def test_flow_batch_matches_scalar(unforced_nonsmooth):
     for i in range(3):
         single = flow(f, 0.0, f.period, X[i], 0.05, cfg)
         assert np.max(np.abs(batch[i] - single)) < 1e-8
+
+
+def _paired_check_fields():
+    dsl = exprdsl.FieldSpec.from_strings(
+        2, TWO_PI, ["lam*sin(t) - x1*abs(x2)", "x1 - a*x2"],
+        {"a": 0.2, "lam": 1.0})
+    return [vdp.nonsmooth_vdp_field(vdp.ForcingParams(0.1, 1.0)),
+            vdp.classical_vdp_field(vdp.ForcingParams(0.1, 1.0)),
+            vdp.linear_test_field(), exprdsl.field_from_spec(dsl)]
+
+
+@pytest.mark.parametrize("f", _paired_check_fields(), ids=lambda f: f.name)
+def test_paired_times_evaluate_row_by_row(f):
+    # t of shape (m,) with x of shape (m, k) evaluates row i at (t[i], x[i])
+    rng = np.random.default_rng(31)
+    T = rng.uniform(0.0, 7.0, 40)
+    X = rng.uniform(-3.0, 3.0, (40, f.dim))
+    got = f(T, X, 0.05)
+    rows = np.array([f(float(T[i]), X[i], 0.05) for i in range(40)])
+    assert got.shape == (40, f.dim)
+    assert np.max(np.abs(got - rows)) <= 1e-15 * np.max(np.abs(rows))
+
+
+def _spread_forced_ensemble(m, radius, seed):
+    a, lam, root = certified_forced_params()
+    f = vdp.nonsmooth_vdp_field(vdp.ForcingParams(a, lam))
+    rng = np.random.default_rng(seed)
+    return f, root + radius * rng.uniform(-1.0, 1.0, (m, 2))
+
+
+def test_member_steps_independent_of_batch():
+    # each member's result depends on its own start alone: permuting or
+    # subsetting the ensemble permutes or subsets the result bit for bit
+    f, X = _spread_forced_ensemble(24, 0.5, 4)
+    full = flow_batch(f, 0.0, f.period, X, 0.05, shared_steps=False)
+    perm = np.random.default_rng(5).permutation(24)
+    got = flow_batch(f, 0.0, f.period, X[perm], 0.05, shared_steps=False)
+    assert got.tobytes() == full[perm].tobytes()
+    for sub in (slice(3, 9), [17], [20, 2, 11]):
+        got = flow_batch(f, 0.0, f.period, X[sub], 0.05, shared_steps=False)
+        assert got.tobytes() == full[sub].tobytes()
+
+
+def test_member_steps_match_scalar_flow():
+    f, X = _spread_forced_ensemble(8, 0.5, 6)
+    cfg = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12)
+    batch = flow_batch(f, 0.0, f.period, X, 0.05, cfg, shared_steps=False)
+    for i in range(len(X)):
+        single = flow(f, 0.0, f.period, X[i], 0.05, cfg)
+        assert np.max(np.abs(batch[i] - single)) < 1e-9
+
+
+def test_member_steps_iterations_on_spread_ensemble():
+    # a shared grid resolves every member's corners (1,757 loop iterations
+    # per period here); on its own steps each member needs about 150
+    f, X = _spread_forced_ensemble(256, 0.5, 0)
+    calls = [0]
+
+    def evaluate(t, x, eps):
+        calls[0] += 1
+        return f.evaluate(t, x, eps)
+
+    g = PeriodicField(dim=2, period=f.period, evaluate=evaluate)
+    out = flow_batch(g, 0.0, f.period, X, 0.05, shared_steps=False)
+    assert np.all(np.isfinite(out))
+    # FSAL: one evaluation up front, then six per loop iteration
+    assert (calls[0] - 1) // 6 <= 250
+
+
+def test_member_blowup_is_a_nan_row():
+    # x' = x^2 - 1: the start at 2 blows up before t = 1, the one at 0.5
+    # settles towards -1 and is unaffected
+    f = _field(1, 3.0, lambda t, x, eps: np.asarray(x, dtype=float) ** 2 - 1.0)
+    X = np.array([[0.5], [2.0], [-0.3]])
+    out = flow_batch(f, 0.0, 3.0, X, 1.0, shared_steps=False)
+    assert np.isnan(out[1, 0])
+    assert out[[0, 2]].tobytes() == flow_batch(
+        f, 0.0, 3.0, X[[0, 2]], 1.0, shared_steps=False).tobytes()
+    with pytest.raises(NonFiniteState):
+        flow_batch(f, 0.0, 3.0, X, 1.0)
+    with pytest.raises(NonFiniteState):
+        flow_batch(f, 0.0, 3.0, np.array([[np.nan]]), 1.0, shared_steps=False)
+
+
+def test_member_steps_empty_span_returns_start(linear_field):
+    X = np.array([[0.3], [-1.2]])
+    for t1 in (1.0, 0.5):
+        out = flow_batch(linear_field, 1.0, t1, X, 0.1, shared_steps=False)
+        assert out.tobytes() == X.tobytes()
 
 
 def test_trajectory_samples_monotone(linear_field):

@@ -243,6 +243,22 @@ def test_basin_probe_orbital_circle():
     assert frac_pt < 1.0
 
 
+def test_basin_probe_counts_escaping_starts():
+    # x' = eps(x^2 - 1): starts below 1 settle on -1, starts above 1 blow
+    # up in finite time; each escape counts as not attracted, and the rest
+    # of the probe carries on
+    from slowflow.odeint import PeriodicField
+    from slowflow.orbit import _ball_batch
+
+    f = PeriodicField(dim=1, period=TWO_PI,
+                      evaluate=lambda t, x, eps: np.asarray(x) ** 2 - 1.0)
+    v_star = np.array([-1.0])
+    starts = v_star + 2.5 * _ball_batch(np.random.default_rng(0), 20, 1)
+    below = float(np.mean(starts[:, 0] < 1.0))
+    assert 0.0 < below < 1.0
+    assert basin_probe(f, v_star, 0.1, radius=2.5, n_starts=20) == below
+
+
 def test_basin_probe_unstable_middle_branch():
     # classical oscillator, middle amplitude branch at lam = 0.3 is a repeller
     lam = 0.3
