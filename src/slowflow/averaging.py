@@ -52,7 +52,7 @@ class AveragedReport:
 
 @dataclass(frozen=True)
 class RootResult:
-    """Outcome of a Newton root search on the averaged field."""
+    """A root of the averaged field, from ``find_root`` or a closed form."""
 
     v0: np.ndarray
     residual: float

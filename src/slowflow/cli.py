@@ -154,7 +154,7 @@ def load_config(path: Optional[str], overrides: Optional[dict] = None) -> RunCon
 
 
 def format_float(x: float) -> str:
-    return format(float(x), ".17g")
+    return format(float(x) + 0.0, ".17g")      # + 0.0 turns -0.0 into 0.0
 
 
 def _format_bool(b: bool) -> str:
@@ -286,12 +286,11 @@ def cmd_resonance(args) -> int:
         raise ConfigError("--n must be <= 100000")
     if args.lam < 0:
         raise ConfigError("--lambda must be >= 0")
-    a_lo, a_hi = args.a
-    if a_hi < a_lo:
+    if args.a[1] < args.a[0]:
         raise ConfigError("--a must be lo hi with lo <= hi")
     curve_fn = (vdp.resonance_curve_nonsmooth if args.model == "nonsmooth"
                 else vdp.resonance_curve_classical)
-    points = curve_fn(args.lam, (a_lo, a_hi), args.n)
+    points = curve_fn(args.lam, args.a, args.n)
     text = "\n".join(resonance_csv_lines(points)) + "\n"
     _write_text(args.out, text)
     if args.svg:
@@ -302,13 +301,9 @@ def cmd_resonance(args) -> int:
 def resonance_csv_lines(points: List[vdp.ResonancePoint]) -> List[str]:
     lines = [CSV_RESONANCE_HEADER]
     for p in points:
-        lines.append(",".join([
-            format_float(p.a), format_float(p.lam), format_float(p.A),
-            format_float(p.M), format_float(p.N), format_float(p.phi),
-            format_float(p.ineq6), format_float(p.ineq7),
-            _format_bool(p.hurwitz_numeric), _format_bool(p.stable),
-            _format_bool(p.degenerate),
-        ]))
+        nums = (p.a, p.lam, p.A, p.M, p.N, p.phi, p.ineq6, p.ineq7)
+        flags = (p.hurwitz_numeric, p.stable, p.degenerate)
+        lines.append(",".join([*map(format_float, nums), *map(_format_bool, flags)]))
     return lines
 
 

@@ -297,6 +297,15 @@ def _ball_batch(rng, n, k):
     return x / norms * r
 
 
+def _flow_or_nan(f: PeriodicField, X, eps: float, cfg: IntegratorConfig):
+    """One period of every row of X; if that raises, each row is flowed alone."""
+    try:
+        return flow_batch(f, 0.0, f.period, X, eps, cfg, shared_steps=False)
+    except SlowflowError:
+        return (np.full_like(X, np.nan) if len(X) == 1 else
+                np.vstack([_flow_or_nan(f, x[None], eps, cfg) for x in X]))
+
+
 def basin_probe(f: PeriodicField, v_star, eps: float, radius: float,
                 n_starts: int = 100, n_periods: int = 500,
                 capture_radius: float = 1e-6, seed: int = 0,
@@ -306,9 +315,9 @@ def basin_probe(f: PeriodicField, v_star, eps: float, radius: float,
 
     A start counts once its period-map iterates enter the capture ball around
     v_star -- or, for an orbitally stable cycle, once its distance to the
-    invariant circle |v| = |v_star| drops below the capture radius.  With the
-    adaptive stepper, a start that escapes (blows up or underflows its step)
-    counts as not attracted.
+    invariant circle |v| = |v_star| drops below the capture radius.  A start
+    that escapes (blows up, underflows its step, or makes its flow raise on
+    its own) counts as not attracted.
 
     Each period flows only the starts not yet captured or escaped, every one
     on its own step sizes (``flow_batch(..., shared_steps=False)``): a shared
@@ -331,7 +340,7 @@ def basin_probe(f: PeriodicField, v_star, eps: float, radius: float,
     for _ in range(n_periods):
         if live.size == 0:
             break
-        Y = flow_batch(f, 0.0, f.period, X[live], eps, cfg, shared_steps=False)
+        Y = _flow_or_nan(f, X[live], eps, cfg)
         entered[live] = dist(Y) <= capture_radius     # NaN rows compare False
         X[live] = Y
         live = live[~entered[live] & ~np.isnan(Y[:, 0])]

@@ -11,12 +11,14 @@ eps * lam * sin t  is reduced to standard slow form by the substitution
     N' = -eps * F(t, M, N) sin t,       F = -d(u,u')*u' - a*u + lam*sin t.
 
 Two damping laws are built in: the piecewise-linear ``|u| - 1`` and the
-classical ``u^2 - 1``.  For both, the averaged field has closed-form value and
-Jacobian; the amplitude A = sqrt(M^2 + N^2) of its roots solves a scalar
-amplitude equation, and the root is asymptotically stable exactly when the
-Jacobian determinant is positive and its trace negative.  Those two signed
-quantities are exposed as ``ineq6``/``ineq7`` (the CSV column names of the
-resonance reports).
+classical ``u^2 - 1``.  For both, the averaged field is k(A) (M, N) +
+a*pi (-N, M) - (0, lam*pi) with A = sqrt(M^2 + N^2) and k = pi - 4A/3 or
+pi (1 - A^2/4).  A root's amplitude solves a scalar amplitude equation, and
+at that A a 2x2 linear system gives (M, N), checked against the quadrature
+(``recover_root``; at lam = 0, the phase-0 point of the circle of roots).
+The root is asymptotically stable exactly when the Jacobian determinant is
+positive and its trace negative.  Those two signed quantities are exposed as
+``ineq6``/``ineq7`` (the CSV column names of the resonance reports).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import List, Tuple
 import numpy as np
 
 from . import averaging, smalllin
-from .errors import MaxIterations, RootRecoveryFailed, SingularJacobian
+from .errors import RootRecoveryFailed
 from .odeint import PeriodicField
 
 __all__ = [
@@ -160,16 +162,19 @@ def linear_test_field() -> PeriodicField:
 # --- closed-form averaged data (test oracles and fast paths) -------------------
 
 
+def _k(model: str, A: float) -> Tuple[float, float]:
+    """(k, dk/dA), where avg = k(A) (M, N) + detuning and forcing terms."""
+    if model == "nonsmooth":
+        return math.pi - (4.0 / 3.0) * A, -(4.0 / 3.0)
+    if model == "classical":
+        return math.pi * (1.0 - A * A / 4.0), -math.pi * A / 2.0
+    raise ValueError(f"unknown model {model!r}")
+
+
 def averaged_closed_form(model: str, M: float, N: float, a: float,
                          lam: float) -> np.ndarray:
     """Exact one-period average of the slow field (independent of quadrature)."""
-    A = math.hypot(M, N)
-    if model == "nonsmooth":
-        k = math.pi - (4.0 / 3.0) * A
-    elif model == "classical":
-        k = math.pi * (1.0 - A * A / 4.0)
-    else:
-        raise ValueError(f"unknown model {model!r}")
+    k, _ = _k(model, math.hypot(M, N))
     return np.array([M * k - a * math.pi * N,
                      N * k + a * math.pi * M - lam * math.pi])
 
@@ -177,25 +182,13 @@ def averaged_closed_form(model: str, M: float, N: float, a: float,
 def averaged_jacobian_closed_form(model: str, M: float, N: float,
                                   a: float) -> np.ndarray:
     A = math.hypot(M, N)
-    if model == "nonsmooth":
-        if A == 0.0:
-            raise ValueError("nonsmooth Jacobian undefined at the origin")
-        k = math.pi - (4.0 / 3.0) * A
-        dk = -(4.0 / 3.0)
-    elif model == "classical":
-        k = math.pi * (1.0 - A * A / 4.0)
-        dk = -math.pi * A / 2.0
+    k, dk = _k(model, A)
+    if A == 0.0:            # A*(M, N) and A^2*(M, N) are O(|v|^2) there
+        gMM, gMN, gNN = k, 0.0, k
     else:
-        raise ValueError(f"unknown model {model!r}")
-    if A == 0.0:
-        gMM, gMN, gNM, gNN = k, 0.0, 0.0, k
-    else:
-        gMM = k + dk * M * M / A
-        gMN = dk * M * N / A
-        gNM = dk * M * N / A
-        gNN = k + dk * N * N / A
+        gMM, gMN, gNN = k + dk * M * M / A, dk * M * N / A, k + dk * N * N / A
     return np.array([[gMM, gMN - a * math.pi],
-                     [gNM + a * math.pi, gNN]])
+                     [gMN + a * math.pi, gNN]])
 
 
 # --- amplitude equation ---------------------------------------------------------
@@ -209,8 +202,8 @@ def _detune_sq(model: str, A: float, a: float) -> float:
     raise ValueError(f"unknown model {model!r}")
 
 
-def amplitude_equation(model: str, A: float, a: float, lam: float) -> float:
-    """Residual of the scalar resonance equation A^2 * (a^2 + detune^2) = lam^2."""
+def amplitude_equation(model: str, A, a: float, lam: float):
+    """Residual of A^2 * (a^2 + detune^2) = lam^2 at a float or array A."""
     return A * A * _detune_sq(model, A, a) - lam * lam
 
 
@@ -242,7 +235,8 @@ def amplitude_roots(model: str, a: float, lam: float,
                     n_scan: int = 2048) -> List[float]:
     """All positive amplitudes solving the resonance equation at (a, lam).
 
-    Simple roots come from a sign scan plus bisection; tangential (double)
+    Simple roots come from a sign scan over one array evaluation of the
+    equation plus scalar bisection in each bracket; tangential (double)
     roots -- the whole curve at lam = 0, folds in general -- are picked up as
     touching minima and polished on the analytic derivative.  The trivial
     A = 0 solution at lam = 0 is excluded: it is the non-oscillating branch.
@@ -252,7 +246,7 @@ def amplitude_roots(model: str, a: float, lam: float,
     base = UNFORCED_AMPLITUDE[model] if model in UNFORCED_AMPLITUDE else 2.0
     a_max = base + lam + abs(a) + 1.0
     grid = np.linspace(0.0, a_max, n_scan + 1)
-    vals = np.array([amplitude_equation(model, A, a, lam) for A in grid])
+    vals = amplitude_equation(model, grid, a, lam)
     scale = max(1.0, lam * lam, float(np.max(np.abs(vals))))
     roots: List[float] = []
 
@@ -260,22 +254,24 @@ def amplitude_roots(model: str, a: float, lam: float,
         if A > 1e-9 * a_max and all(abs(A - r) > 1e-8 * a_max for r in roots):
             roots.append(A)
 
-    for i in range(n_scan):
-        if vals[i] == 0.0:
+    zero = vals[:-1] == 0.0
+    cross = (vals[:-1] < 0) != (vals[1:] < 0)
+    for i in np.flatnonzero(zero | cross):
+        if zero[i]:
             push(grid[i])
-        if (vals[i] < 0) != (vals[i + 1] < 0):
+        if cross[i]:
             push(_bisect(lambda A: amplitude_equation(model, A, a, lam),
                          grid[i], grid[i + 1]))
     # touching minima: polish the derivative zero, then require the value to
     # vanish (a genuine double root lands at machine level; a mere dip does not)
-    for i in range(1, n_scan):
-        if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]:
-            if abs(vals[i]) <= 1e-4 * scale:
-                d = lambda A: amplitude_equation_derivative(model, A, a)
-                if (d(grid[i - 1]) < 0) != (d(grid[i + 1]) < 0):
-                    A = _bisect(d, grid[i - 1], grid[i + 1])
-                    if abs(amplitude_equation(model, A, a, lam)) <= 1e-10 * scale:
-                        push(A)
+    mid = vals[1:-1]
+    dips = (mid <= vals[:-2]) & (mid <= vals[2:]) & (np.abs(mid) <= 1e-4 * scale)
+    d = lambda A: amplitude_equation_derivative(model, A, a)
+    for i in np.flatnonzero(dips) + 1:
+        if (d(grid[i - 1]) < 0) != (d(grid[i + 1]) < 0):
+            A = _bisect(d, grid[i - 1], grid[i + 1])
+            if abs(amplitude_equation(model, A, a, lam)) <= 1e-10 * scale:
+                push(A)
     return sorted(roots)
 
 
@@ -305,9 +301,6 @@ def stability_indicators(model: str, amp_sq: float, a: float) -> Tuple[float, fl
 
 # --- root recovery and resonance curves ----------------------------------------
 
-_SEED_PHASES = tuple(j * math.pi / 4.0 for j in range(8))
-
-
 def _field_for(model: str, a: float, lam: float) -> PeriodicField:
     p = ForcingParams(a, lam)
     return nonsmooth_vdp_field(p) if model == "nonsmooth" else classical_vdp_field(p)
@@ -318,20 +311,27 @@ def recover_root(model: str, a: float, lam: float, A: float,
                  root_tol: float = 1e-10) -> averaging.RootResult:
     """Full (M, N) root of the averaged field matching amplitude A.
 
-    The amplitude equation fixes only A, so Newton is started from eight
-    phases on the circle of radius A; the first converged root whose
-    amplitude matches within ``AMP_MATCH_TOL`` wins.
+    At fixed A the averaged field is linear in (M, N):  with k = k(A) and
+    d = k^2 + a^2 pi^2, the root is M = a*pi * lam*pi / d, N = k * lam*pi / d.
+    At lam = 0 the roots (a = 0 only) form a circle; its phase-0 point (0, A)
+    is returned.  ``RootRecoveryFailed`` is raised unless |(M, N)| matches A
+    within ``AMP_MATCH_TOL`` and the quadrature residual at ``n_nodes`` is at
+    most ``root_tol``.  The result carries the closed-form Jacobian.
     """
-    f = _field_for(model, a, lam)
-    for phi in _SEED_PHASES:
-        seed = np.array([A * math.sin(phi), A * math.cos(phi)])
-        try:
-            r = averaging.find_root(f, seed, root_tol, n_nodes)
-        except (MaxIterations, SingularJacobian):
-            continue
-        if abs(math.hypot(*r.v0) - A) <= AMP_MATCH_TOL:
-            return r
-    raise RootRecoveryFailed(a, A)
+    k, _ = _k(model, A)
+    d = k * k + (a * math.pi) ** 2
+    M, N = (0.0, A) if lam == 0.0 or d == 0.0 else \
+        (a * math.pi * lam * math.pi / d, k * lam * math.pi / d)
+    v = np.array([M, N])
+    res = float(np.linalg.norm(averaging.averaged_function(
+        _field_for(model, a, lam), v, n_nodes)))
+    if not (abs(math.hypot(M, N) - A) <= AMP_MATCH_TOL and res <= root_tol):
+        raise RootRecoveryFailed(a, A, f"no averaged-field root with amplitude {A:.6g} "
+                                 f"at a={a:.6g}: closed form {v}, residual {res:.3e}")
+    J = averaged_jacobian_closed_form(model, M, N, a)
+    return averaging.RootResult(
+        v, res, 0, True, J,
+        averaging._singular_ratio(J) < averaging.NON_ISOLATED_RATIO)
 
 
 def resonance_point(model: str, a: float, lam: float, A: float,
@@ -359,15 +359,12 @@ def _resonance_curve(model: str, lam: float, a_range, n: int,
                      n_nodes: int, jacobian_nodes: int) -> List[ResonancePoint]:
     if n < 1:
         raise ValueError("n must be >= 1")
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
     a_lo, a_hi = float(a_range[0]), float(a_range[1])
     if a_hi < a_lo:
         raise ValueError("a range must satisfy lo <= hi")
     grid = np.linspace(a_lo, a_hi, n) if n > 1 else np.array([a_lo])
     points: List[ResonancePoint] = []
-    for a in grid:
-        a = float(a)
+    for a in grid.tolist():
         for A in amplitude_roots(model, a, lam):
             try:
                 points.append(resonance_point(model, a, lam, A,
@@ -377,15 +374,13 @@ def _resonance_curve(model: str, lam: float, a_range, n: int,
     return points
 
 
-def resonance_curve_nonsmooth(lam: float, a_range, n: int,
-                              n_nodes: int = 8192,
+def resonance_curve_nonsmooth(lam: float, a_range, n: int, n_nodes: int = 8192,
                               jacobian_nodes: int = 16384) -> List[ResonancePoint]:
     """Resonance curve of the piecewise-linear oscillator over a detuning grid."""
     return _resonance_curve("nonsmooth", lam, a_range, n, n_nodes, jacobian_nodes)
 
 
-def resonance_curve_classical(lam: float, a_range, n: int,
-                              n_nodes: int = 8192,
+def resonance_curve_classical(lam: float, a_range, n: int, n_nodes: int = 8192,
                               jacobian_nodes: int = 16384) -> List[ResonancePoint]:
     """Resonance curve of the classical cubic oscillator over a detuning grid."""
     return _resonance_curve("classical", lam, a_range, n, n_nodes, jacobian_nodes)

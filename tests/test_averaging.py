@@ -118,6 +118,16 @@ def test_jacobian_matches_closed_form_nonsmooth():
     assert np.max(np.abs(J - want)) < 1e-8
 
 
+def test_jacobian_closed_form_nonsmooth_at_origin():
+    # A*(M, N) is O(|v|^2), so the averaged field is differentiable at 0;
+    # unforced, so the FD quotient is not swamped by rounding of lam*pi
+    a = 0.37
+    f = vdp.nonsmooth_vdp_field(vdp.ForcingParams(a, 0.0))
+    J = averaged_jacobian(f, np.zeros(2), n_nodes=16384, fd_step=1e-9)
+    want = vdp.averaged_jacobian_closed_form("nonsmooth", 0.0, 0.0, a)
+    assert np.max(np.abs(J - want)) < 1e-8
+
+
 def test_find_root_linear_converges_fast(linear_field):
     r = find_root(linear_field, np.array([1.0]))
     assert r.converged

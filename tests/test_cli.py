@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from conftest import validate_schema
-from slowflow import cli
+from slowflow import cli, vdp
 from slowflow.cli import format_float, load_config, main
 from slowflow.errors import ConfigError
 
@@ -212,6 +212,25 @@ def test_format_float_17_digits():
     assert format_float(math.pi) == "3.1415926535897931"
     assert format_float(0.0) == "0"
     assert float(format_float(1.0 / 3.0)) == 1.0 / 3.0
+
+
+def test_format_float_no_negative_zero():
+    assert format_float(-0.0) == "0"
+    assert format_float(-1e-300) == "-1e-300"
+
+
+@pytest.mark.parametrize("model", ["classical", "nonsmooth"])
+def test_resonance_csv_has_no_negative_zero(model, capsys):
+    # a = -0.0 or an exactly vanishing coordinate must not print as -0
+    rc = main(["resonance", "--model", model, "--lambda", "1",
+               "--a", "-0.5", "0.5", "--n", "3"])
+    assert rc == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    fields = [x for ln in lines[1:] for x in ln.split(",")]
+    assert "-0" not in fields
+    points = vdp.resonance_curve_classical(1.0, (-0.0, -0.0), 1)
+    assert math.copysign(1.0, points[0].M) == -1.0      # M = -0.0 from a = -0.0
+    assert "-0" not in cli.resonance_csv_lines(points)[1].split(",")
 
 
 def test_usage_error_exit_code():

@@ -259,6 +259,41 @@ def test_basin_probe_counts_escaping_starts():
     assert basin_probe(f, v_star, 0.1, radius=2.5, n_starts=20) == below
 
 
+def test_basin_probe_rk4_fixed_counts_escaping_starts():
+    # the fixed-step loop raises for the whole batch when one member blows
+    # up; each start is then flowed on its own and only the blow-ups drop
+    from slowflow.orbit import _ball_batch
+
+    f = PeriodicField(dim=1, period=TWO_PI,
+                      evaluate=lambda t, x, eps: np.asarray(x) ** 2 - 1.0)
+    v_star = np.array([-1.0])
+    starts = v_star + 2.5 * _ball_batch(np.random.default_rng(0), 20, 1)
+    below = float(np.mean(starts[:, 0] < 1.0))
+    frac = basin_probe(f, v_star, 0.1, radius=2.5, n_starts=20,
+                       cfg=IntegratorConfig(method="rk4-fixed"))
+    assert frac == below == 0.85
+
+
+def test_basin_probe_dsl_domain_error_counts_as_escape():
+    # x' = eps(sqrt(x) - 1) repels from 1; starts below 1 leave the domain
+    # of sqrt, which raises DomainError for the whole batch evaluation
+    from slowflow.exprdsl import FieldSpec, field_from_spec
+    from slowflow.orbit import _ball_batch
+
+    def dsl(src):
+        return field_from_spec(FieldSpec.from_strings(1, TWO_PI, [src]))
+
+    v_star = np.array([1.0])
+    assert basin_probe(dsl("sqrt(x1) - 1"), v_star, 0.1, radius=0.9,
+                       n_starts=20) == 0.0
+    # sqrt(x) - x attracts every positive start to 1; negative starts raise
+    starts = v_star + 1.5 * _ball_batch(np.random.default_rng(0), 20, 1)
+    positive = float(np.mean(starts[:, 0] > 0.0))
+    assert 0.0 < positive < 1.0
+    assert basin_probe(dsl("sqrt(x1) - x1"), v_star, 0.1, radius=1.5,
+                       n_starts=20) == positive
+
+
 def test_basin_probe_unstable_middle_branch():
     # classical oscillator, middle amplitude branch at lam = 0.3 is a repeller
     lam = 0.3

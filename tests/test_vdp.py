@@ -7,7 +7,8 @@ from slowflow import averaging, odeint
 from slowflow.errors import RootRecoveryFailed
 from slowflow.odeint import IntegratorConfig, integrate
 from slowflow.vdp import (
-    ForcingParams, amplitude_equation, amplitude_roots, classical_vdp_field,
+    ForcingParams, amplitude_equation, amplitude_roots, averaged_closed_form,
+    averaged_jacobian_closed_form, classical_vdp_field,
     nonsmooth_vdp_field, reconstruct_u, recover_root, resonance_curve_classical,
     resonance_curve_nonsmooth, resonance_point, stability_indicators,
 )
@@ -131,6 +132,38 @@ def test_recover_root_failure_for_bogus_amplitude():
         recover_root("nonsmooth", 0.3, 0.5, 2.9)
 
 
+def test_recover_root_is_the_closed_form():
+    a, lam = 0.2, 0.8
+    for model in ("nonsmooth", "classical"):
+        for A in amplitude_roots(model, a, lam):
+            r = recover_root(model, a, lam, A)
+            M, N = r.v0
+            assert r.iterations == 0 and r.converged and not r.non_isolated
+            assert r.residual <= 1e-12
+            assert np.max(np.abs(averaged_closed_form(model, M, N, a, lam))) <= 1e-12
+            assert np.array_equal(r.jacobian,
+                                  averaged_jacobian_closed_form(model, M, N, a))
+
+
+def test_recover_root_unforced_phase_zero_on_continuum():
+    for model, A in (("nonsmooth", A0), ("classical", 2.0)):
+        (amp,) = amplitude_roots(model, 0.0, 0.0)
+        r = recover_root(model, 0.0, 0.0, amp)
+        assert r.v0[0] == 0.0 and r.v0[1] == amp
+        assert abs(amp - A) < 1e-12
+        assert r.non_isolated
+    with pytest.raises(RootRecoveryFailed):       # lam = 0 roots need a = 0
+        recover_root("nonsmooth", 0.3, 0.0, A0)
+
+
+def test_recover_root_rejects_quadrature_residual_above_tol():
+    # the closed-form point is kept only if the quadrature agrees with it
+    A = amplitude_roots("nonsmooth", 0.1, 1.2)[-1]
+    assert recover_root("nonsmooth", 0.1, 1.2, A).residual <= 1e-12
+    with pytest.raises(RootRecoveryFailed, match="residual"):
+        recover_root("nonsmooth", 0.1, 1.2, A, n_nodes=16)
+
+
 def test_roots_satisfy_amplitude_equation():
     # averaging consistency: every recovered (M, N) root reproduces the
     # scalar resonance equation at A = sqrt(M^2 + N^2)
@@ -183,6 +216,39 @@ def test_resonance_stability_matches_eigenvalues_small_sweep():
     for p in pts:
         if abs(p.ineq6) > 1e-6 and abs(p.ineq7) > 1e-6:
             assert p.stable == p.hurwitz_numeric
+
+
+@pytest.mark.parametrize("curve,model", [
+    (resonance_curve_classical, "classical"),
+    (resonance_curve_nonsmooth, "nonsmooth"),
+])
+def test_resonance_curve_keeps_every_amplitude_root(curve, model):
+    # the classical middle branch at a = +-0.52 (A = 1.72348) was once lost
+    # when no Newton start phase reached it
+    pts = curve(1.0, (-1.0, 1.0), 101)
+    want = sum(len(amplitude_roots(model, float(a), 1.0))
+               for a in np.linspace(-1.0, 1.0, 101))
+    assert len(pts) == want
+    for p in pts:
+        g = averaged_closed_form(model, p.M, p.N, p.a, p.lam)
+        assert np.max(np.abs(g)) <= 1e-12
+    if model == "classical":
+        middle = [p for p in pts if abs(abs(p.a) - 0.52) < 1e-12
+                  and abs(p.A - 1.72348) < 1e-5]
+        assert len(middle) == 2
+
+
+def test_resonance_curves_do_not_call_newton(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("find_root called")
+
+    monkeypatch.setattr(averaging, "find_root", refuse)
+    for curve, model, lam, a_range, n in (
+            (resonance_curve_nonsmooth, "nonsmooth", 1.0, (-1.0, 1.0), 21),
+            (resonance_curve_classical, "classical", 0.3, (-0.5, 0.5), 5)):
+        want = sum(len(amplitude_roots(model, float(a), lam))
+                   for a in np.linspace(a_range[0], a_range[1], n))
+        assert len(curve(lam, a_range, n)) == want
 
 
 def test_resonance_validation():
