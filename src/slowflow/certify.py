@@ -10,7 +10,8 @@ numerically:
   ``|(I + alpha*A)x|_P <= q |x|_P``.  The derived margin rate
   ``q_tilde = (1 - q)/alpha`` bounds the period-map contraction factor by
   ``1 - eps*q_tilde`` for small eps,
-* a sampled lower bound on the Lipschitz constant of g (diagnostic only).
+* a sampled lower bound on the Lipschitz constant of g (diagnostic only),
+  drawn as one batch and evaluated in one field call per side.
 
 Two hypotheses of the underlying averaging theory are *not* checkable by any
 finite computation -- the uniform-limit condition over all continuous
@@ -30,6 +31,7 @@ import numpy as np
 from . import averaging, smalllin
 from .errors import NoContraction, NotHurwitz
 from .odeint import PeriodicField
+from .orbit import _ball_batch
 
 __all__ = [
     "StabilityCertificate", "LipschitzEstimate", "AlphaPolicy", "TheoremReport",
@@ -211,33 +213,27 @@ def estimate_lipschitz(f: PeriodicField, v0, delta: float,
                        eps_max: float = 1.0) -> LipschitzEstimate:
     """Sampled difference quotient of g over the ball B_delta(v0).
 
-    A lower bound on the true Lipschitz constant; diagnostic only.
+    A lower bound on the true Lipschitz constant; diagnostic only.  All
+    samples are drawn as one batch and each side is one field call with
+    paired times, states and eps.  Pairs closer than 1e-12 are skipped, and
+    so is a NaN quotient; ``samples`` counts the pairs that entered the max.
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
     v0 = np.asarray(v0, dtype=float)
     rng = np.random.default_rng(seed)
-    k = f.dim
-    l_hat = 0.0
-    for _ in range(n_samples):
-        t = float(rng.uniform(0.0, f.period))
-        eps = float(rng.uniform(0.0, eps_max))
-        v1 = v0 + delta * _ball_sample(rng, k)
-        v2 = v0 + delta * _ball_sample(rng, k)
-        d = float(np.linalg.norm(v1 - v2))
-        if d < 1e-12:
-            continue
-        g1 = np.asarray(f.evaluate(t, v1, eps), dtype=float)
-        g2 = np.asarray(f.evaluate(t, v2, eps), dtype=float)
-        l_hat = max(l_hat, float(np.linalg.norm(g1 - g2)) / d)
-    return LipschitzEstimate(delta, l_hat, n_samples)
-
-
-def _ball_sample(rng, k):
-    x = rng.standard_normal(k)
-    r = rng.uniform() ** (1.0 / k)
-    n = np.linalg.norm(x)
-    return x * (r / n) if n > 0 else x
+    t = rng.uniform(0.0, f.period, n_samples)
+    eps = rng.uniform(0.0, eps_max, n_samples)
+    V1 = v0 + delta * _ball_batch(rng, n_samples, f.dim)
+    V2 = v0 + delta * _ball_batch(rng, n_samples, f.dim)
+    d = np.linalg.norm(V1 - V2, axis=1)
+    keep = d >= 1e-12
+    t, eps, V1, V2, d = t[keep], eps[keep], V1[keep], V2[keep], d[keep]
+    g1 = np.asarray(f.evaluate(t, V1, eps), dtype=float)
+    g2 = np.asarray(f.evaluate(t, V2, eps), dtype=float)
+    q = np.linalg.norm(g1 - g2, axis=1) / d
+    used = int(np.count_nonzero(~np.isnan(q)))
+    return LipschitzEstimate(delta, float(np.fmax.reduce(q, initial=0.0)), used)
 
 
 def sampled_contraction_check(f: PeriodicField, cert: StabilityCertificate,
@@ -254,12 +250,9 @@ def sampled_contraction_check(f: PeriodicField, cert: StabilityCertificate,
     rng = np.random.default_rng(seed)
     L = smalllin.cholesky(cert.lyapunov_P)
     alpha = cert.alpha
-    v0 = cert.v0
-    k = f.dim
+    V = cert.v0 + delta * _ball_batch(rng, 2 * n_pairs, f.dim)
     worst = 0.0
-    for _ in range(n_pairs):
-        v1 = v0 + delta * _ball_sample(rng, k)
-        v2 = v0 + delta * _ball_sample(rng, k)
+    for v1, v2 in zip(V[:n_pairs], V[n_pairs:]):
         dv = v1 - v2
         dnorm = float(np.linalg.norm(L.T @ dv))
         if dnorm < 1e-12:
@@ -292,12 +285,11 @@ def uniform_limit_diagnostic(f: PeriodicField, v0, delta: float,
     tq = np.linspace(0.0, T, n_quad + 1)
     w = averaging._simpson_weights(n_quad) * ((T / n_quad) / 3.0)
     knots = np.linspace(0.0, T, n_knots)
+    V = v0 + delta * _ball_batch(rng, 2 * n_samples, k)
     worst = 0.0
-    for _ in range(n_samples):
+    for v1, v2 in zip(V[:n_samples], V[n_samples:]):
         uvals = rng.uniform(-delta, delta, size=(n_knots, k))
         u = np.stack([np.interp(tq, knots, uvals[:, j]) for j in range(k)], axis=-1)
-        v1 = v0 + delta * _ball_sample(rng, k)
-        v2 = v0 + delta * _ball_sample(rng, k)
         d = float(np.linalg.norm(v1 - v2))
         if d < 1e-12:
             continue

@@ -56,7 +56,9 @@ class PeriodicField:
     ``(k,)`` returns ``(len(t), k)``; scalar ``t`` with an ensemble ``(m, k)``
     returns ``(m, k)``; paired times ``t`` of shape ``(m,)`` with an ensemble
     ``(m, k)`` evaluate row i at ``(t[i], x[i])`` and return ``(m, k)`` (the
-    per-member stepper of ``flow_batch``).  Rows must not interact.
+    per-member stepper of ``flow_batch``); with paired times, ``eps`` may also
+    be an ``(m,)`` array paired by row (the batched Lipschitz sample of
+    ``certify``).  Rows must not interact.
 
     ``kinks``, when given, maps ``(x, eps)`` to the times in ``[0, T)`` where
     ``t -> g(t, x, eps)`` (state frozen) is not smooth.  Quadratures use it to

@@ -8,6 +8,14 @@ from slowflow.odeint import IntegratorConfig, PeriodicField
 
 TWO_PI = 2.0 * math.pi
 
+# the forced nonsmooth oscillator written in the DSL, parameters a and lam
+NONSMOOTH_DSL = [
+    "(-(abs(x1*sin(t)+x2*cos(t))-1)*(x1*cos(t)-x2*sin(t))"
+    "-a*(x1*sin(t)+x2*cos(t))+lam*sin(t))*cos(t)",
+    "-((-(abs(x1*sin(t)+x2*cos(t))-1)*(x1*cos(t)-x2*sin(t))"
+    "-a*(x1*sin(t)+x2*cos(t))+lam*sin(t)))*sin(t)",
+]
+
 
 @pytest.fixture
 def linear_field():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import certified_forced_params
-from slowflow import averaging, smalllin, vdp
+from conftest import NONSMOOTH_DSL, certified_forced_params
+from slowflow import averaging, exprdsl, smalllin, vdp
 from slowflow.certify import (
     AlphaPolicy, StabilityCertificate, build_contraction_certificate,
     certify_hurwitz, estimate_lipschitz, pnorm_operator,
@@ -12,6 +12,7 @@ from slowflow.certify import (
     uniform_limit_diagnostic,
 )
 from slowflow.errors import NotHurwitz
+from slowflow.odeint import PeriodicField
 
 TWO_PI = 2.0 * math.pi
 
@@ -137,6 +138,45 @@ def test_estimate_lipschitz_nonsmooth_below_interval_bound(unforced_nonsmooth):
     est = estimate_lipschitz(unforced_nonsmooth, np.zeros(2), R,
                              n_samples=4000, seed=2)
     assert 0.0 < est.l_hat <= bound
+
+
+@pytest.mark.parametrize("n_samples", [500, 10_000])
+def test_estimate_lipschitz_one_call_per_side(n_samples):
+    inner = vdp.nonsmooth_vdp_field(vdp.ForcingParams(0.1, 1.0))
+    calls = []
+
+    def evaluate(t, x, eps):
+        calls.append(np.shape(x))
+        return inner.evaluate(t, x, eps)
+
+    f = PeriodicField(dim=2, period=inner.period, evaluate=evaluate)
+    est = estimate_lipschitz(f, np.array([0.5, 1.2]), 0.5, n_samples=n_samples)
+    assert len(calls) <= 2
+    assert est.samples == n_samples and est.l_hat > 0.0
+
+
+def test_estimate_lipschitz_dsl_twin_matches_builtin():
+    a, lam, root = certified_forced_params()
+    builtin = vdp.nonsmooth_vdp_field(vdp.ForcingParams(a, lam))
+    twin = exprdsl.field_from_spec(exprdsl.FieldSpec.from_strings(
+        2, TWO_PI, NONSMOOTH_DSL, {"a": a, "lam": lam}))
+    for seed in range(3):
+        want = estimate_lipschitz(builtin, root, 0.5, n_samples=2000, seed=seed)
+        got = estimate_lipschitz(twin, root, 0.5, n_samples=2000, seed=seed)
+        assert abs(got.l_hat - want.l_hat) <= 1e-12 * want.l_hat
+
+
+def test_estimate_lipschitz_skips_nan_quotients():
+    # g(t, x) = x on the first half period and NaN on the second
+    def evaluate(t, x, eps):
+        x = np.asarray(x, dtype=float)
+        return np.where(np.asarray(t)[..., None] < 0.5, x, np.nan)
+
+    f = PeriodicField(dim=1, period=1.0, evaluate=evaluate)
+    est = estimate_lipschitz(f, np.zeros(1), 0.5, n_samples=400, seed=4)
+    assert abs(est.l_hat - 1.0) <= 1e-12
+    assert 100 < est.samples < 300
+    assert estimate_lipschitz(f, np.zeros(1), 1e-14, n_samples=50).l_hat == 0.0
 
 
 def test_sampled_contraction_check_linear(linear_field):

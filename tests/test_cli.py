@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from conftest import validate_schema
+import slowflow
 from slowflow import cli, vdp
 from slowflow.cli import format_float, load_config, main
 from slowflow.errors import ConfigError
@@ -153,6 +157,23 @@ def test_resonance_degenerate_rows(capsys):
     assert abs(float(row[6])) < 1e-9                 # ineq6 = 0
     assert abs(float(row[7]) + math.pi) < 1e-9       # ineq7 = -pi
     assert row[10] == "true"                         # degenerate
+
+
+def test_python_m_slowflow_runs_clean():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(slowflow.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "slowflow", "resonance",
+         "--model", "nonsmooth", "--lambda", "0", "--a", "0", "0", "--n", "1"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines() == [
+        "a,lambda,A,M,N,phi,ineq6,ineq7,hurwitz,stable,degenerate",
+        "0,0,2.3561944901923448,0,2.3561944901923448,0,0,-3.1415926535897931,"
+        "true,false,true",
+    ]
 
 
 def test_resonance_classical_row(capsys):

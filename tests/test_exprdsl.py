@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import NONSMOOTH_DSL
 from slowflow import vdp
 from slowflow.errors import (
     DimensionMismatch,
@@ -108,13 +109,6 @@ def test_field_from_spec_unresolvable_name():
     with pytest.raises(UnknownIdentifier):
         field_from_spec(spec)
 
-
-NONSMOOTH_DSL = [
-    "(-(abs(x1*sin(t)+x2*cos(t))-1)*(x1*cos(t)-x2*sin(t))"
-    "-a*(x1*sin(t)+x2*cos(t))+lam*sin(t))*cos(t)",
-    "-((-(abs(x1*sin(t)+x2*cos(t))-1)*(x1*cos(t)-x2*sin(t))"
-    "-a*(x1*sin(t)+x2*cos(t))+lam*sin(t)))*sin(t)",
-]
 
 CLASSICAL_DSL = [
     "(-((x1*sin(t)+x2*cos(t))^2-1)*(x1*cos(t)-x2*sin(t))"

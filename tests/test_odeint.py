@@ -248,6 +248,22 @@ def test_paired_times_evaluate_row_by_row(f):
     assert np.max(np.abs(got - rows)) <= 1e-15 * np.max(np.abs(rows))
 
 
+def test_paired_eps_evaluate_row_by_row():
+    # with paired times, eps of shape (m,) is paired by row as well
+    spec = exprdsl.FieldSpec.from_strings(
+        2, TWO_PI, ["lam*sin(t) - eps*x1*abs(x2)", "x1 - (a + eps^2)*x2"],
+        {"a": 0.2, "lam": 1.0})
+    f = exprdsl.field_from_spec(spec)
+    rng = np.random.default_rng(32)
+    T = rng.uniform(0.0, 7.0, 40)
+    X = rng.uniform(-3.0, 3.0, (40, 2))
+    E = rng.uniform(0.0, 1.0, 40)
+    got = f(T, X, E)
+    rows = np.array([f(float(T[i]), X[i], float(E[i])) for i in range(40)])
+    assert got.shape == (40, 2)
+    assert np.max(np.abs(got - rows)) <= 1e-15 * np.max(np.abs(rows))
+
+
 def _spread_forced_ensemble(m, radius, seed):
     a, lam, root = certified_forced_params()
     f = vdp.nonsmooth_vdp_field(vdp.ForcingParams(a, lam))
