@@ -11,8 +11,9 @@ without that metadata a corner inside a panel costs O(h^2) locally and the
 caller should raise ``n_nodes`` accordingly.
 
 Zeros of the averaged field are the candidate initial points of periodic
-solutions of x' = eps*g; they are located by a damped Newton iteration on the
-quadrature values with a central-difference Jacobian.
+solutions of x' = eps*g; they are located by the damped Newton loop of
+``newton.solve`` (trust region, Armijo line search, no full-step fallback) on
+the quadrature values with a central-difference Jacobian.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import smalllin
+from . import newton, smalllin
 from .errors import (MaxIterations, NonFiniteValue, Singular, SingularJacobian,
                      SlowflowError)
 from .odeint import PeriodicField
@@ -146,52 +147,30 @@ def _singular_ratio(J: np.ndarray) -> float:
 
 
 def find_root(f: PeriodicField, guess, root_tol: float = 1e-10,
-              n_nodes: int = DEFAULT_NODES, max_iter: int = 50,
-              fd_step: Optional[float] = None) -> RootResult:
-    """Damped Newton on the averaged field from `guess`.
+              n_nodes: int = DEFAULT_NODES) -> RootResult:
+    """Damped Newton (``newton.solve``) on the averaged field from `guess`.
 
-    Converged means the quadrature residual dropped to ``root_tol``; the step
-    is halved up to 20 times whenever the residual would not decrease.
+    Converged means the quadrature residual dropped to ``root_tol``; a stall
+    or the iteration cap raises ``MaxIterations`` naming the stop reason.
     """
-    v = np.asarray(guess, dtype=float).copy()
+    v = np.asarray(guess, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("guess must be finite")
-    g = averaged_function(f, v, n_nodes)
-    res = float(np.linalg.norm(g))
-    J = None
-    for it in range(1, max_iter + 1):
-        if res <= root_tol:
-            J = averaged_jacobian(f, v, n_nodes, fd_step)
-            return RootResult(v, res, it - 1, True, J,
-                              _singular_ratio(J) < NON_ISOLATED_RATIO)
-        J = averaged_jacobian(f, v, n_nodes, fd_step)
+
+    def steps(v, g):
         try:
-            step = smalllin.solve(J, -g)
+            return [smalllin.solve(averaged_jacobian(f, v, n_nodes), -g)]
         except Singular as exc:
             raise SingularJacobian(f"Newton Jacobian singular at {v}") from exc
-        lam = 1.0
-        for _ in range(20):
-            v_try = v + lam * step
-            g_try = averaged_function(f, v_try, n_nodes)
-            r_try = float(np.linalg.norm(g_try))
-            if r_try < res:
-                v, g, res = v_try, g_try, r_try
-                break
-            lam *= 0.5
-        else:
-            # no decrease in 20 halvings: accept the full step once and let
-            # the residual check decide next round
-            v = v + step
-            g = averaged_function(f, v, n_nodes)
-            res = float(np.linalg.norm(g))
-    if res <= root_tol:
-        J = averaged_jacobian(f, v, n_nodes, fd_step)
-        return RootResult(v, res, max_iter, True, J,
-                          _singular_ratio(J) < NON_ISOLATED_RATIO)
-    raise MaxIterations(
-        f"Newton did not reach residual {root_tol:g} in {max_iter} iterations "
-        f"(residual {res:.3e})"
-    )
+
+    v, _, res, iters, stop = newton.solve(
+        lambda v: averaged_function(f, v, n_nodes), v, root_tol, steps)
+    if stop != "converged":
+        raise MaxIterations(f"Newton {stop} at residual {res:.3e} (> tol "
+                            f"{root_tol:g}) after {iters} iterations")
+    J = averaged_jacobian(f, v, n_nodes)
+    return RootResult(v, res, iters, True, J,
+                      _singular_ratio(J) < NON_ISOLATED_RATIO)
 
 
 def scan_roots(f: PeriodicField, box, grid_n: int = 32,

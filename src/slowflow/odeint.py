@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -84,13 +84,15 @@ class PeriodicField:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Stepper selection and accuracy knobs."""
+    """Stepper selection and accuracy knobs.  A flow over [t0, t1] raises
+    ``StepLimitExceeded`` after ``max_steps * max(1, ceil((t1 - t0) / T))``
+    steps, T the field's period (a legitimate period takes ~600 at most)."""
 
     method: str = "rk45-adaptive"
     h: Optional[float] = None          # fixed step; None -> period/2000
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    max_steps: int = 20_000_000
+    max_steps: int = 10_000            # per period of the field
 
     def __post_init__(self):
         if self.method not in ("rk4-fixed", "rk45-adaptive"):
@@ -103,13 +105,10 @@ class IntegratorConfig:
     def refined(self, factor: float = 2.0) -> "IntegratorConfig":
         """Config at `factor` times the resolution (halved step / tightened tol)."""
         if self.method == "rk4-fixed":
-            h = None if self.h is None else self.h / factor
-            return IntegratorConfig("rk4-fixed", h, self.abs_tol, self.rel_tol,
-                                    self.max_steps)
+            return replace(self, h=None if self.h is None else self.h / factor)
         scale = factor ** 5
-        return IntegratorConfig("rk45-adaptive", None,
-                                self.abs_tol / scale, self.rel_tol / scale,
-                                self.max_steps)
+        return replace(self, h=None, abs_tol=self.abs_tol / scale,
+                       rel_tol=self.rel_tol / scale)
 
 
 @dataclass
@@ -333,13 +332,17 @@ def _make_rhs(f: PeriodicField, eps: float):
     return rhs
 
 
+def _step_cap(f, t0, t1, cfg):
+    return cfg.max_steps * max(1, math.ceil((t1 - t0) / f.period))
+
+
 def _run(f, t0, t1, x0, eps, cfg, record):
     rhs = _make_rhs(f, eps)
+    cap = _step_cap(f, t0, t1, cfg)
     if cfg.method == "rk4-fixed":
         h = cfg.h if cfg.h is not None else f.period / 2000.0
-        return _run_rk4(rhs, t0, t1, x0, h, cfg.max_steps, record)
-    return _run_dopri(rhs, t0, t1, x0, cfg.abs_tol, cfg.rel_tol,
-                      cfg.max_steps, record)
+        return _run_rk4(rhs, t0, t1, x0, h, cap, record)
+    return _run_dopri(rhs, t0, t1, x0, cfg.abs_tol, cfg.rel_tol, cap, record)
 
 
 def integrate(f: PeriodicField, t0: float, t1: float, x0, eps: float,
@@ -390,7 +393,7 @@ def flow_batch(f: PeriodicField, t0: float, t1: float, X0, eps: float,
     if not np.all(np.isfinite(X0)):
         raise NonFiniteState("initial state is not finite")
     return _run_dopri_members(_make_rhs(f, eps), t0, t1, X0, cfg.abs_tol,
-                              cfg.rel_tol, cfg.max_steps)
+                              cfg.rel_tol, _step_cap(f, t0, t1, cfg))
 
 
 def poincare_map(f: PeriodicField, v, eps: float,

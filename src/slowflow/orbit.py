@@ -1,12 +1,12 @@
 """Dynamic verification: periodic solutions as fixed points of the period map.
 
-``find_periodic`` runs a damped Newton iteration on P(v) - v where P is the
-Poincare (period) map, with a finite-difference Jacobian: the field may be
-only Lipschitz, so variational equations are not assumed to exist, but the
-flow itself is Lipschitz and differentiates cleanly through quadrature-grade
-integration; its 2k perturbed states share one batched step sequence.
-Floquet multipliers are the eigenvalues of the FD Jacobian of P at the fixed
-point.
+``find_periodic`` runs the damped Newton loop of ``newton.solve`` on
+P(v) - v where P is the Poincare (period) map, with a finite-difference
+Jacobian: the field may be only Lipschitz, so variational equations are not
+assumed to exist, but the flow itself is Lipschitz and differentiates cleanly
+through quadrature-grade integration; its 2k perturbed states share one
+batched step sequence.  Floquet multipliers are the eigenvalues of the FD
+Jacobian of P at the fixed point.
 
 Which ensemble flows share a step grid: ``poincare_jacobian`` and
 ``measure_contraction`` do, because FD columns and close pairs need
@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import smalllin
+from . import newton, smalllin
 from .errors import MaxIterations, Singular, SingularJacobian, SlowflowError
 from .odeint import IntegratorConfig, PeriodicField, flow_batch, poincare_map
 
@@ -46,6 +46,12 @@ __all__ = [
 ORBITAL_NOTE = "orbitally stable cycle (phase-neutral)"
 PHASE_BAND = 1e-4            # |mult| within this of 1 counts as the phase direction
 STABLE_MARGIN = 1e-9
+# FD steps = scale * (1 + |v|): a small one for Newton, where accuracy only
+# affects convergence speed, and a larger one for the reported multipliers,
+# so integrator noise does not leak into them
+NEWTON_FD_SCALE = 1e-7
+MULTIPLIER_FD_SCALE = 1e-3
+TRUNC_RATIO = 1e-2           # truncated step drops sigma <= ratio * sigma_max
 
 # fixed-point residuals are driven to 1e-10, so the map itself is integrated
 # well below that; the package-wide 1e-10 default would put integrator jitter
@@ -86,10 +92,6 @@ class SweepResult:
     entries: Tuple[SweepEntry, ...]
     order: Optional[float]             # least-squares slope of log dist vs log eps
 
-    @property
-    def results(self) -> List[PeriodicOrbitResult]:
-        return [e.result for e in self.entries if e.result is not None]
-
 
 def poincare_jacobian(f: PeriodicField, v, eps: float,
                       cfg: IntegratorConfig = IntegratorConfig(),
@@ -109,113 +111,68 @@ def poincare_jacobian(f: PeriodicField, v, eps: float,
     return (X[:k] - X[k:]).T / (2.0 * h)
 
 
-def _phase_pattern(mults, band: float) -> bool:
-    """Exactly one multiplier of unit magnitude (within band), rest inside."""
-    mags = np.abs(mults)
-    near_one = np.abs(mags - 1.0) <= band
-    inside = mags < 1.0 - band
-    return int(np.sum(near_one)) == 1 and int(np.sum(inside)) == len(mults) - 1
-
-
 def find_periodic(f: PeriodicField, v0_guess, eps: float,
                   cfg: IntegratorConfig = _ORBIT_CFG,
-                  tol: float = 1e-10, max_iter: int = 50,
-                  newton_fd_scale: float = 1e-7,
-                  multiplier_fd_scale: float = 1e-3,
-                  v0=None,
-                  phase_band: float = PHASE_BAND) -> PeriodicOrbitResult:
-    """Newton iteration on P(v) - v from `v0_guess` at fixed eps > 0.
+                  tol: float = 1e-10, v0=None) -> PeriodicOrbitResult:
+    """Damped Newton (``newton.solve``) on P(v) - v from `v0_guess`, eps > 0.
 
     `v0` (when given) is the averaged-field root used for the reported
-    distance; it defaults to the initial guess.  The Newton Jacobian uses a
-    small FD step (accuracy only affects convergence speed); the multiplier
-    Jacobian uses a larger one so integrator noise does not leak into the
-    reported Floquet multipliers.
+    distance; it defaults to the initial guess.  A stall is returned as an
+    orbitally stable cycle when its multipliers are phase-neutral.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    v = np.asarray(v0_guess, dtype=float).copy()
     ref = np.asarray(v0 if v0 is not None else v0_guess, dtype=float)
-    Fv = poincare_map(f, v, eps, cfg) - v
-    res = float(np.linalg.norm(Fv))
-    for it in range(1, max_iter + 1):
-        if res <= tol:
-            return _finish(f, v, eps, cfg, res, ref, it - 1, True,
-                           multiplier_fd_scale, phase_band)
-        h = newton_fd_scale * (1.0 + float(np.linalg.norm(v)))
-        DP = poincare_jacobian(f, v, eps, cfg, fd_step=h)
-        J = DP - np.eye(f.dim)
+
+    def steps(v, Fv):
+        h = NEWTON_FD_SCALE * (1.0 + float(np.linalg.norm(v)))
+        J = poincare_jacobian(f, v, eps, cfg, fd_step=h) - np.eye(f.dim)
         # plain Newton step, and a truncated pseudo-inverse step that moves
         # only in the well-conditioned directions; the truncated one goes
         # first when it drops a (neutral phase) direction, where the plain
         # step would creep along the invariant circle instead of stalling
         truncated, dropped = _truncated_step(J, Fv)
-        steps = []
         try:
-            steps.append(smalllin.solve(J, -Fv))
+            plain = [smalllin.solve(J, -Fv)]
         except Singular:
-            pass
-        steps.insert(0 if dropped else len(steps), truncated)
-        if all(float(np.max(np.abs(s))) == 0.0 for s in steps):
+            plain = []
+        out = [truncated] + plain if dropped else plain + [truncated]
+        if not any(np.any(s) for s in out):
             raise SingularJacobian(f"period-map Jacobian singular at {v}")
-        improved = False
-        for step in steps:
-            lam_d = 1.0
-            for _ in range(9):
-                v_try = v + lam_d * step
-                F_try = poincare_map(f, v_try, eps, cfg) - v_try
-                r_try = float(np.linalg.norm(F_try))
-                # Armijo-style: a damped step must still buy a decrease
-                # proportional to its length, else floor wiggles get
-                # accepted forever
-                if r_try <= res * (1.0 - 0.1 * lam_d):
-                    v, Fv, res = v_try, F_try, r_try
-                    improved = True
-                    break
-                lam_d *= 0.5
-            if improved:
-                break
-        if not improved:
-            # the damped residual is monotone, so a failed line search means
-            # we sit at the residual floor: either the phase-neutral cycle
-            # of a self-oscillator, or a genuine failure
-            r = _finish(f, v, eps, cfg, res, ref, it, False,
-                        multiplier_fd_scale, phase_band)
-            if r.orbitally_stable:
-                return r
-            raise MaxIterations(
-                f"Newton stalled at residual {res:.3e} (> tol {tol:g}) with "
-                f"no phase-neutral multiplier pattern"
-            )
-    r = _finish(f, v, eps, cfg, res, ref, max_iter, res <= tol,
-                multiplier_fd_scale, phase_band)
+        return out
+
+    v, _, res, iters, stop = newton.solve(
+        lambda v: poincare_map(f, v, eps, cfg) - v, v0_guess, tol, steps)
+    r = _finish(f, v, eps, cfg, res, ref, iters, stop == "converged")
     if r.converged or r.orbitally_stable:
         return r
-    raise MaxIterations(f"no fixed point after {max_iter} iterations "
-                        f"(residual {res:.3e})")
+    raise MaxIterations(f"Newton {stop} at residual {res:.3e} (> tol {tol:g}) after "
+                        f"{iters} iterations, multipliers not phase-neutral")
 
 
-def _truncated_step(J, Fv, trunc_ratio: float = 1e-2):
+def _truncated_step(J, Fv):
     """Truncated-SVD Newton step -pinv_r(J) Fv, and whether it dropped a
     direction.
 
     LAPACK ``gelsd`` (``numpy.linalg.lstsq``) zeroes every singular value
-    sigma <= trunc_ratio * sigma_max, whose content is FD noise; working on J
+    sigma <= TRUNC_RATIO * sigma_max, whose content is FD noise; working on J
     itself rather than J'J keeps the condition number unsquared.
     """
-    step, _, rank, _ = np.linalg.lstsq(J, -Fv, rcond=trunc_ratio)
+    step, _, rank, _ = np.linalg.lstsq(J, -Fv, rcond=TRUNC_RATIO)
     return step, bool(rank < J.shape[1])
 
 
-def _finish(f, v, eps, cfg, res, ref, iters, converged, mult_scale, band):
-    DP = poincare_jacobian(f, v, eps, cfg,
-                           fd_step=mult_scale * (1.0 + float(np.linalg.norm(v))))
+def _finish(f, v, eps, cfg, res, ref, iters, converged):
+    DP = poincare_jacobian(f, v, eps, cfg, fd_step=MULTIPLIER_FD_SCALE
+                           * (1.0 + float(np.linalg.norm(v))))
     mults = smalllin.eigenvalues(DP).values
     mags = np.abs(mults)
-    # a multiplier inside the phase band is indistinguishable from unit
+    # exactly one multiplier of unit magnitude (within the band), the rest
+    # inside; a multiplier in the band is indistinguishable from unit
     # magnitude at FD resolution, so it cannot support a strict stability
     # verdict even when the iteration converged to an exact fixed point
-    phase_neutral = _phase_pattern(mults, band)
+    phase_neutral = (int(np.sum(np.abs(mags - 1.0) <= PHASE_BAND)) == 1 and
+                     int(np.sum(mags < 1.0 - PHASE_BAND)) == len(mults) - 1)
     stable = (converged and not phase_neutral
               and bool(np.all(mags < 1.0 - STABLE_MARGIN)))
     note = ORBITAL_NOTE if phase_neutral else ""
@@ -228,7 +185,7 @@ def _finish(f, v, eps, cfg, res, ref, iters, converged, mult_scale, band):
 
 def eps_sweep(f: PeriodicField, v0, eps_list: Sequence[float],
               cfg: IntegratorConfig = _ORBIT_CFG,
-              tol: float = 1e-10, **kwargs) -> SweepResult:
+              tol: float = 1e-10) -> SweepResult:
     """Chain `find_periodic` over decreasing eps with warm starts.
 
     The fixed point at each eps seeds the next (staying on one solution
@@ -245,7 +202,7 @@ def eps_sweep(f: PeriodicField, v0, eps_list: Sequence[float],
     entries: List[SweepEntry] = []
     for eps in eps_list:
         try:
-            r = find_periodic(f, guess, eps, cfg, tol=tol, v0=v0, **kwargs)
+            r = find_periodic(f, guess, eps, cfg, tol=tol, v0=v0)
             entries.append(SweepEntry(eps, r))
             guess = r.v_star.copy()
         except SlowflowError as exc:

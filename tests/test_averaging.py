@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from slowflow.averaging import (
     averaged_function, averaged_jacobian, averaged_report, find_root,
     scan_roots,
 )
-from slowflow.errors import DomainError
+from slowflow.errors import MaxIterations
 from slowflow.exprdsl import FieldSpec, field_from_spec
 from slowflow.odeint import PeriodicField
 
@@ -179,6 +180,17 @@ def test_scan_roots_empty_box(linear_field):
     assert roots == []
 
 
+@pytest.mark.parametrize("guess, nodes", [((0.5, 2.0), 4096), ((0.0, 3.0), 8192)])
+def test_find_root_outside_basin_stalls_fast(guess, nodes):
+    # both starts lie outside Newton's basin: the damped residual stalls near
+    # |v| = 1.2, and with no full-step fallback the solve says so at once
+    f = vdp.nonsmooth_vdp_field(vdp.ForcingParams(0.1, 1.0))
+    t0 = time.perf_counter()
+    with pytest.raises(MaxIterations, match="stalled"):
+        find_root(f, np.array(guess), n_nodes=nodes)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_scan_roots_unforced_circle(unforced_nonsmooth):
     roots = scan_roots(unforced_nonsmooth, np.array([[-3.0, 3.0], [-3.0, 3.0]]),
                        grid_n=24)
@@ -194,10 +206,11 @@ def test_scan_roots_unforced_circle(unforced_nonsmooth):
 
 def test_scan_roots_survives_dsl_domain_error():
     # Newton from the seeds right of the root overshoots below x = -1, where
-    # the square root is undefined; the scan must still return the root
+    # the square root is undefined: those trials count as no decrease and
+    # the solve stalls; the scan must still return the root
     src = "sqrt(x1 + 1) - 1.2 + 0.3*cos(2*x1)"
     f = field_from_spec(FieldSpec.from_strings(1, TWO_PI, [src]))
-    with pytest.raises(DomainError):
+    with pytest.raises(MaxIterations, match="stalled"):
         find_root(f, np.array([1.0]), n_nodes=256)
     roots = scan_roots(f, np.array([[-0.9, 4.0]]), grid_n=12, n_nodes=256)
     assert len(roots) == 1

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -197,6 +198,29 @@ def test_step_limit():
     with pytest.raises(StepLimitExceeded):
         integrate(f, 0.0, 1.0, np.array([1.0]), 1.0,
                   IntegratorConfig(method="rk4-fixed", h=1e-5, max_steps=10))
+
+
+def test_step_limit_counts_per_period(linear_field):
+    # rk4-fixed takes 2000 steps per period at its default h; the cap is
+    # max_steps per started period of the field
+    x0 = np.array([0.0])
+    flow(linear_field, 0.0, 3 * TWO_PI, x0, 0.1,
+         IntegratorConfig(method="rk4-fixed", max_steps=2000))
+    with pytest.raises(StepLimitExceeded):
+        flow(linear_field, 0.0, 3 * TWO_PI, x0, 0.1,
+             IntegratorConfig(method="rk4-fixed", max_steps=1999))
+
+
+def test_period_map_in_stiff_region_hits_step_limit():
+    # a trial point the undamped period-map Newton once reached from
+    # (30, 30): there explicit Dormand-Prince crawls, and the default cap
+    # stops the flow within about a second instead of minutes
+    f = vdp.nonsmooth_vdp_field(vdp.ForcingParams(0.1, 1.0))
+    cfg = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12)
+    t0 = time.perf_counter()
+    with pytest.raises(StepLimitExceeded):
+        poincare_map(f, np.array([-2.1393628, -1.38628007e5]), 0.5, cfg)
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_invalid_inputs(linear_field):

@@ -347,3 +347,19 @@ def test_sweep_keeps_partial_failures(unforced_nonsmooth):
                    [0.05, 0.02, 0.01])
     for entry in sw.entries:
         assert (entry.result is not None) or entry.error
+
+
+def test_find_periodic_far_start_converges():
+    # from (30, 30) the full Newton step once sent a trial point to
+    # |v| ~ 1.4e5, where explicit Dormand-Prince crawls; the trust region
+    # keeps trials within 1 + |v| and the solve reaches the orbit
+    f = vdp.nonsmooth_vdp_field(vdp.ForcingParams(0.1, 1.0))
+    r = find_periodic(f, np.array([30.0, 30.0]), 0.5)
+    assert r.converged and r.residual <= 1e-10
+
+
+def test_eps_sweep_far_start_returns_every_entry():
+    f = vdp.nonsmooth_vdp_field(vdp.ForcingParams(0.1, 1.0))
+    sw = eps_sweep(f, np.array([30.0, 30.0]), [0.5, 0.25, 0.125])
+    assert len(sw.entries) == 3
+    assert all(e.result is not None and e.result.converged for e in sw.entries)
