@@ -5,10 +5,10 @@ For a T-periodic field g the averaged field at frozen state v is
     avg(v) = integral over [0, T] of g(tau, v, 0) dtau,
 
 computed by composite Simpson quadrature.  When the field publishes its
-switching times (``field.kinks``), panel boundaries are aligned with them so
-each panel integrates a smooth piece and the full O(h^4) rate is retained;
-without that metadata a corner inside a panel costs O(h^2) locally and the
-caller should raise ``n_nodes`` accordingly.
+switching times (``field.kinks``: the built-ins and every DSL field with
+``abs``/``sign`` do), panel boundaries are aligned with them so each panel
+integrates a smooth piece and the full O(h^4) rate is retained; a corner
+inside a panel costs O(h^2) locally.
 
 Zeros of the averaged field are the candidate initial points of periodic
 solutions of x' = eps*g; they are located by the damped Newton loop of
@@ -105,6 +105,10 @@ def averaged_function(f: PeriodicField, v, n_nodes: int = DEFAULT_NODES) -> np.n
     return total
 
 
+def _fd_step(v: np.ndarray, fd_step: Optional[float]) -> float:
+    return DEFAULT_FD_STEP_SCALE * (1.0 + float(np.linalg.norm(v))) if fd_step is None else fd_step
+
+
 def averaged_jacobian(f: PeriodicField, v, n_nodes: int = DEFAULT_NODES,
                       fd_step: Optional[float] = None) -> np.ndarray:
     """Central-difference Jacobian of the averaged field at v.
@@ -114,7 +118,7 @@ def averaged_jacobian(f: PeriodicField, v, n_nodes: int = DEFAULT_NODES,
     even when g is only Lipschitz.
     """
     v = np.asarray(v, dtype=float)
-    h = fd_step if fd_step is not None else DEFAULT_FD_STEP_SCALE * (1.0 + float(np.linalg.norm(v)))
+    h = _fd_step(v, fd_step)
     if not h > 0:
         raise ValueError("fd_step must be positive")
     k = f.dim
@@ -134,9 +138,8 @@ def averaged_report(f: PeriodicField, v, n_nodes: int = DEFAULT_NODES,
                     fd_step: Optional[float] = None) -> AveragedReport:
     v = np.asarray(v, dtype=float)
     val = averaged_function(f, v, n_nodes)
-    J = averaged_jacobian(f, v, n_nodes, fd_step) if with_jacobian else None
-    h = (fd_step if fd_step is not None
-         else DEFAULT_FD_STEP_SCALE * (1.0 + float(np.linalg.norm(v)))) if with_jacobian else None
+    h = _fd_step(v, fd_step) if with_jacobian else None
+    J = averaged_jacobian(f, v, n_nodes, h) if with_jacobian else None
     return AveragedReport(v, val, J, n_nodes, h)
 
 

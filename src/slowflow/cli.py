@@ -77,8 +77,6 @@ class RunConfig:
                 params={**self.system.get("params", {}), **self.params},
             )
             return exprdsl.field_from_spec(spec)
-        except SlowflowError:
-            raise
         except Exception as exc:
             raise ConfigError(f"invalid DSL system spec: {exc}") from exc
 

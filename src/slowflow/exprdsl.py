@@ -1,7 +1,7 @@
 """Tiny expression language for defining periodic vector fields from text.
 
 Grammar (standard precedence, ^ right-associative and binding tighter than
-unary minus)::
+unary minus; factors nest at most ``MAX_DEPTH`` deep)::
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
@@ -11,33 +11,31 @@ unary minus)::
 Recognized functions: ``sin cos abs sqrt sign``.  Free names must be ``t``,
 ``eps``, ``x1..xk`` or a declared parameter; there are no conditionals or
 loops, so every expression is a pure, Lipschitz-friendly formula.  ``abs`` and
-``sign`` are exact at 0 (``abs(0) = 0``, ``sign(0) = 0``).
+``sign`` are exact at 0 (``abs(0) = 0``, ``sign(0) = 0``).  Expressions run
+compiled, as one straight-line tape per field (``field_from_spec``).
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DivisionByZero,
-    DomainError,
-    ExprSyntaxError,
-    UnknownIdentifier,
-)
+from .errors import (DimensionMismatch, DivisionByZero, DomainError,
+                     ExprSyntaxError, UnknownIdentifier)
 from .odeint import PeriodicField
 
-__all__ = [
-    "Expr", "Const", "Var", "Param", "Unary", "Binary",
-    "FUNCTIONS", "parse", "pretty", "eval_expr", "free_names",
-    "FieldSpec", "field_from_spec",
-]
+__all__ = ["Expr", "Const", "Var", "Param", "Unary", "Binary", "FUNCTIONS", "parse",
+           "pretty", "eval_expr", "FieldSpec", "field_from_spec"]
 
 FUNCTIONS = ("sin", "cos", "abs", "sqrt", "sign")
+MAX_DEPTH = 100          # nested factors ('(', calls, '-', '^') per source
+KINK_SCAN = 64           # t intervals per period scanned for switches
+KINK_MAX_ITER = 60       # Illinois steps per refinement (about 10 suffice)
 
 
 @dataclass(frozen=True)
@@ -78,8 +76,7 @@ _TOKEN = re.compile(
 
 
 def _tokenize(source: str):
-    tokens = []
-    pos = 0
+    tokens, pos = [], 0
     while pos < len(source):
         m = _TOKEN.match(source, pos)
         if m is None or m.end() == pos:
@@ -88,40 +85,29 @@ def _tokenize(source: str):
                 break
             raise ExprSyntaxError(pos, {"number", "identifier", "operator"},
                                   tail[0])
-        if m.lastgroup is not None:
-            tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
+        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
         pos = m.end()
-    tokens.append(("end", "", len(source)))
-    return tokens
+    return tokens + [("end", "", len(source))]
 
 
 class _Parser:
     def __init__(self, source: str, params: Sequence[str] = ()):
-        self.source = source
         self.tokens = _tokenize(source)
-        self.i = 0
+        self.i = self.depth = 0
         self.params = frozenset(params)
 
     def peek(self):
         return self.tokens[self.i]
 
     def advance(self):
-        tok = self.tokens[self.i]
         self.i += 1
-        return tok
+        return self.tokens[self.i - 1]
 
     def expect(self, value):
         kind, text, pos = self.peek()
         if text != value:
             raise ExprSyntaxError(pos, {repr(value)}, text)
         return self.advance()
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        kind, text, pos = self.peek()
-        if kind != "end":
-            raise ExprSyntaxError(pos, {"operator", "end of input"}, text)
-        return e
 
     def expr(self) -> Expr:
         e = self.term()
@@ -138,13 +124,18 @@ class _Parser:
         return e
 
     def factor(self) -> Expr:
+        self.depth += 1             # every nesting passes here
+        if self.depth > MAX_DEPTH:
+            raise ExprSyntaxError(self.peek()[2], {f"nesting depth <= {MAX_DEPTH}"}, self.peek()[1])
         if self.peek()[1] == "-":
             self.advance()
-            return Unary("neg", self.factor())
-        e = self.atom()
-        if self.peek()[1] == "^":
-            self.advance()
-            e = Binary("^", e, self.factor())   # right-associative
+            e = Unary("neg", self.factor())
+        else:
+            e = self.atom()
+            if self.peek()[1] == "^":
+                self.advance()
+                e = Binary("^", e, self.factor())   # right-associative
+        self.depth -= 1
         return e
 
     def atom(self) -> Expr:
@@ -159,9 +150,7 @@ class _Parser:
                 arg = self.expr()
                 self.expect(")")
                 return Unary(text, arg)
-            if text in self.params:
-                return Param(text)
-            return Var(text)
+            return Param(text) if text in self.params else Var(text)
         if text == "(":
             e = self.expr()
             self.expect(")")
@@ -173,9 +162,14 @@ def parse(source: str, params: Sequence[str] = ()) -> Expr:
     """Parse `source` into an expression tree.
 
     Names listed in `params` become late-bound parameters; everything else
-    stays a variable reference resolved at evaluation time.
+    stays a variable reference, resolved when the expression is compiled.
     """
-    return _Parser(source, params).parse()
+    p = _Parser(source, params)
+    e = p.expr()
+    kind, text, pos = p.peek()
+    if kind != "end":
+        raise ExprSyntaxError(pos, {"operator", "end of input"}, text)
+    return e
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
@@ -199,89 +193,111 @@ def _pretty(e: Expr, parent_prec: int) -> str:
     prec = _PREC[e.op]
     # left-assoc ops need parens on an equal-precedence right child;
     # '^' is the mirror case
-    if e.op == "^":
-        left = _pretty(e.left, prec + 1)
-        right = _pretty(e.right, prec)
-    else:
-        left = _pretty(e.left, prec)
-        right = _pretty(e.right, prec + 1)
-    s = f"{left} {e.op} {right}"
+    lp, rp = (prec + 1, prec) if e.op == "^" else (prec, prec + 1)
+    s = f"{_pretty(e.left, lp)} {e.op} {_pretty(e.right, rp)}"
     return f"({s})" if parent_prec > prec else s
 
 
-def free_names(e: Expr) -> set:
-    if isinstance(e, Const):
-        return set()
-    if isinstance(e, (Var, Param)):
-        return {e.name}
-    if isinstance(e, Unary):
-        return free_names(e.arg)
-    return free_names(e.left) | free_names(e.right)
+# --- compiled evaluation --------------------------------------------------------
+
+_UNARY = {"neg": operator.neg, "sin": np.sin, "cos": np.cos, "abs": np.abs,
+          "sign": np.sign, "sqrt": np.sqrt}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": np.divide, "^": np.power}
+_CHECKS = {   # op: (test on the arguments and the result, error, reason)
+    "sqrt": (lambda a, out: np.any(a < 0), DomainError, "square root of a negative number"),
+    "/": (lambda l, r, out: np.any(r == 0), DivisionByZero),
+    "^": (lambda l, r, out: not np.all(np.isfinite(out)), DomainError, "non-finite power"),
+}
+
+
+def _checked(fn, e, bad, error, *reason):
+    def op(*args):
+        out = fn(*args)
+        if bad(*args, out):
+            raise error(pretty(e), *reason)
+        return out
+    return op
+
+
+class _Tape:
+    """Expressions as one straight-line program: slots for t, eps, x1..xk and the
+    parameters, then one per distinct subtree in post-order, keyed on its op and
+    its children's slots (a constant on its repr, so 0.0 and -0.0 stay apart)."""
+
+    def __init__(self, exprs, params, k):
+        # names resolve to t, eps, then parameters, then x1..xk
+        self.keyed = {**{f"x{i + 1}": i + 2 for i in range(k)},
+                      **{p: k + 2 + j for j, p in enumerate(params)}, "t": 0, "eps": 1}
+        self.k, self.values, self.code = k, [None] * (k + 2) + list(params.values()), []
+        self.out = [self._slot(e) for e in exprs]
+        self.switches = sorted({i for _, fn, i, _ in self.code if fn in (np.abs, np.sign)})
+        # kinks run the ops up to the last switching slot
+        self.switch_ops = sum(s <= max(self.switches, default=-1) for s, *_ in self.code)
+
+    def _slot(self, e):
+        kids = ([e.arg] if isinstance(e, Unary) else
+                [e.left, e.right] if isinstance(e, Binary) else [])
+        args = list(map(self._slot, kids))        # children first: post-order
+        key = ((e.op, *args) if kids else (Const, repr(e.value))
+               if isinstance(e, Const) else e.name)
+        if key in self.keyed:
+            return self.keyed[key]
+        if isinstance(e, (Var, Param)):
+            raise UnknownIdentifier(e.name)
+        slot = self.keyed[key] = len(self.values)
+        self.values.append(e.value if isinstance(e, Const) else None)
+        if kids:
+            fn = (_UNARY if len(args) == 1 else _BINARY).get(e.op)
+            if fn is None:
+                raise UnknownIdentifier(e.op)
+            if e.op in _CHECKS:
+                fn = _checked(fn, e, *_CHECKS[e.op])
+            self.code.append((slot, fn, args[0], args[1] if len(args) > 1 else None))
+        return slot
+
+    def run(self, t, x, eps, n_ops=None):
+        """Slot values at (t, x, eps) after the first `n_ops` ops (default all)."""
+        regs = self.values.copy()
+        regs[0], regs[1] = t, eps
+        for i in range(self.k):             # scalars for one state
+            regs[2 + i] = x[i] if x.ndim == 1 else x[..., i]
+        with np.errstate(all="ignore"):
+            for s, fn, i, j in self.code[:n_ops]:
+                regs[s] = fn(regs[i]) if j is None else fn(regs[i], regs[j])
+        return regs
 
 
 def eval_expr(e: Expr, t, x, eps, params: Optional[Dict[str, float]] = None):
     """Evaluate in IEEE doubles; `t` may be an array, `x` a (k,) or (m,k) array.
-
     Raises DivisionByZero / DomainError with the offending subexpression,
-    UnknownIdentifier for unbound names.
-    """
+    UnknownIdentifier for unbound names."""
     x = np.asarray(x, dtype=float)
-    params = params or {}
-    with np.errstate(all="ignore"):
-        return _eval(e, t, x, eps, params)
+    tape = _Tape([e], params or {}, x.shape[-1] if x.ndim else 0)
+    return tape.run(t, x, eps)[tape.out[0]]
 
 
-def _eval(e, t, x, eps, params):
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, (Var, Param)):
-        name = e.name
-        if name == "t":
-            return t
-        if name == "eps":
-            return eps
-        if name in params:
-            return params[name]
-        if name.startswith("x") and name[1:].isdigit():
-            i = int(name[1:])
-            if 1 <= i <= x.shape[-1]:
-                return x[..., i - 1]
-        raise UnknownIdentifier(name)
-    if isinstance(e, Unary):
-        a = _eval(e.arg, t, x, eps, params)
-        if e.op == "neg":
-            return -a
-        if e.op == "sin":
-            return np.sin(a)
-        if e.op == "cos":
-            return np.cos(a)
-        if e.op == "abs":
-            return np.abs(a)
-        if e.op == "sign":
-            return np.sign(a)
-        if e.op == "sqrt":
-            if np.any(np.asarray(a) < 0):
-                raise DomainError(pretty(e), "square root of a negative number")
-            return np.sqrt(a)
-        raise UnknownIdentifier(e.op)
-    l = _eval(e.left, t, x, eps, params)
-    r = _eval(e.right, t, x, eps, params)
-    if e.op == "+":
-        return l + r
-    if e.op == "-":
-        return l - r
-    if e.op == "*":
-        return l * r
-    if e.op == "/":
-        if np.any(np.asarray(r) == 0):
-            raise DivisionByZero(pretty(e))
-        return l / r
-    if e.op == "^":
-        out = np.power(l, r)
-        if not np.all(np.isfinite(out)):
-            raise DomainError(pretty(e), "non-finite power")
-        return out
-    raise UnknownIdentifier(e.op)
+def _switch_zeros(tape: _Tape, grid, v, eps) -> tuple:
+    """Zeros in [0, T) of the switching slots at frozen v: a sign scan on `grid`,
+    then Illinois regula falsi on all brackets at once (Dahlquist & Björck §6.2)."""
+    x = np.asarray(v, dtype=float)
+    def values(t):                          # (len(t), switches)
+        regs, zero = tape.run(t, x, eps, tape.switch_ops), np.zeros_like(t)
+        return np.array([regs[s] + zero for s in tape.switches]).T
+
+    S = values(grid)
+    col, row = np.nonzero((S[:-1] < 0) != (S[1:] < 0))   # a sign change
+    ar, last = np.arange(len(col)), -1
+    ends, g = grid[[col, col + 1]], S[[col, col + 1], row]
+    for _ in range(KINK_MAX_ITER):
+        m = (ends[0] * g[1] - ends[1] * g[0]) / (g[1] - g[0])
+        gm = values(m)[ar, row]
+        side = ((gm < 0) != (g[0] < 0)).astype(int)   # the end m replaces
+        # Illinois: halve the value at an end point kept a second time
+        g[1 - side, ar] *= 0.5 ** (side == last)
+        ends[side, ar], g[side, ar], last = m, gm, side
+        if ((gm == 0) | (ends[1] - ends[0] <= 1e-15 * grid[-1])).all():
+            break
+    return tuple(sorted((m[np.isfinite(m)] % grid[-1]).tolist()))
 
 
 @dataclass(frozen=True)
@@ -309,38 +325,20 @@ def field_from_spec(spec: FieldSpec) -> PeriodicField:
     """Compile a FieldSpec into an evaluatable PeriodicField.
 
     Every free name of every component must resolve to t, eps, x1..xk or a
-    declared parameter; the component count must match the dimension.
-    """
+    declared parameter; the component count must match the dimension.  The
+    field publishes ``kinks`` when a component calls ``abs`` or ``sign``."""
     if len(spec.components) != spec.dim:
-        raise DimensionMismatch(
-            f"{len(spec.components)} components for dimension {spec.dim}"
-        )
-    params = dict(spec.params)
-    allowed = {"t", "eps", *params, *(f"x{i}" for i in range(1, spec.dim + 1))}
-    for comp in spec.components:
-        for name in free_names(comp):
-            if name not in allowed:
-                raise UnknownIdentifier(name)
-
-    comps = spec.components
-    k = spec.dim
+        raise DimensionMismatch(f"{len(spec.components)} components for dimension {spec.dim}")
+    tape = _Tape(spec.components, dict(spec.params), spec.dim)
+    grid = np.linspace(0.0, spec.period, KINK_SCAN + 1)
 
     def evaluate(t, x, eps):
         x = np.asarray(x, dtype=float)
-        vals = [_eval_component(c, t, x, eps, params) for c in comps]
-        tarr = np.asarray(t, dtype=float)
-        if x.ndim == 1 and tarr.ndim == 0:
-            return np.array(vals, dtype=float)
-        batch = tarr.shape if tarr.ndim else x.shape[:-1]
-        out = np.empty(batch + (k,), dtype=float)
-        for j, v in enumerate(vals):
-            out[..., j] = v
-        return out
+        regs = tape.run(t, x, eps)
+        res = np.empty((np.shape(t) or x.shape[:-1]) + (spec.dim,))
+        for j, s in enumerate(tape.out):
+            res[..., j] = regs[s]
+        return res
 
-    return PeriodicField(dim=k, period=spec.period, evaluate=evaluate,
-                         name="dsl")
-
-
-def _eval_component(c, t, x, eps, params):
-    with np.errstate(all="ignore"):
-        return _eval(c, t, x, eps, params)
+    return PeriodicField(dim=spec.dim, period=spec.period, evaluate=evaluate, name="dsl",
+                         kinks=partial(_switch_zeros, tape, grid) if tape.switches else None)

@@ -61,9 +61,9 @@ class PeriodicField:
     ``certify``).  Rows must not interact.
 
     ``kinks``, when given, maps ``(x, eps)`` to the times in ``[0, T)`` where
-    ``t -> g(t, x, eps)`` (state frozen) is not smooth.  Quadratures use it to
-    align panel boundaries with the corners; it is optional metadata and never
-    affects values.
+    ``t -> g(t, x, eps)`` (state frozen) is not smooth: closed forms for the
+    built-ins, the zeros of the ``abs``/``sign`` arguments for DSL fields.
+    Quadratures align panel boundaries with them; they never affect values.
     """
 
     dim: int
@@ -105,7 +105,9 @@ class IntegratorConfig:
     def refined(self, factor: float = 2.0) -> "IntegratorConfig":
         """Config at `factor` times the resolution (halved step / tightened tol)."""
         if self.method == "rk4-fixed":
-            return replace(self, h=None if self.h is None else self.h / factor)
+            if self.h is None:
+                raise ValueError("refined() needs an explicit step h for rk4-fixed")
+            return replace(self, h=self.h / factor)
         scale = factor ** 5
         return replace(self, h=None, abs_tol=self.abs_tol / scale,
                        rel_tol=self.rel_tol / scale)

@@ -105,7 +105,7 @@ def poincare_jacobian(f: PeriodicField, v, eps: float,
     k = f.dim
     if eps == 0.0:
         return np.eye(k)
-    h = fd_step if fd_step is not None else 1e-7 * (1.0 + float(np.linalg.norm(v)))
+    h = fd_step if fd_step is not None else NEWTON_FD_SCALE * (1.0 + float(np.linalg.norm(v)))
     E = h * np.eye(k)
     X = flow_batch(f, 0.0, f.period, np.concatenate([v + E, v - E]), eps, cfg)
     return (X[:k] - X[k:]).T / (2.0 * h)
@@ -125,8 +125,7 @@ def find_periodic(f: PeriodicField, v0_guess, eps: float,
     ref = np.asarray(v0 if v0 is not None else v0_guess, dtype=float)
 
     def steps(v, Fv):
-        h = NEWTON_FD_SCALE * (1.0 + float(np.linalg.norm(v)))
-        J = poincare_jacobian(f, v, eps, cfg, fd_step=h) - np.eye(f.dim)
+        J = poincare_jacobian(f, v, eps, cfg) - np.eye(f.dim)
         # plain Newton step, and a truncated pseudo-inverse step that moves
         # only in the well-conditioned directions; the truncated one goes
         # first when it drops a (neutral phase) direction, where the plain

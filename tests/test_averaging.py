@@ -234,3 +234,10 @@ def test_averaged_report_shapes(unforced_nonsmooth):
     assert rep.fd_step is not None
     rep2 = averaged_report(unforced_nonsmooth, np.array([1.0, 0.0]))
     assert rep2.jacobian is None
+
+
+def test_averaged_report_uses_the_jacobian_step(unforced_nonsmooth):
+    v = np.array([1.0, 0.5])
+    rep = averaged_report(unforced_nonsmooth, v, n_nodes=256, with_jacobian=True)
+    assert rep.fd_step == averaging.DEFAULT_FD_STEP_SCALE * (1.0 + np.linalg.norm(v))
+    assert np.array_equal(rep.jacobian, averaged_jacobian(unforced_nonsmooth, v, 256))

@@ -95,6 +95,15 @@ def test_numerical_failure_exits_4(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("component", ["x1 +", "x9", "foo(x1)"])
+def test_bad_dsl_component_exits_2(tmp_path, capsys, component):
+    cfg = _write_cfg(tmp_path, {
+        "system": {"dim": 1, "period": 1.0, "components": [component]},
+    })
+    assert main(["avg", "--config", cfg, "--point", "1.0"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_roots_csv_and_empty_exit(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, {"system": "linear_test"})
     out = tmp_path / "roots.csv"

@@ -1,10 +1,14 @@
 import math
+import re
+import time
 
 import numpy as np
 import pytest
 
-from conftest import NONSMOOTH_DSL
+from conftest import NONSMOOTH_DSL, certified_forced_params
 from slowflow import vdp
+from slowflow.averaging import averaged_jacobian
+from slowflow.certify import theorem_report
 from slowflow.errors import (
     DimensionMismatch,
     DivisionByZero,
@@ -13,7 +17,7 @@ from slowflow.errors import (
     UnknownIdentifier,
 )
 from slowflow.exprdsl import (
-    Binary, Const, FieldSpec, Param, Unary, Var,
+    MAX_DEPTH, Binary, Const, FieldSpec, Param, Unary, Var, _Tape,
     eval_expr, field_from_spec, parse, pretty,
 )
 
@@ -198,3 +202,249 @@ def test_pretty_print_round_trip():
     for _ in range(300):
         tree = _random_tree(rng, int(rng.integers(1, 7)), params)
         assert parse(pretty(tree), params) == tree
+
+
+# --- reference tree walk ------------------------------------------------------------
+# The evaluator the compiled tape replaced: one recursive walk per component
+# and call, names resolved on the way.  The tape must reproduce its values bit
+# for bit and raise the same errors naming the same subexpressions.
+
+def _ref_eval(e, t, x, eps, params):
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, (Var, Param)):
+        name = e.name
+        if name == "t":
+            return t
+        if name == "eps":
+            return eps
+        if name in params:
+            return params[name]
+        if name.startswith("x") and name[1:].isdigit():
+            i = int(name[1:])
+            if 1 <= i <= x.shape[-1]:
+                return x[..., i - 1]
+        raise UnknownIdentifier(name)
+    if isinstance(e, Unary):
+        a = _ref_eval(e.arg, t, x, eps, params)
+        if e.op == "neg":
+            return -a
+        if e.op == "sin":
+            return np.sin(a)
+        if e.op == "cos":
+            return np.cos(a)
+        if e.op == "abs":
+            return np.abs(a)
+        if e.op == "sign":
+            return np.sign(a)
+        if e.op == "sqrt":
+            if np.any(np.asarray(a) < 0):
+                raise DomainError(pretty(e), "square root of a negative number")
+            return np.sqrt(a)
+        raise UnknownIdentifier(e.op)
+    l = _ref_eval(e.left, t, x, eps, params)
+    r = _ref_eval(e.right, t, x, eps, params)
+    if e.op == "+":
+        return l + r
+    if e.op == "-":
+        return l - r
+    if e.op == "*":
+        return l * r
+    if e.op == "/":
+        if np.any(np.asarray(r) == 0):
+            raise DivisionByZero(pretty(e))
+        return l / r
+    if e.op == "^":
+        out = np.power(l, r)
+        if not np.all(np.isfinite(out)):
+            raise DomainError(pretty(e), "non-finite power")
+        return out
+    raise UnknownIdentifier(e.op)
+
+
+def _ref_field(components, k, params):
+    """The replaced ``field_from_spec`` evaluate over the reference walk."""
+
+    def evaluate(t, x, eps):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(all="ignore"):
+            vals = [_ref_eval(c, t, x, eps, params) for c in components]
+        tarr = np.asarray(t, dtype=float)
+        if x.ndim == 1 and tarr.ndim == 0:
+            return np.array(vals, dtype=float)
+        out = np.empty((tarr.shape if tarr.ndim else x.shape[:-1]) + (k,))
+        for j, v in enumerate(vals):
+            out[..., j] = v
+        return out
+
+    return evaluate
+
+
+def _outcome(fn, *args):
+    """(value, None) or (None, (error class, message)) of one call."""
+    try:
+        return fn(*args), None
+    except (DivisionByZero, DomainError) as exc:
+        return None, (type(exc), str(exc))
+
+
+def _same(a, b):
+    if a[1] is not None or b[1] is not None:
+        return a[1] == b[1]
+    return (np.shape(a[0]) == np.shape(b[0])
+            and np.array_equal(a[0], b[0], equal_nan=True))
+
+
+# the four evaluate shapes of PeriodicField, then paired eps
+_RNG_SHAPES = np.random.default_rng(11)
+_M = 7
+_SHAPES = [
+    (1.3, _RNG_SHAPES.uniform(-2, 2, 3), 0.05),
+    (np.linspace(0.0, TWO_PI, 9), _RNG_SHAPES.uniform(-2, 2, 3), 0.05),
+    (0.4, _RNG_SHAPES.uniform(-2, 2, (_M, 3)), 0.05),
+    (_RNG_SHAPES.uniform(0, TWO_PI, _M), _RNG_SHAPES.uniform(-2, 2, (_M, 3)), 0.05),
+    (_RNG_SHAPES.uniform(0, TWO_PI, _M), _RNG_SHAPES.uniform(-2, 2, (_M, 3)),
+     _RNG_SHAPES.uniform(0, 0.2, _M)),
+]
+
+
+def test_tape_bit_identical_to_tree_walk():
+    rng = np.random.default_rng(2024)
+    names = ("lam", "mu")
+    params = {"lam": 0.7, "mu": -1.3}
+    raised = 0
+    trees = [_random_tree(rng, int(rng.integers(1, 7)), names) for _ in range(300)]
+    for tree in trees:
+        for t, x, eps in _SHAPES:
+            with np.errstate(all="ignore"):
+                want = _outcome(_ref_eval, tree, t, x, eps, params)
+            got = _outcome(eval_expr, tree, t, x, eps, params)
+            assert _same(got, want), pretty(tree)
+            raised += got[1] is not None
+    assert raised > 0          # the trees do reach the domain checks
+    # the same trees as the components of 3-dimensional fields
+    for i in range(0, 300, 3):
+        comps = tuple(trees[i:i + 3])
+        f = field_from_spec(FieldSpec(3, TWO_PI, comps, tuple(params.items())))
+        for t, x, eps in _SHAPES:
+            want = _outcome(_ref_field(comps, 3, params), t, x, eps)
+            assert _same(_outcome(f.evaluate, t, x, eps), want), list(map(pretty, comps))
+
+
+@pytest.mark.parametrize("source,error,subexpr", [
+    ("x2 + sqrt(x1 - 3)", DomainError, "sqrt(x1 - 3.0)"),
+    ("1 + x2 / (x1 - x1)", DivisionByZero, "x2 / (x1 - x1)"),
+    ("x2 * (x1 - 5)^0.5", DomainError, "(x1 - 5.0) ^ 0.5"),
+    # post-order: the left operand's failure is the one reported
+    ("sqrt(-x2) + 1 / (x1 - x1)", DomainError, "sqrt(-x2)"),
+    ("1 / (x1 - x1) + sqrt(-x2)", DivisionByZero, "1.0 / (x1 - x1)"),
+])
+def test_domain_errors_name_the_subexpression(source, error, subexpr):
+    x = np.array([1.0, 2.0])
+    with pytest.raises(error) as ei:
+        eval_expr(parse(source), 0.3, x, 0.0)
+    assert ei.value.subexpr == subexpr
+    with pytest.raises(error) as ref:
+        with np.errstate(all="ignore"):
+            _ref_eval(parse(source), 0.3, x, 0.0, {})
+    assert str(ei.value) == str(ref.value)
+    f = field_from_spec(FieldSpec.from_strings(2, TWO_PI, [source, "x1"]))
+    with pytest.raises(error, match=re.escape(repr(subexpr))):
+        f.evaluate(np.linspace(0.0, 1.0, 5), x, 0.0)
+
+
+def test_signed_zero_constants_keep_their_slots():
+    assert Const(0.0) == Const(-0.0) and hash(Const(0.0)) == hash(Const(-0.0))
+    f = field_from_spec(FieldSpec(2, TWO_PI, (Const(0.0), Const(-0.0))))
+    assert np.signbit(f.evaluate(0.0, np.zeros(2), 0.0)).tolist() == [False, True]
+    got = eval_expr(Binary("*", Const(-0.0), Const(0.0)), 0.0, np.zeros(1), 0.0)
+    assert np.signbit(got)
+
+
+def test_long_sum_compiles():
+    # a left-leaning chain is as deep as it is long; the nesting cap does not
+    # bound it
+    f = field_from_spec(FieldSpec.from_strings(1, TWO_PI, ["+".join(["x1"] * 300)]))
+    assert f.evaluate(0.0, np.array([1.0]), 0.0)[0] == 300.0
+
+
+@pytest.mark.parametrize("source", [
+    "(" * 300 + "x1" + ")" * 300,
+    "-" * 1000 + "x1",
+    "2^" * 1000 + "x1",
+    "sin(" * 300 + "x1" + ")" * 300,
+])
+def test_deep_nesting_is_a_syntax_error(source):
+    start = time.perf_counter()
+    with pytest.raises(ExprSyntaxError) as ei:
+        parse(source)
+    assert 0 < ei.value.position < len(source)
+    assert any(str(MAX_DEPTH) in e for e in ei.value.expected)
+    with pytest.raises(ExprSyntaxError):
+        FieldSpec.from_strings(1, TWO_PI, [source])
+    assert time.perf_counter() - start < 1.0
+
+
+def test_nesting_up_to_the_cap_parses():
+    depth = MAX_DEPTH - 1
+    e = parse("(" * depth + "x1" + ")" * depth)
+    assert e == Var("x1")
+    assert eval_expr(parse("-" * depth + "x1"), 0.0, np.array([2.0]), 0.0) == -2.0
+
+
+# --- switching structure ---------------------------------------------------------
+
+def _twin(a=0.1, lam=1.0):
+    spec = FieldSpec.from_strings(2, TWO_PI, NONSMOOTH_DSL, {"a": a, "lam": lam})
+    return field_from_spec(spec), vdp.nonsmooth_vdp_field(vdp.ForcingParams(a, lam))
+
+
+def test_twin_compiles_to_shared_slots():
+    spec = FieldSpec.from_strings(2, TWO_PI, NONSMOOTH_DSL, {"a": 0.1, "lam": 1.0})
+    tape = _Tape(spec.components, dict(spec.params), 2)
+    # u = x1*sin(t)+x2*cos(t) appears four times, sin(t) and cos(t) more
+    # often; every distinct subtree is computed once
+    assert len(tape.code) == 19
+    assert len(tape.switches) == 1       # both abs(u) share their argument
+
+
+def test_twin_kinks_match_builtin():
+    f, b = _twin()
+    rng = np.random.default_rng(5)
+    for v in rng.uniform(-3.0, 3.0, (200, 2)):
+        got, want = f.kinks(v, 0.0), b.kinks(v, 0.0)
+        assert len(got) == len(want) == 2
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
+
+def test_twin_averaged_jacobian_matches_closed_form():
+    a = 0.1
+    f, _ = _twin(a)
+    rng = np.random.default_rng(6)
+    worst = 0.0
+    for v in rng.uniform(-3.0, 3.0, (200, 2)):
+        J = averaged_jacobian(f, v, 4096)
+        worst = max(worst, float(np.max(np.abs(
+            J - vdp.averaged_jacobian_closed_form("nonsmooth", v[0], v[1], a)))))
+    assert worst <= 1e-8
+
+
+def test_twin_certified_at_closed_form_root():
+    a, lam, root = certified_forced_params()
+    f, b = _twin(a, lam)
+    rep = theorem_report(f, root)
+    assert rep.verdict == "certified" == theorem_report(b, root).verdict
+    assert rep.residual <= 1e-12
+
+
+def test_kinks_only_for_switching_fields():
+    assert field_from_spec(FieldSpec.from_strings(1, TWO_PI, ["cos(t)-x1"])).kinks is None
+    f = field_from_spec(FieldSpec.from_strings(2, TWO_PI, ["abs(x2) - x1", "sign(cos(t))"]))
+    # abs(x2) is constant in t: broadcast, and never crossing zero
+    got = f.kinks(np.array([0.3, -0.5]), 0.0)
+    assert np.allclose(got, [math.pi / 2, 3 * math.pi / 2], rtol=0, atol=1e-12)
+    assert f.kinks(np.array([0.3, 0.0]), 0.0) == got
+    # a switching function that reads eps
+    g = field_from_spec(FieldSpec.from_strings(1, 2.0, ["abs(t - 1 - eps)"]))
+    assert abs(g.kinks(np.zeros(1), 0.25)[0] - 1.25) <= 1e-12
+    assert g.kinks(np.zeros(1), 5.0) == ()

@@ -241,6 +241,13 @@ def test_config_refined():
     assert a.method == "rk45-adaptive" and a.abs_tol < 1e-10
 
 
+def test_config_refined_rk4_needs_explicit_step():
+    # the default step T/2000 depends on the field: refining it would return
+    # the same step
+    with pytest.raises(ValueError, match="explicit step h"):
+        IntegratorConfig(method="rk4-fixed").refined()
+
+
 def test_flow_batch_matches_scalar(unforced_nonsmooth):
     f = unforced_nonsmooth
     cfg = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12)

@@ -8,7 +8,7 @@ from conftest import certified_forced_params
 from slowflow import certify, smalllin, vdp
 from slowflow.odeint import IntegratorConfig, PeriodicField, poincare_map
 from slowflow.orbit import (
-    ORBITAL_NOTE, _truncated_step, basin_probe, eps_sweep, find_periodic,
+    NEWTON_FD_SCALE, ORBITAL_NOTE, _truncated_step, basin_probe, eps_sweep, find_periodic,
     measure_contraction, poincare_jacobian,
 )
 
@@ -124,6 +124,14 @@ def test_batched_jacobian_accuracy():
                      - poincare_map(f, v - e, eps, tight)) / 2e-4
     J = poincare_jacobian(f, v, eps, IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12))
     assert np.max(np.abs(J - ref)) <= 1e-5
+
+
+def test_poincare_jacobian_default_step_is_the_newton_step():
+    f = vdp.nonsmooth_vdp_field(vdp.ForcingParams(0.1, 1.0))
+    v = np.array([0.5, 1.2])
+    h = NEWTON_FD_SCALE * (1.0 + float(np.linalg.norm(v)))
+    assert np.array_equal(poincare_jacobian(f, v, 0.05),
+                          poincare_jacobian(f, v, 0.05, fd_step=h))
 
 
 def test_poincare_jacobian_identity_at_eps_zero():
