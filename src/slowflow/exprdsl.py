@@ -177,25 +177,34 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 def pretty(e: Expr) -> str:
     """Render with the fewest parentheses that reparse to the same tree."""
-    return _pretty(e, 0)
-
-
-def _pretty(e: Expr, parent_prec: int) -> str:
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, (Var, Param)):
-        return e.name
-    if isinstance(e, Unary):
-        if e.op == "neg":
-            s = f"-{_pretty(e.arg, _PREC['neg'])}"
-            return f"({s})" if parent_prec > _PREC["neg"] else s
-        return f"{e.op}({_pretty(e.arg, 0)})"
-    prec = _PREC[e.op]
-    # left-assoc ops need parens on an equal-precedence right child;
-    # '^' is the mirror case
-    lp, rp = (prec + 1, prec) if e.op == "^" else (prec, prec + 1)
-    s = f"{_pretty(e.left, lp)} {e.op} {_pretty(e.right, rp)}"
-    return f"({s})" if parent_prec > prec else s
+    # children are rendered off an explicit stack of (node, parent precedence,
+    # children done), so a long chain needs no deeper recursion than a short one
+    done, stack = [], [(e, 0, False)]
+    while stack:
+        e, parent_prec, ready = stack.pop()
+        if isinstance(e, Const):
+            done.append(repr(e.value))
+        elif isinstance(e, (Var, Param)):
+            done.append(e.name)
+        elif not ready:
+            stack.append((e, parent_prec, True))
+            if isinstance(e, Unary):
+                stack.append((e.arg, _PREC["neg"] if e.op == "neg" else 0, False))
+            else:
+                # left-assoc ops need parens on an equal-precedence right
+                # child; '^' is the mirror case
+                prec = _PREC[e.op]
+                lp, rp = (prec + 1, prec) if e.op == "^" else (prec, prec + 1)
+                stack += [(e.right, rp, False), (e.left, lp, False)]
+        elif isinstance(e, Unary):
+            s = done.pop()
+            s = f"-{s}" if e.op == "neg" else f"{e.op}({s})"
+            done.append(f"({s})" if e.op == "neg" and parent_prec > _PREC["neg"] else s)
+        else:
+            right, left = done.pop(), done.pop()
+            s = f"{left} {e.op} {right}"
+            done.append(f"({s})" if parent_prec > _PREC[e.op] else s)
+    return done[0]
 
 
 # --- compiled evaluation --------------------------------------------------------
@@ -210,6 +219,33 @@ _CHECKS = {   # op: (test on the arguments and the result, error, reason)
 }
 
 
+# partial derivatives of each op's result in its arguments: (a, b, out) ->
+# (d out/da, d out/db), b and d out/db None for unary ops
+_PARTIALS = {
+    "neg": lambda a, b, out: (-1.0, None),
+    "sin": lambda a, b, out: (np.cos(a), None),
+    "cos": lambda a, b, out: (-np.sin(a), None),
+    "abs": lambda a, b, out: (np.sign(a), None),
+    "sign": lambda a, b, out: (0.0, None),
+    "sqrt": lambda a, b, out: (0.5 / out, None),
+    "+": lambda a, b, out: (1.0, 1.0),
+    "-": lambda a, b, out: (1.0, -1.0),
+    "*": lambda a, b, out: (b, a),
+    "/": lambda a, b, out: (1.0 / b, -out / b),
+    "^": lambda a, b, out: (b * a ** (b - 1.0), out * np.log(a)),
+}
+
+
+def _tangent(partials):
+    """Forward-mode rule d out = pa*da + pb*db.  A side without a tangent
+    (None) is left out, so its partial is never used: a constant exponent
+    takes a negative base, whose log is NaN."""
+    def rule(a, b, out, da, db):
+        pa, pb = partials(a, b, out)
+        return pb * db if da is None else pa * da if db is None else pa * da + pb * db
+    return rule
+
+
 def _checked(fn, e, bad, error, *reason):
     def op(*args):
         out = fn(*args)
@@ -217,6 +253,10 @@ def _checked(fn, e, bad, error, *reason):
             raise error(pretty(e), *reason)
         return out
     return op
+
+
+def _nonfinite(*args):
+    return not np.all(np.isfinite(args[-1]))
 
 
 class _Tape:
@@ -230,30 +270,42 @@ class _Tape:
                       **{p: k + 2 + j for j, p in enumerate(params)}, "t": 0, "eps": 1}
         self.k, self.values, self.code = k, [None] * (k + 2) + list(params.values()), []
         self.out = [self._slot(e) for e in exprs]
-        self.switches = sorted({i for _, fn, i, _ in self.code if fn in (np.abs, np.sign)})
+        self.switches = sorted({i for _, fn, _, i, _ in self.code if fn in (np.abs, np.sign)})
         # kinks run the ops up to the last switching slot
         self.switch_ops = sum(s <= max(self.switches, default=-1) for s, *_ in self.code)
 
-    def _slot(self, e):
-        kids = ([e.arg] if isinstance(e, Unary) else
-                [e.left, e.right] if isinstance(e, Binary) else [])
-        args = list(map(self._slot, kids))        # children first: post-order
-        key = ((e.op, *args) if kids else (Const, repr(e.value))
-               if isinstance(e, Const) else e.name)
-        if key in self.keyed:
-            return self.keyed[key]
-        if isinstance(e, (Var, Param)):
-            raise UnknownIdentifier(e.name)
-        slot = self.keyed[key] = len(self.values)
-        self.values.append(e.value if isinstance(e, Const) else None)
-        if kids:
-            fn = (_UNARY if len(args) == 1 else _BINARY).get(e.op)
-            if fn is None:
-                raise UnknownIdentifier(e.op)
-            if e.op in _CHECKS:
-                fn = _checked(fn, e, *_CHECKS[e.op])
-            self.code.append((slot, fn, args[0], args[1] if len(args) > 1 else None))
-        return slot
+    def _slot(self, root):
+        # post-order off an explicit stack: a left-leaning chain is as deep as
+        # it is long, and Python's recursion limit would cap its length
+        done, stack = [], [(root, False)]
+        while stack:
+            e, ready = stack.pop()
+            kids = ([e.arg] if isinstance(e, Unary) else
+                    [e.left, e.right] if isinstance(e, Binary) else [])
+            if kids and not ready:
+                stack += [(e, True)] + [(c, False) for c in reversed(kids)]
+                continue
+            args = done[len(done) - len(kids):]
+            del done[len(done) - len(kids):]
+            key = ((e.op, *args) if kids else (Const, repr(e.value))
+                   if isinstance(e, Const) else e.name)
+            if key not in self.keyed:
+                if isinstance(e, (Var, Param)):
+                    raise UnknownIdentifier(e.name)
+                self.keyed[key] = len(self.values)
+                self.values.append(e.value if isinstance(e, Const) else None)
+                if kids:
+                    fn = (_UNARY if len(args) == 1 else _BINARY).get(e.op)
+                    if fn is None:
+                        raise UnknownIdentifier(e.op)
+                    dfn = _tangent(_PARTIALS[e.op])
+                    if e.op in _CHECKS:
+                        fn = _checked(fn, e, *_CHECKS[e.op])
+                        dfn = _checked(dfn, e, _nonfinite, DomainError, "non-finite derivative")
+                    self.code.append((self.keyed[key], fn, dfn, args[0],
+                                      args[1] if len(args) > 1 else None))
+            done.append(self.keyed[key])
+        return done[0]
 
     def run(self, t, x, eps, n_ops=None):
         """Slot values at (t, x, eps) after the first `n_ops` ops (default all)."""
@@ -262,9 +314,22 @@ class _Tape:
         for i in range(self.k):             # scalars for one state
             regs[2 + i] = x[i] if x.ndim == 1 else x[..., i]
         with np.errstate(all="ignore"):
-            for s, fn, i, j in self.code[:n_ops]:
+            for s, fn, _, i, j in self.code[:n_ops]:
                 regs[s] = fn(regs[i]) if j is None else fn(regs[i], regs[j])
         return regs
+
+    def jacobian(self, t, x, eps):
+        """d(outputs)/dx at scalar t and x of shape (k,), in forward mode: one
+        k-tangent per slot, None for slots that do not depend on x."""
+        x = np.asarray(x, dtype=float)
+        regs, dot = self.run(t, x, eps), [None] * len(self.values)
+        dot[2:2 + self.k] = np.eye(self.k)
+        with np.errstate(all="ignore"):
+            for s, _, dfn, i, j in self.code:
+                da, db = dot[i], None if j is None else dot[j]
+                if da is not None or db is not None:
+                    dot[s] = dfn(regs[i], None if j is None else regs[j], regs[s], da, db)
+        return np.array([np.zeros(self.k) if dot[s] is None else dot[s] for s in self.out])
 
 
 def eval_expr(e: Expr, t, x, eps, params: Optional[Dict[str, float]] = None):
@@ -326,7 +391,9 @@ def field_from_spec(spec: FieldSpec) -> PeriodicField:
 
     Every free name of every component must resolve to t, eps, x1..xk or a
     declared parameter; the component count must match the dimension.  The
-    field publishes ``kinks`` when a component calls ``abs`` or ``sign``."""
+    field publishes ``kinks`` when a component calls ``abs`` or ``sign``, and
+    always ``jacobian``, by forward mode over the tape with abs' = sign and
+    sign' = 0; a derivative that is not finite raises ``DomainError``."""
     if len(spec.components) != spec.dim:
         raise DimensionMismatch(f"{len(spec.components)} components for dimension {spec.dim}")
     tape = _Tape(spec.components, dict(spec.params), spec.dim)
@@ -341,4 +408,5 @@ def field_from_spec(spec: FieldSpec) -> PeriodicField:
         return res
 
     return PeriodicField(dim=spec.dim, period=spec.period, evaluate=evaluate, name="dsl",
-                         kinks=partial(_switch_zeros, tape, grid) if tape.switches else None)
+                         kinks=partial(_switch_zeros, tape, grid) if tape.switches else None,
+                         jacobian=tape.jacobian)

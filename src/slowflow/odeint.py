@@ -41,6 +41,7 @@ __all__ = [
     "flow",
     "flow_batch",
     "poincare_map",
+    "variational_map",
     "g_eps",
 ]
 
@@ -64,6 +65,14 @@ class PeriodicField:
     ``t -> g(t, x, eps)`` (state frozen) is not smooth: closed forms for the
     built-ins, the zeros of the ``abs``/``sign`` arguments for DSL fields.
     Quadratures align panel boundaries with them; they never affect values.
+
+    ``jacobian``, when given, maps scalar ``t`` and a state of shape ``(k,)``
+    to the ``(k, k)`` matrix dg/dx.  Off the switching set it must be exact;
+    on it, any one-sided value will do.  The field must be continuous across
+    the switching set, which flows cross transversally, so the period map is
+    C^1 there (the saltation matrix is the identity).  ``variational_map``
+    then returns the exact period-map derivative, and ``find_periodic``
+    takes its Newton steps and Floquet multipliers from it.
     """
 
     dim: int
@@ -71,6 +80,7 @@ class PeriodicField:
     evaluate: Callable
     kinks: Optional[Callable] = None
     name: str = "field"
+    jacobian: Optional[Callable] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -408,6 +418,33 @@ def poincare_map(f: PeriodicField, v, eps: float,
     if eps == 0.0:
         return v.copy()
     return flow(f, 0.0, f.period, v, eps, cfg)
+
+
+def variational_map(f: PeriodicField, v, eps: float,
+                    cfg: IntegratorConfig = IntegratorConfig()):
+    """The period map and its derivative, ``(P(v), DP(v))``, for a field with
+    ``jacobian``: one flow of (x, vec Phi) from (v, I), Phi' = eps*(dg/dx)*Phi,
+    by the steppers of `flow` with Phi inside the error norm.  The saltation
+    matrix at each transversal crossing of a continuous field's switching set
+    is the identity (Leine & Nijmeijer, *Dynamics and Bifurcations of
+    Non-Smooth Mechanical Systems*, 2004), so Phi(T) is DP(v).
+    """
+    if f.jacobian is None:
+        raise ValueError(f"field {f.name!r} publishes no jacobian")
+    v = np.asarray(v, dtype=float)
+    k = f.dim
+    if eps == 0.0:
+        return v.copy(), np.eye(k)
+    ev, jac = f.evaluate, f.jacobian
+
+    def evaluate(t, y, eps):
+        x = y[:k]
+        return np.concatenate([ev(t, x, eps),
+                               (jac(t, x, eps) @ y[k:].reshape(k, k)).ravel()])
+
+    y = _run(PeriodicField(k + k * k, f.period, evaluate), 0.0, f.period,
+             np.concatenate([v, np.eye(k).ravel()]), eps, cfg, record=False)
+    return y[:k], y[k:].reshape(k, k)
 
 
 def g_eps(f: PeriodicField, v, eps: float,

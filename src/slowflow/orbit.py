@@ -1,12 +1,20 @@
 """Dynamic verification: periodic solutions as fixed points of the period map.
 
 ``find_periodic`` runs the damped Newton loop of ``newton.solve`` on
-P(v) - v where P is the Poincare (period) map, with a finite-difference
-Jacobian: the field may be only Lipschitz, so variational equations are not
-assumed to exist, but the flow itself is Lipschitz and differentiates cleanly
-through quadrature-grade integration; its 2k perturbed states share one
-batched step sequence.  Floquet multipliers are the eigenvalues of the FD
-Jacobian of P at the fixed point.
+P(v) - v where P is the Poincare (period) map.  Where its Jacobian DP comes
+from depends on the field:
+
+* A field that publishes ``jacobian`` (the built-ins and every DSL field) is
+  piecewise differentiable and continuous across switching sets that flows
+  cross transversally, so P is C^1 and DP solves the variational equation
+  Phi' = eps*(dg/dx)*Phi (``variational_map``).  The start and the first
+  trial of each Newton iteration flow Phi with the state; backtracked trials
+  use the plain map.
+* Any other field may be only Lipschitz, so DP is a central difference whose
+  2k perturbed states share one batched step sequence.
+
+Floquet multipliers are the eigenvalues of DP at the fixed point: Phi itself,
+or an FD Jacobian with a wider step, so integrator noise does not leak in.
 
 Which ensemble flows share a step grid: ``poincare_jacobian`` and
 ``measure_contraction`` do, because FD columns and close pairs need
@@ -34,7 +42,8 @@ import numpy as np
 
 from . import newton, smalllin
 from .errors import MaxIterations, Singular, SingularJacobian, SlowflowError
-from .odeint import IntegratorConfig, PeriodicField, flow_batch, poincare_map
+from .odeint import (IntegratorConfig, PeriodicField, flow_batch, poincare_map,
+                     variational_map)
 
 __all__ = [
     "PeriodicOrbitResult", "SweepEntry", "SweepResult",
@@ -46,9 +55,9 @@ __all__ = [
 ORBITAL_NOTE = "orbitally stable cycle (phase-neutral)"
 PHASE_BAND = 1e-4            # |mult| within this of 1 counts as the phase direction
 STABLE_MARGIN = 1e-9
-# FD steps = scale * (1 + |v|): a small one for Newton, where accuracy only
-# affects convergence speed, and a larger one for the reported multipliers,
-# so integrator noise does not leak into them
+# FD steps = scale * (1 + |v|) for fields without ``jacobian``: a small one
+# for Newton, where accuracy only affects convergence speed, and a larger one
+# for the reported multipliers, so integrator noise does not leak into them
 NEWTON_FD_SCALE = 1e-7
 MULTIPLIER_FD_SCALE = 1e-3
 TRUNC_RATIO = 1e-2           # truncated step drops sigma <= ratio * sigma_max
@@ -123,9 +132,33 @@ def find_periodic(f: PeriodicField, v0_guess, eps: float,
     if not eps > 0:
         raise ValueError("eps must be positive")
     ref = np.asarray(v0 if v0 is not None else v0_guess, dtype=float)
+    # with a field jacobian, the start and the first trial of each iteration
+    # flow Phi along: an accepted full step then brings its own DP, and only
+    # backtracked trials, cheaper on the scalar map, leave it to be flowed
+    fresh, at, Phi = f.jacobian is not None, None, None
+
+    def F(v):
+        nonlocal fresh, at, Phi
+        if not fresh:
+            return poincare_map(f, v, eps, cfg) - v
+        fresh = False
+        P, Phi = variational_map(f, v, eps, cfg)
+        at = v.copy()
+        return P - v
+
+    def DP(v, fd_scale):
+        nonlocal at, Phi
+        if f.jacobian is None:
+            return poincare_jacobian(f, v, eps, cfg,
+                                     fd_scale * (1.0 + float(np.linalg.norm(v))))
+        if not np.array_equal(v, at):
+            at, Phi = v.copy(), variational_map(f, v, eps, cfg)[1]
+        return Phi
 
     def steps(v, Fv):
-        J = poincare_jacobian(f, v, eps, cfg) - np.eye(f.dim)
+        nonlocal fresh
+        J = DP(v, NEWTON_FD_SCALE) - np.eye(f.dim)
+        fresh = f.jacobian is not None
         # plain Newton step, and a truncated pseudo-inverse step that moves
         # only in the well-conditioned directions; the truncated one goes
         # first when it drops a (neutral phase) direction, where the plain
@@ -140,9 +173,9 @@ def find_periodic(f: PeriodicField, v0_guess, eps: float,
             raise SingularJacobian(f"period-map Jacobian singular at {v}")
         return out
 
-    v, _, res, iters, stop = newton.solve(
-        lambda v: poincare_map(f, v, eps, cfg) - v, v0_guess, tol, steps)
-    r = _finish(f, v, eps, cfg, res, ref, iters, stop == "converged")
+    v, _, res, iters, stop = newton.solve(F, v0_guess, tol, steps)
+    r = _finish(DP(v, MULTIPLIER_FD_SCALE), v, eps, res, ref, iters,
+                stop == "converged")
     if r.converged or r.orbitally_stable:
         return r
     raise MaxIterations(f"Newton {stop} at residual {res:.3e} (> tol {tol:g}) after "
@@ -154,16 +187,14 @@ def _truncated_step(J, Fv):
     direction.
 
     LAPACK ``gelsd`` (``numpy.linalg.lstsq``) zeroes every singular value
-    sigma <= TRUNC_RATIO * sigma_max, whose content is FD noise; working on J
+    sigma <= TRUNC_RATIO * sigma_max, whose content is noise; working on J
     itself rather than J'J keeps the condition number unsquared.
     """
     step, _, rank, _ = np.linalg.lstsq(J, -Fv, rcond=TRUNC_RATIO)
     return step, bool(rank < J.shape[1])
 
 
-def _finish(f, v, eps, cfg, res, ref, iters, converged):
-    DP = poincare_jacobian(f, v, eps, cfg, fd_step=MULTIPLIER_FD_SCALE
-                           * (1.0 + float(np.linalg.norm(v))))
+def _finish(DP, v, eps, res, ref, iters, converged):
     mults = smalllin.eigenvalues(DP).values
     mags = np.abs(mults)
     # exactly one multiplier of unit magnitude (within the band), the rest

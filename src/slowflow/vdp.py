@@ -91,7 +91,7 @@ class ResonancePoint:
 # --- built-in fields ----------------------------------------------------------
 
 
-def _slow_field(damping_scalar, damping_array, p: ForcingParams, kinks, name):
+def _slow_field(damping_scalar, damping_array, slope, p: ForcingParams, kinks, name):
     a, lam = p.a, p.lam
 
     def evaluate(t, x, eps):
@@ -112,8 +112,18 @@ def _slow_field(damping_scalar, damping_array, p: ForcingParams, kinks, name):
         np.multiply(-F, s, out=out[..., 1])
         return out
 
+    def jacobian(t, x, eps):
+        # dF/dM and dF/dN through u and u', with slope = d'(u)
+        s, c = math.sin(t), math.cos(t)
+        M, N = float(x[0]), float(x[1])
+        u, du = M * s + N * c, M * c - N * s
+        d, dd = damping_scalar(u), slope(u)
+        FM = -dd * s * du - d * c - a * s
+        FN = -dd * c * du + d * s - a * c
+        return np.array([[FM * c, FN * c], [-FM * s, -FN * s]])
+
     return PeriodicField(dim=2, period=TWO_PI, evaluate=evaluate,
-                         kinks=kinks, name=name)
+                         kinks=kinks, name=name, jacobian=jacobian)
 
 
 def nonsmooth_vdp_field(p: ForcingParams = ForcingParams()) -> PeriodicField:
@@ -121,7 +131,8 @@ def nonsmooth_vdp_field(p: ForcingParams = ForcingParams()) -> PeriodicField:
 
     The field is Lipschitz but not differentiable across the switching set
     u = 0; the published ``kinks`` callback returns the two times per period
-    where the frozen-state integrand crosses it.
+    where the frozen-state integrand crosses it.  Its ``jacobian`` takes
+    d'(u) = sign(u), 0 on the switching set itself.
     """
 
     def kinks(v, eps):
@@ -133,13 +144,13 @@ def nonsmooth_vdp_field(p: ForcingParams = ForcingParams()) -> PeriodicField:
                              (phi - math.pi / 2) % TWO_PI)))
 
     return _slow_field(lambda u: abs(u) - 1.0, lambda u: np.abs(u) - 1.0,
-                       p, kinks, "nonsmooth_vdp")
+                       lambda u: (u > 0) - (u < 0), p, kinks, "nonsmooth_vdp")
 
 
 def classical_vdp_field(p: ForcingParams = ForcingParams()) -> PeriodicField:
     """Slow-frame field of u'' + eps(u^2 - 1)u' + (1 + a*eps)u = eps*lam*sin t."""
     return _slow_field(lambda u: u * u - 1.0, lambda u: u * u - 1.0,
-                       p, None, "classical_vdp")
+                       lambda u: 2.0 * u, p, None, "classical_vdp")
 
 
 def linear_test_field() -> PeriodicField:
@@ -156,7 +167,8 @@ def linear_test_field() -> PeriodicField:
         return (np.cos(t) - x[..., 0])[..., None]
 
     return PeriodicField(dim=1, period=TWO_PI, evaluate=evaluate,
-                         name="linear_test")
+                         name="linear_test",
+                         jacobian=lambda t, x, eps: np.array([[-1.0]]))
 
 
 # --- closed-form averaged data (test oracles and fast paths) -------------------

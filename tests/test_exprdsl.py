@@ -368,6 +368,17 @@ def test_long_sum_compiles():
     assert f.evaluate(0.0, np.array([1.0]), 0.0)[0] == 300.0
 
 
+@pytest.mark.parametrize("op,value,slope", [("+", 5000.0, 5000.0), ("*", 1.0, 5000.0)])
+def test_long_chain_compiles_evaluates_and_differentiates(op, value, slope):
+    # 5,000 terms: far past Python's recursion limit, compiled off a stack
+    source = op.join(["x1"] * 5000)
+    f = field_from_spec(FieldSpec.from_strings(1, TWO_PI, [source]))
+    x = np.array([1.0])
+    assert f.evaluate(0.0, x, 0.0)[0] == value
+    assert f.jacobian(0.0, x, 0.0)[0, 0] == slope
+    assert pretty(parse(source)) == f" {op} ".join(["x1"] * 5000)
+
+
 @pytest.mark.parametrize("source", [
     "(" * 300 + "x1" + ")" * 300,
     "-" * 1000 + "x1",
@@ -448,3 +459,49 @@ def test_kinks_only_for_switching_fields():
     g = field_from_spec(FieldSpec.from_strings(1, 2.0, ["abs(t - 1 - eps)"]))
     assert abs(g.kinks(np.zeros(1), 0.25)[0] - 1.25) <= 1e-12
     assert g.kinks(np.zeros(1), 5.0) == ()
+
+
+# --- forward-mode jacobian ---------------------------------------------------------
+
+def test_twin_jacobian_matches_builtin():
+    f, b = _twin()
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        t, x = float(rng.uniform(0.0, TWO_PI)), rng.uniform(-3.0, 3.0, 2)
+        assert np.max(np.abs(f.jacobian(t, x, 0.05) - b.jacobian(t, x, 0.05))) <= 1e-12
+
+
+def test_jacobian_matches_central_difference_for_every_op():
+    # every function and operator, on a box where all of them are smooth
+    f = field_from_spec(FieldSpec.from_strings(2, TWO_PI, [
+        "sin(x1)*cos(x2) + sqrt(x1)/x2 - x1^x2 + abs(x2)*x1",
+        "-x1^2 + 2^x2 + sign(x1)*x2 - (x2 - 3)^3 + eps*t*x1"]))
+    rng = np.random.default_rng(8)
+    h = 1e-6
+    for _ in range(50):
+        t, x = float(rng.uniform(0.0, TWO_PI)), rng.uniform(0.5, 2.0, 2)
+        fd = np.column_stack([(f.evaluate(t, x + h * e, 0.3) - f.evaluate(t, x - h * e, 0.3))
+                              / (2.0 * h) for e in np.eye(2)])
+        assert np.max(np.abs(f.jacobian(t, x, 0.3) - fd)) <= 1e-7
+
+
+def test_jacobian_corners_and_constant_exponents():
+    # abs' = sign (0 at the corner), sign' = 0, and a negative base under a
+    # constant exponent differentiates without the log term
+    f = field_from_spec(FieldSpec.from_strings(2, TWO_PI, ["abs(x1) + sign(x2)*x1", "x1^3"]))
+    assert np.array_equal(f.jacobian(0.0, np.array([0.0, -2.0]), 0.0), [[-1.0, 0.0], [0.0, 0.0]])
+    assert np.array_equal(f.jacobian(0.0, np.array([-2.0, 0.0]), 0.0), [[-1.0, 0.0], [12.0, 0.0]])
+    g = field_from_spec(FieldSpec.from_strings(1, TWO_PI, ["cos(t) + eps"]))
+    assert np.array_equal(g.jacobian(1.0, np.array([3.0]), 0.1), [[0.0]])
+
+
+@pytest.mark.parametrize("source,x,error,text", [
+    ("sqrt(x1)", 0.0, DomainError, "non-finite derivative while evaluating 'sqrt(x1)'"),
+    ("x1^0.5 + 1", 0.0, DomainError, "non-finite derivative while evaluating 'x1 ^ 0.5'"),
+    ("sqrt(x1)", -1.0, DomainError, "square root of a negative number"),
+    ("1/(x1 - 2)", 2.0, DivisionByZero, "'1.0 / (x1 - 2.0)'"),
+])
+def test_jacobian_keeps_domain_checks(source, x, error, text):
+    f = field_from_spec(FieldSpec.from_strings(1, TWO_PI, [source]))
+    with pytest.raises(error, match=re.escape(text)):
+        f.jacobian(0.0, np.array([x]), 0.0)

@@ -9,7 +9,7 @@ from slowflow import certify, exprdsl, odeint, vdp
 from slowflow.errors import NonFiniteState, StepLimitExceeded
 from slowflow.odeint import (
     IntegratorConfig, PeriodicField, flow, flow_batch, g_eps, integrate,
-    poincare_map,
+    poincare_map, variational_map,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -443,3 +443,24 @@ def test_dopri_bit_identical_to_reference_loop(tol):
             traj = integrate(f, t0, t0 + 2.0 * f.period, x0, eps, cfg)
             assert traj.times.tobytes() == ts.tobytes()
             assert traj.states.tobytes() == xs.tobytes()
+
+
+@pytest.mark.parametrize("cfg", [IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12),
+                                 rk4(TWO_PI / 2000)])
+def test_variational_map_linear_both_steppers(cfg):
+    # x' = eps(-x + cos t): DP = exp(-2 pi eps) exactly, P from the same flow
+    f = vdp.linear_test_field()
+    for eps in (0.1, 0.01):
+        v = np.array([0.7])
+        P, DP = variational_map(f, v, eps, cfg)
+        assert abs(P[0] - poincare_map(f, v, eps, cfg)[0]) <= 1e-12
+        assert abs(DP[0, 0] - math.exp(-TWO_PI * eps)) <= 1e-12
+
+
+def test_variational_map_identity_at_eps_zero_and_needs_jacobian():
+    f = vdp.nonsmooth_vdp_field(vdp.ForcingParams(0.1, 1.0))
+    v = np.array([0.5, 1.2])
+    P, DP = variational_map(f, v, 0.0)
+    assert np.array_equal(P, v) and np.array_equal(DP, np.eye(2))
+    with pytest.raises(ValueError, match="publishes no jacobian"):
+        variational_map(exp_field(), np.array([1.0]), 0.1)

@@ -6,9 +6,9 @@ import pytest
 
 from conftest import certified_forced_params
 from slowflow import certify, smalllin, vdp
-from slowflow.odeint import IntegratorConfig, PeriodicField, poincare_map
+from slowflow.odeint import IntegratorConfig, PeriodicField, poincare_map, variational_map
 from slowflow.orbit import (
-    NEWTON_FD_SCALE, ORBITAL_NOTE, _truncated_step, basin_probe, eps_sweep, find_periodic,
+    _ORBIT_CFG, NEWTON_FD_SCALE, ORBITAL_NOTE, _truncated_step, basin_probe, eps_sweep, find_periodic,
     measure_contraction, poincare_jacobian,
 )
 
@@ -28,6 +28,12 @@ def test_linear_fixed_point_and_multiplier(linear_field, eps):
     assert abs(r.v_star[0] - eps * eps / (1 + eps * eps)) < 1e-8
     assert abs(r.multipliers[0].real - math.exp(-TWO_PI * eps)) < 1e-8
     assert abs(r.multipliers[0].imag) < 1e-10
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.01])
+def test_linear_multiplier_from_variational_flow(linear_field, eps):
+    r = find_periodic(linear_field, np.array([0.0]), eps)
+    assert abs(r.multipliers[0] - math.exp(-TWO_PI * eps)) <= 1e-12
 
 
 def test_eps_must_be_positive(linear_field):
@@ -112,6 +118,19 @@ def test_forced_solve_evaluation_count():
     assert calls[0] <= 20_000
 
 
+@pytest.mark.parametrize("start,index", [
+    ("solve", 125), ("solve", 151), ("solve", 186), ("recover", 104), ("recover", 173)])
+def test_forced_solve_does_not_stall_at_the_noise_floor(start, index):
+    # with FD Jacobians these grid eps stalled at residuals 1.2e-10 to 3e-10,
+    # just above the target; which ones depends on the last bits of the start
+    a, lam = 0.1, 1.0
+    root = (_closed_form_root(a, lam) if start == "solve" else
+            vdp.recover_root("nonsmooth", a, lam, vdp.amplitude_roots("nonsmooth", a, lam)[0]).v0)
+    eps = float(np.linspace(0.01, 0.1, 200)[index])
+    r = find_periodic(vdp.nonsmooth_vdp_field(vdp.ForcingParams(a, lam)), root, eps, v0=root)
+    assert r.converged and r.residual <= 1e-10 and r.iterations <= 3
+
+
 def test_batched_jacobian_accuracy():
     # one shared step sequence for all columns: the default-step Jacobian at
     # the solver's tolerance matches a tight, wide-step reference
@@ -132,6 +151,62 @@ def test_poincare_jacobian_default_step_is_the_newton_step():
     h = NEWTON_FD_SCALE * (1.0 + float(np.linalg.norm(v)))
     assert np.array_equal(poincare_jacobian(f, v, 0.05),
                           poincare_jacobian(f, v, 0.05, fd_step=h))
+
+
+@pytest.mark.parametrize("builder", [vdp.nonsmooth_vdp_field, vdp.classical_vdp_field])
+def test_variational_jacobian_matches_fd(builder):
+    f = builder(vdp.ForcingParams(0.1, 1.0))
+    v, eps = np.array([0.5, 1.2]), 0.05
+    _, DP = variational_map(f, v, eps, _ORBIT_CFG)
+    J = poincare_jacobian(f, v, eps, IntegratorConfig(abs_tol=1e-13, rel_tol=1e-13),
+                          fd_step=1e-4)
+    assert np.max(np.abs(DP - J)) <= 1e-6
+
+
+@pytest.mark.parametrize("builder", [vdp.nonsmooth_vdp_field, vdp.classical_vdp_field])
+def test_multipliers_match_tight_variational_reference(builder):
+    f = builder(vdp.ForcingParams(0.1, 1.0))
+    root = _closed_form_root(0.1, 1.0)
+    for eps in (0.02, 0.1):
+        r = find_periodic(f, root, eps, v0=root)
+        _, ref = variational_map(f, r.v_star, eps, IntegratorConfig(abs_tol=1e-14, rel_tol=1e-14))
+        want = np.sort_complex(np.linalg.eigvals(ref))
+        assert np.max(np.abs(np.sort_complex(r.multipliers) - want)) <= 1e-9
+
+
+@pytest.mark.parametrize("case", ["forced", "unforced stall"])
+def test_multipliers_are_those_of_phi_at_the_returned_point(case):
+    # the stall returns the start, after rejected first trials whose own Phi
+    # must not be reported
+    if case == "forced":
+        root = _closed_form_root(0.1, 1.0)
+        f, v0, eps = vdp.nonsmooth_vdp_field(vdp.ForcingParams(0.1, 1.0)), root, 0.07
+    else:
+        f, v0, eps = vdp.nonsmooth_vdp_field(), np.array([A0, 0.0]), 0.03
+    r = find_periodic(f, v0, eps)
+    _, Phi = variational_map(f, r.v_star, eps, _ORBIT_CFG)
+    assert np.array_equal(r.multipliers, smalllin.eigenvalues(Phi).values)
+
+
+def test_jacobian_field_runs_no_fd_batch():
+    # every field call of the solve is for one state: Newton steps and
+    # multipliers come from the variational flow, not from 2k-member batches
+    root = _closed_form_root(0.1, 1.0)
+    f = vdp.nonsmooth_vdp_field(vdp.ForcingParams(0.1, 1.0))
+    shapes = set()
+    ev = f.evaluate
+
+    def evaluate(t, x, eps):
+        shapes.add(np.shape(x))
+        return ev(t, x, eps)
+
+    r = find_periodic(dataclasses.replace(f, evaluate=evaluate), root, 0.05, v0=root)
+    assert r.converged and shapes == {(2,)}
+    # without `jacobian` the same solve takes the FD path to the same orbit
+    fd = find_periodic(dataclasses.replace(f, jacobian=None), root, 0.05, v0=root)
+    assert fd.converged and np.max(np.abs(fd.v_star - r.v_star)) <= 1e-9
+    assert np.max(np.abs(np.sort_complex(fd.multipliers)
+                         - np.sort_complex(r.multipliers))) <= 1e-6
 
 
 def test_poincare_jacobian_identity_at_eps_zero():

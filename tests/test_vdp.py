@@ -8,7 +8,7 @@ from slowflow.errors import RootRecoveryFailed
 from slowflow.odeint import IntegratorConfig, integrate
 from slowflow.vdp import (
     ForcingParams, amplitude_equation, amplitude_roots, averaged_closed_form,
-    averaged_jacobian_closed_form, classical_vdp_field,
+    averaged_jacobian_closed_form, classical_vdp_field, linear_test_field,
     nonsmooth_vdp_field, reconstruct_u, recover_root, resonance_curve_classical,
     resonance_curve_nonsmooth, resonance_point, stability_indicators,
 )
@@ -23,23 +23,26 @@ def test_forcing_params_finite():
 
 
 def _rk4_direct_oscillator(damping, a, lam, eps, y0, t1, n_steps):
-    """Independent oracle: integrate the oscillator in (u, u') coordinates."""
+    """Independent oracle: integrate the oscillator in (u, u') coordinates.
 
-    def rhs(t, y):
-        u, du = y
-        return np.array([du, -eps * damping(u) * du - (1 + a * eps) * u
-                         + eps * lam * math.sin(t)])
+    Python floats, with the operations of an array RK4 in the same order, so
+    the result is the array loop's bit for bit at a fraction of its cost."""
+
+    def rhs(t, u, du):
+        return du, (-eps * damping(u) * du - (1 + a * eps) * u
+                    + eps * lam * math.sin(t))
 
     h = t1 / n_steps
-    t, y = 0.0, np.asarray(y0, dtype=float)
+    t, (u, du) = 0.0, map(float, y0)
     for _ in range(n_steps):
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, y + h / 2 * k1)
-        k3 = rhs(t + h / 2, y + h / 2 * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        k1u, k1d = rhs(t, u, du)
+        k2u, k2d = rhs(t + h / 2, u + h / 2 * k1u, du + h / 2 * k1d)
+        k3u, k3d = rhs(t + h / 2, u + h / 2 * k2u, du + h / 2 * k2d)
+        k4u, k4d = rhs(t + h, u + h * k3u, du + h * k3d)
+        u = u + h / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
+        du = du + h / 6 * (k1d + 2 * k2d + 2 * k3d + k4d)
         t += h
-    return y
+    return u, du
 
 
 @pytest.mark.parametrize("builder,damping", [
@@ -63,6 +66,26 @@ def test_slow_frame_reduction_is_exact(builder, damping):
     du_slow = M1 * math.cos(TWO_PI) - N1 * math.sin(TWO_PI)
     assert abs(u_slow - u_direct[0]) < 1e-6
     assert abs(du_slow - u_direct[1]) < 1e-6
+
+
+@pytest.mark.parametrize("field", [
+    nonsmooth_vdp_field(ForcingParams(0.1, 1.0)),
+    classical_vdp_field(ForcingParams(0.3, 0.7)),
+    linear_test_field(),
+])
+def test_builtin_jacobian_matches_central_difference(field):
+    rng = np.random.default_rng(11)
+    h, k, checked = 1e-6, field.dim, 0
+    for _ in range(200):
+        t, x, eps = float(rng.uniform(0.0, TWO_PI)), rng.uniform(-3.0, 3.0, k), 0.05
+        if k == 2 and abs(x[0] * math.sin(t) + x[1] * math.cos(t)) < 1e-3:
+            continue                    # on or next to the switching set u = 0
+        fd = np.column_stack([(field.evaluate(t, x + h * e, eps)
+                               - field.evaluate(t, x - h * e, eps)) / (2.0 * h)
+                              for e in np.eye(k)])
+        assert np.max(np.abs(field.jacobian(t, x, eps) - fd)) <= 1e-7
+        checked += 1
+    assert checked >= 190
 
 
 def test_eps_zero_freezes_slow_flow(unforced_nonsmooth):
