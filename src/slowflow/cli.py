@@ -49,15 +49,13 @@ class RunConfig:
 
     system: object = "nonsmooth_vdp"          # builtin name or DSL dict
     params: dict = field(default_factory=dict)
-    integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
-    quadrature_nodes: int = averaging.DEFAULT_NODES
+    # None leaves the command's own default, which for `verify` and
+    # `certify` has a higher fidelity than the package-wide one
+    integrator: Optional[IntegratorConfig] = None
+    quadrature_nodes: Optional[int] = None
     fd_step: Optional[float] = None
     root_tol: float = 1e-10
     seed: int = 12345
-    # set when the user gave the value, so commands with their own
-    # higher-fidelity defaults know whether to defer to the config
-    integrator_explicit: bool = False
-    quadrature_explicit: bool = False
 
     def build_field(self) -> PeriodicField:
         if isinstance(self.system, str):
@@ -132,7 +130,6 @@ def load_config(path: Optional[str], overrides: Optional[dict] = None) -> RunCon
             raise ConfigError(f"unknown integrator keys: {sorted(bad)}")
         try:
             cfg.integrator = IntegratorConfig(**integ)
-            cfg.integrator_explicit = True
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad integrator settings: {exc}") from exc
     for key, conv in (("quadrature_nodes", int), ("root_tol", float), ("seed", int)):
@@ -141,10 +138,10 @@ def load_config(path: Optional[str], overrides: Optional[dict] = None) -> RunCon
                 setattr(cfg, key, conv(raw[key]))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad value for {key}: {raw[key]!r}") from exc
-    cfg.quadrature_explicit = "quadrature_nodes" in raw
     if "fd_step" in raw and raw["fd_step"] is not None:
         cfg.fd_step = float(raw["fd_step"])
-    if cfg.quadrature_nodes < 16 or cfg.quadrature_nodes % 2:
+    if cfg.quadrature_nodes is not None and (cfg.quadrature_nodes < 16
+                                             or cfg.quadrature_nodes % 2):
         raise ConfigError("quadrature_nodes must be even and >= 16")
     if not cfg.root_tol > 0:
         raise ConfigError("root_tol must be positive")
@@ -184,13 +181,18 @@ def _overrides(args) -> dict:
             "seed": getattr(args, "seed", None)}
 
 
+def _given(**kwargs) -> dict:
+    """`kwargs` without its None values, so the callee keeps its defaults."""
+    return {k: v for k, v in kwargs.items() if v is not None}
+
+
 def cmd_avg(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     f = cfg.build_field()
     point = _parse_point(args.point, f.dim)
-    rep = averaging.averaged_report(f, point, cfg.quadrature_nodes,
-                                    with_jacobian=args.jacobian,
-                                    fd_step=cfg.fd_step)
+    rep = averaging.averaged_report(f, point, with_jacobian=args.jacobian,
+                                    fd_step=cfg.fd_step,
+                                    **_given(n_nodes=cfg.quadrature_nodes))
     out = {
         "point": [float(x) for x in rep.point],
         "value": [float(x) for x in rep.value],
@@ -212,7 +214,7 @@ def cmd_roots(args) -> int:
     box = np.asarray(args.box, dtype=float).reshape(f.dim, 2)
     roots = averaging.scan_roots(f, box, grid_n=args.grid,
                                  root_tol=cfg.root_tol,
-                                 n_nodes=cfg.quadrature_nodes)
+                                 **_given(n_nodes=cfg.quadrature_nodes))
     lines = [CSV_ROOTS_HEADER]
     for i, r in enumerate(roots):
         vtxt = ";".join(format_float(x) for x in r.v0)
@@ -228,10 +230,8 @@ def cmd_certify(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     f = cfg.build_field()
     point = _parse_point(args.point, f.dim)
-    kwargs = {"root_tol": args.root_tol, "seed": cfg.seed}
-    if cfg.quadrature_explicit:
-        kwargs["n_nodes"] = cfg.quadrature_nodes
-    rep = certify.theorem_report(f, point, **kwargs)
+    rep = certify.theorem_report(f, point, root_tol=args.root_tol, seed=cfg.seed,
+                                 **_given(n_nodes=cfg.quadrature_nodes))
     _write_text(args.out, json.dumps(rep.to_dict(), indent=2, sort_keys=True))
     return 0
 
@@ -241,10 +241,7 @@ def cmd_verify(args) -> int:
     f = cfg.build_field()
     point = _parse_point(args.point, f.dim)
     eps_list = [float(e) for e in args.eps]
-    if cfg.integrator_explicit:
-        sweep = orbit.eps_sweep(f, point, eps_list, cfg=cfg.integrator)
-    else:
-        sweep = orbit.eps_sweep(f, point, eps_list)
+    sweep = orbit.eps_sweep(f, point, eps_list, **_given(cfg=cfg.integrator))
     lines = [CSV_VERIFY_HEADER]
     for entry in sweep.entries:
         r = entry.result

@@ -343,7 +343,9 @@ def eval_expr(e: Expr, t, x, eps, params: Optional[Dict[str, float]] = None):
 
 def _switch_zeros(tape: _Tape, grid, v, eps) -> tuple:
     """Zeros in [0, T) of the switching slots at frozen v: a sign scan on `grid`,
-    then Illinois regula falsi on all brackets at once (Dahlquist & Björck §6.2)."""
+    then Illinois regula falsi on all brackets at once (Dahlquist & Björck §6.2).
+    Two zeros in one scan interval leave only a grid minimum of |s| with no
+    sign change beside it; a dip below zero there gives two more brackets."""
     x = np.asarray(v, dtype=float)
     def values(t):                          # (len(t), switches)
         regs, zero = tape.run(t, x, eps, tape.switch_ops), np.zeros_like(t)
@@ -351,8 +353,19 @@ def _switch_zeros(tape: _Tape, grid, v, eps) -> tuple:
 
     S = values(grid)
     col, row = np.nonzero((S[:-1] < 0) != (S[1:] < 0))   # a sign change
-    ar, last = np.arange(len(col)), -1
     ends, g = grid[[col, col + 1]], S[[col, col + 1], row]
+    A, same = np.abs(S), (S[:-1] < 0) == (S[1:] < 0)
+    dc, drow = np.nonzero((A[1:-1] < A[:-2]) & (A[1:-1] <= A[2:]) & (S[1:-1] != 0)
+                          & same[:-1] & same[1:])
+    if len(dc):
+        sign = np.sign(S[dc + 1, drow])
+        t_dip, f_dip = _dip_floor(values, grid[dc], grid[dc + 2], drow, sign)
+        hit = f_dip < 0
+        dc, drow, t_dip, g_dip = dc[hit], drow[hit], t_dip[hit], (sign * f_dip)[hit]
+        ends = np.hstack([ends, [grid[dc], t_dip], [t_dip, grid[dc + 2]]])
+        g = np.hstack([g, [S[dc, drow], g_dip], [g_dip, S[dc + 2, drow]]])
+        row = np.concatenate([row, drow, drow])
+    ar, last = np.arange(len(row)), -1
     for _ in range(KINK_MAX_ITER):
         m = (ends[0] * g[1] - ends[1] * g[0]) / (g[1] - g[0])
         gm = values(m)[ar, row]
@@ -363,6 +376,26 @@ def _switch_zeros(tape: _Tape, grid, v, eps) -> tuple:
         if ((gm == 0) | (ends[1] - ends[0] <= 1e-15 * grid[-1])).all():
             break
     return tuple(sorted((m[np.isfinite(m)] % grid[-1]).tolist()))
+
+
+def _dip_floor(values, lo, hi, row, sign):
+    """Golden-section search for the minimum of sign*s_row over [lo, hi], all
+    rows at once, until each has gone below zero or ``KINK_MAX_ITER`` steps:
+    the lowest point and its value."""
+    r, ar = (5.0 ** 0.5 - 1.0) / 2.0, np.arange(len(row))
+    t = np.array([hi - r * (hi - lo), lo + r * (hi - lo)])      # x1 < x2
+    f = sign * values(t.ravel())[np.arange(2 * len(row)), np.tile(row, 2)].reshape(2, -1)
+    for _ in range(KINK_MAX_ITER):
+        if (f.min(axis=0) < 0).all():
+            break
+        left = f[0] < f[1]                  # the minimum lies in [lo, x2]
+        lo, hi = np.where(left, lo, t[0]), np.where(left, t[1], hi)
+        new = np.where(left, hi - r * (hi - lo), lo + r * (hi - lo))
+        fn = sign * values(new)[ar, row]
+        t = np.where(left, [new, t[0]], [t[1], new])
+        f = np.where(left, [fn, f[0]], [f[1], fn])
+    i = np.argmin(f, axis=0)
+    return t[i, ar], f[i, ar]
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 BLOWUP_NORM = 1e8
+VARIATIONAL_FD_SCALE = 1e-6     # dg/dx step of fields without ``jacobian``
 
 
 @dataclass(frozen=True)
@@ -68,11 +69,11 @@ class PeriodicField:
 
     ``jacobian``, when given, maps scalar ``t`` and a state of shape ``(k,)``
     to the ``(k, k)`` matrix dg/dx.  Off the switching set it must be exact;
-    on it, any one-sided value will do.  The field must be continuous across
+    on it, any one-sided value will do; without it ``variational_map`` takes
+    central differences of ``evaluate``.  The field must be continuous across
     the switching set, which flows cross transversally, so the period map is
-    C^1 there (the saltation matrix is the identity).  ``variational_map``
-    then returns the exact period-map derivative, and ``find_periodic``
-    takes its Newton steps and Floquet multipliers from it.
+    C^1 there (the saltation matrix is the identity), and ``find_periodic``
+    takes its Newton steps and Floquet multipliers from the variational flow.
     """
 
     dim: int
@@ -385,8 +386,8 @@ def flow_batch(f: PeriodicField, t0: float, t1: float, X0, eps: float,
     sequence: adaptive error control reduces over the whole batch, so the
     grid resolves every member's corners and accuracy matches the worst
     member.  Integration errors of nearby members are then correlated, which
-    finite differences and close pairs need (``poincare_jacobian``,
-    ``measure_contraction``).  A blow-up of any member raises.
+    close pairs need (``measure_contraction``).  A blow-up of any member
+    raises.
 
     With ``shared_steps=False`` each member gets its own Dormand-Prince step
     size and error norm, so a member takes only the steps its own corners
@@ -422,20 +423,28 @@ def poincare_map(f: PeriodicField, v, eps: float,
 
 def variational_map(f: PeriodicField, v, eps: float,
                     cfg: IntegratorConfig = IntegratorConfig()):
-    """The period map and its derivative, ``(P(v), DP(v))``, for a field with
-    ``jacobian``: one flow of (x, vec Phi) from (v, I), Phi' = eps*(dg/dx)*Phi,
-    by the steppers of `flow` with Phi inside the error norm.  The saltation
-    matrix at each transversal crossing of a continuous field's switching set
-    is the identity (Leine & Nijmeijer, *Dynamics and Bifurcations of
-    Non-Smooth Mechanical Systems*, 2004), so Phi(T) is DP(v).
+    """The period map and its derivative, ``(P(v), DP(v))``: one flow of
+    (x, vec Phi) from (v, I), Phi' = eps*(dg/dx)*Phi, by the steppers of
+    `flow` with Phi inside the error norm.  The saltation matrix at each
+    transversal crossing of a continuous field's switching set is the
+    identity (Leine & Nijmeijer, *Dynamics and Bifurcations of Non-Smooth
+    Mechanical Systems*, 2004), so Phi(T) is DP(v).
+
+    dg/dx is the field's ``jacobian``, or else central differences of
+    ``evaluate`` with step ``VARIATIONAL_FD_SCALE * (1 + |x|)``: one call on
+    the 2k states x +- h*e_j at scalar t.  Across a corner the difference
+    ramps oddly about the crossing, so its error in Phi is second order in h.
     """
-    if f.jacobian is None:
-        raise ValueError(f"field {f.name!r} publishes no jacobian")
     v = np.asarray(v, dtype=float)
     k = f.dim
     if eps == 0.0:
         return v.copy(), np.eye(k)
-    ev, jac = f.evaluate, f.jacobian
+    ev, jac, eye = f.evaluate, f.jacobian, np.eye(k)
+    if jac is None:
+        def jac(t, x, eps):
+            h = VARIATIONAL_FD_SCALE * (1.0 + float(np.linalg.norm(x)))
+            G = np.asarray(ev(t, np.concatenate([x + h * eye, x - h * eye]), eps))
+            return (G[:k] - G[k:]).T / (2.0 * h)
 
     def evaluate(t, y, eps):
         x = y[:k]
@@ -443,7 +452,7 @@ def variational_map(f: PeriodicField, v, eps: float,
                                (jac(t, x, eps) @ y[k:].reshape(k, k)).ravel()])
 
     y = _run(PeriodicField(k + k * k, f.period, evaluate), 0.0, f.period,
-             np.concatenate([v, np.eye(k).ravel()]), eps, cfg, record=False)
+             np.concatenate([v, eye.ravel()]), eps, cfg, record=False)
     return y[:k], y[k:].reshape(k, k)
 
 

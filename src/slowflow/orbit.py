@@ -1,27 +1,20 @@
 """Dynamic verification: periodic solutions as fixed points of the period map.
 
 ``find_periodic`` runs the damped Newton loop of ``newton.solve`` on
-P(v) - v where P is the Poincare (period) map.  Where its Jacobian DP comes
-from depends on the field:
+P(v) - v where P is the Poincare (period) map.  Its Jacobian DP solves the
+variational equation Phi' = eps*(dg/dx)*Phi (``variational_map``): g is
+piecewise differentiable and continuous across switching sets that flows
+cross transversally, so P is C^1.  dg/dx is the field's ``jacobian``, or a
+central difference of ``evaluate`` for a field without one.  The start and
+the first trial of each Newton iteration flow Phi with the state;
+backtracked trials use the plain map.  The Floquet multipliers are the
+eigenvalues of Phi at the returned point.
 
-* A field that publishes ``jacobian`` (the built-ins and every DSL field) is
-  piecewise differentiable and continuous across switching sets that flows
-  cross transversally, so P is C^1 and DP solves the variational equation
-  Phi' = eps*(dg/dx)*Phi (``variational_map``).  The start and the first
-  trial of each Newton iteration flow Phi with the state; backtracked trials
-  use the plain map.
-* Any other field may be only Lipschitz, so DP is a central difference whose
-  2k perturbed states share one batched step sequence.
-
-Floquet multipliers are the eigenvalues of DP at the fixed point: Phi itself,
-or an FD Jacobian with a wider step, so integrator noise does not leak in.
-
-Which ensemble flows share a step grid: ``poincare_jacobian`` and
-``measure_contraction`` do, because FD columns and close pairs need
-correlated integration errors that cancel in their differences.
-``basin_probe`` does not: its starts are independent, a shared grid would
-have to resolve the corners of every one of them, and with its own step
-sizes each start costs only the steps it needs.
+Which ensemble flows share a step grid: ``measure_contraction`` does,
+because close pairs need correlated integration errors that cancel in their
+differences.  ``basin_probe`` does not: its starts are independent, a shared
+grid would have to resolve the corners of every one of them, and with its
+own step sizes each start costs only the steps it needs.
 
 An unforced self-oscillator has no exact fixed point of the 2*pi map: its own
 period differs from 2*pi at order eps^2 and the map instead carries an
@@ -47,7 +40,7 @@ from .odeint import (IntegratorConfig, PeriodicField, flow_batch, poincare_map,
 
 __all__ = [
     "PeriodicOrbitResult", "SweepEntry", "SweepResult",
-    "find_periodic", "poincare_jacobian", "eps_sweep",
+    "find_periodic", "eps_sweep",
     "measure_contraction", "basin_probe",
     "ORBITAL_NOTE", "PHASE_BAND",
 ]
@@ -55,11 +48,6 @@ __all__ = [
 ORBITAL_NOTE = "orbitally stable cycle (phase-neutral)"
 PHASE_BAND = 1e-4            # |mult| within this of 1 counts as the phase direction
 STABLE_MARGIN = 1e-9
-# FD steps = scale * (1 + |v|) for fields without ``jacobian``: a small one
-# for Newton, where accuracy only affects convergence speed, and a larger one
-# for the reported multipliers, so integrator noise does not leak into them
-NEWTON_FD_SCALE = 1e-7
-MULTIPLIER_FD_SCALE = 1e-3
 TRUNC_RATIO = 1e-2           # truncated step drops sigma <= ratio * sigma_max
 
 # fixed-point residuals are driven to 1e-10, so the map itself is integrated
@@ -102,24 +90,6 @@ class SweepResult:
     order: Optional[float]             # least-squares slope of log dist vs log eps
 
 
-def poincare_jacobian(f: PeriodicField, v, eps: float,
-                      cfg: IntegratorConfig = IntegratorConfig(),
-                      fd_step: Optional[float] = None) -> np.ndarray:
-    """Central-difference Jacobian of the period map at v.
-
-    The states v +- h*e_j are flowed as one batch, so all columns share one
-    step sequence and its noise cancels in the differences.
-    """
-    v = np.asarray(v, dtype=float)
-    k = f.dim
-    if eps == 0.0:
-        return np.eye(k)
-    h = fd_step if fd_step is not None else NEWTON_FD_SCALE * (1.0 + float(np.linalg.norm(v)))
-    E = h * np.eye(k)
-    X = flow_batch(f, 0.0, f.period, np.concatenate([v + E, v - E]), eps, cfg)
-    return (X[:k] - X[k:]).T / (2.0 * h)
-
-
 def find_periodic(f: PeriodicField, v0_guess, eps: float,
                   cfg: IntegratorConfig = _ORBIT_CFG,
                   tol: float = 1e-10, v0=None) -> PeriodicOrbitResult:
@@ -132,10 +102,10 @@ def find_periodic(f: PeriodicField, v0_guess, eps: float,
     if not eps > 0:
         raise ValueError("eps must be positive")
     ref = np.asarray(v0 if v0 is not None else v0_guess, dtype=float)
-    # with a field jacobian, the start and the first trial of each iteration
-    # flow Phi along: an accepted full step then brings its own DP, and only
-    # backtracked trials, cheaper on the scalar map, leave it to be flowed
-    fresh, at, Phi = f.jacobian is not None, None, None
+    # the start and the first trial of each iteration flow Phi along: an
+    # accepted full step then brings its own DP, and only backtracked trials,
+    # cheaper on the scalar map, leave it to be flowed
+    fresh, at, Phi = True, None, None
 
     def F(v):
         nonlocal fresh, at, Phi
@@ -146,19 +116,16 @@ def find_periodic(f: PeriodicField, v0_guess, eps: float,
         at = v.copy()
         return P - v
 
-    def DP(v, fd_scale):
+    def DP(v):
         nonlocal at, Phi
-        if f.jacobian is None:
-            return poincare_jacobian(f, v, eps, cfg,
-                                     fd_scale * (1.0 + float(np.linalg.norm(v))))
         if not np.array_equal(v, at):
             at, Phi = v.copy(), variational_map(f, v, eps, cfg)[1]
         return Phi
 
     def steps(v, Fv):
         nonlocal fresh
-        J = DP(v, NEWTON_FD_SCALE) - np.eye(f.dim)
-        fresh = f.jacobian is not None
+        J = DP(v) - np.eye(f.dim)
+        fresh = True
         # plain Newton step, and a truncated pseudo-inverse step that moves
         # only in the well-conditioned directions; the truncated one goes
         # first when it drops a (neutral phase) direction, where the plain
@@ -174,7 +141,7 @@ def find_periodic(f: PeriodicField, v0_guess, eps: float,
         return out
 
     v, _, res, iters, stop = newton.solve(F, v0_guess, tol, steps)
-    r = _finish(DP(v, MULTIPLIER_FD_SCALE), v, eps, res, ref, iters,
+    r = _finish(DP(v), v, eps, res, ref, iters,
                 stop == "converged")
     if r.converged or r.orbitally_stable:
         return r
@@ -199,7 +166,7 @@ def _finish(DP, v, eps, res, ref, iters, converged):
     mags = np.abs(mults)
     # exactly one multiplier of unit magnitude (within the band), the rest
     # inside; a multiplier in the band is indistinguishable from unit
-    # magnitude at FD resolution, so it cannot support a strict stability
+    # magnitude at solver resolution, so it cannot support a strict stability
     # verdict even when the iteration converged to an exact fixed point
     phase_neutral = (int(np.sum(np.abs(mags - 1.0) <= PHASE_BAND)) == 1 and
                      int(np.sum(mags < 1.0 - PHASE_BAND)) == len(mults) - 1)

@@ -19,8 +19,8 @@ import numpy as np
 from .errors import NoConvergence, NotHurwitz, Singular
 
 __all__ = [
-    "Spectrum", "solve", "det", "eigenvalues", "eig2x2",
-    "cholesky", "solve_lower", "solve_upper", "lyapunov_solve",
+    "Spectrum", "solve", "eigenvalues", "eig2x2",
+    "cholesky", "solve_lower", "lyapunov_solve",
     "HURWITZ_MARGIN",
 ]
 
@@ -51,9 +51,6 @@ class Spectrum:
     def is_hurwitz(self, margin: float = HURWITZ_MARGIN) -> bool:
         return self.max_real < -margin
 
-    def is_degenerate(self, band: float = HURWITZ_MARGIN) -> bool:
-        return bool(np.any(np.abs(self.values.real) <= band))
-
 
 def _lapack(fn, *args, error=Singular):
     """fn(*args) for a numpy.linalg routine, its LinAlgError raised as `error`."""
@@ -76,14 +73,6 @@ def _nonsingular(A) -> np.ndarray:
 def solve(A, b) -> np.ndarray:
     """Solve A x = b (LAPACK gesv); b may be a vector or matrix."""
     return _lapack(np.linalg.solve, _nonsingular(A), np.asarray(b, dtype=float))
-
-
-def det(A) -> float:
-    """Determinant of A; 0.0 when A is singular by the `solve` threshold."""
-    try:
-        return float(np.linalg.det(_nonsingular(A)))
-    except Singular:
-        return 0.0
 
 
 # --- eigenvalues -------------------------------------------------------------
@@ -129,10 +118,6 @@ def cholesky(P) -> np.ndarray:
 
 def solve_lower(L, B) -> np.ndarray:
     return _lapack(np.linalg.solve, _as_square(L), np.asarray(B, dtype=float))
-
-
-def solve_upper(U, B) -> np.ndarray:
-    return _lapack(np.linalg.solve, _as_square(U), np.asarray(B, dtype=float))
 
 
 def lyapunov_solve(A, residual_tol: float = 1e-8) -> np.ndarray:

@@ -461,6 +461,24 @@ def test_kinks_only_for_switching_fields():
     assert g.kinks(np.zeros(1), 5.0) == ()
 
 
+def test_kinks_find_two_zeros_in_one_scan_interval():
+    # sin(t + 0.05) - 0.99999 dips below zero for 0.009 near t = 1.52, inside
+    # one 2 pi / 64 scan interval, and changes sign at no grid point
+    f = field_from_spec(FieldSpec.from_strings(1, TWO_PI, ["abs(sin(t + 0.05) - 0.99999)"]))
+    a = math.asin(0.99999)
+    got = f.kinks(np.zeros(1), 0.0)
+    assert np.allclose(got, [a - 0.05, math.pi - a - 0.05], rtol=0, atol=1e-12)
+    # two switching functions with such dips, one of depth 1e-9
+    h = field_from_spec(FieldSpec.from_strings(
+        1, TWO_PI, ["abs(cos(t - 3) - 0.99999) + abs(cos(t - 1.3) - 0.999999999)"]))
+    d1, d2 = math.acos(0.99999), math.acos(0.999999999)
+    assert np.allclose(h.kinks(np.zeros(1), 0.0), [1.3 - d2, 1.3 + d2, 3 - d1, 3 + d1],
+                       rtol=0, atol=1e-9)
+    # a dip that stays above zero adds no kink
+    g = field_from_spec(FieldSpec.from_strings(1, TWO_PI, ["abs(sin(t + 0.05) - 1.00001)"]))
+    assert g.kinks(np.zeros(1), 0.0) == ()
+
+
 # --- forward-mode jacobian ---------------------------------------------------------
 
 def test_twin_jacobian_matches_builtin():

@@ -457,10 +457,13 @@ def test_variational_map_linear_both_steppers(cfg):
         assert abs(DP[0, 0] - math.exp(-TWO_PI * eps)) <= 1e-12
 
 
-def test_variational_map_identity_at_eps_zero_and_needs_jacobian():
+def test_variational_map_identity_at_eps_zero_and_fd_default():
     f = vdp.nonsmooth_vdp_field(vdp.ForcingParams(0.1, 1.0))
     v = np.array([0.5, 1.2])
     P, DP = variational_map(f, v, 0.0)
     assert np.array_equal(P, v) and np.array_equal(DP, np.eye(2))
-    with pytest.raises(ValueError, match="publishes no jacobian"):
-        variational_map(exp_field(), np.array([1.0]), 0.1)
+    # exp_field publishes no jacobian: dg/dx is a central difference, and
+    # x' = eps x over period 1 has P(v) = exp(eps) v and DP = exp(eps)
+    P, DP = variational_map(exp_field(), np.array([1.0]), 0.1)
+    assert abs(P[0] - math.exp(0.1)) <= 1e-9
+    assert abs(DP[0, 0] - math.exp(0.1)) <= 1e-9

@@ -8,8 +8,8 @@ from conftest import certified_forced_params
 from slowflow import certify, smalllin, vdp
 from slowflow.odeint import IntegratorConfig, PeriodicField, poincare_map, variational_map
 from slowflow.orbit import (
-    _ORBIT_CFG, NEWTON_FD_SCALE, ORBITAL_NOTE, _truncated_step, basin_probe, eps_sweep, find_periodic,
-    measure_contraction, poincare_jacobian,
+    _ORBIT_CFG, ORBITAL_NOTE, _truncated_step, basin_probe, eps_sweep, find_periodic,
+    measure_contraction,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -131,35 +131,16 @@ def test_forced_solve_does_not_stall_at_the_noise_floor(start, index):
     assert r.converged and r.residual <= 1e-10 and r.iterations <= 3
 
 
-def test_batched_jacobian_accuracy():
-    # one shared step sequence for all columns: the default-step Jacobian at
-    # the solver's tolerance matches a tight, wide-step reference
-    f = vdp.nonsmooth_vdp_field(vdp.ForcingParams(0.1, 1.0))
-    v, eps = np.array([0.5, 1.2]), 0.05
-    tight = IntegratorConfig(abs_tol=1e-13, rel_tol=1e-13)
-    ref = np.empty((2, 2))
-    for j, e in enumerate(1e-4 * np.eye(2)):
-        ref[:, j] = (poincare_map(f, v + e, eps, tight)
-                     - poincare_map(f, v - e, eps, tight)) / 2e-4
-    J = poincare_jacobian(f, v, eps, IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12))
-    assert np.max(np.abs(J - ref)) <= 1e-5
-
-
-def test_poincare_jacobian_default_step_is_the_newton_step():
-    f = vdp.nonsmooth_vdp_field(vdp.ForcingParams(0.1, 1.0))
-    v = np.array([0.5, 1.2])
-    h = NEWTON_FD_SCALE * (1.0 + float(np.linalg.norm(v)))
-    assert np.array_equal(poincare_jacobian(f, v, 0.05),
-                          poincare_jacobian(f, v, 0.05, fd_step=h))
-
-
 @pytest.mark.parametrize("builder", [vdp.nonsmooth_vdp_field, vdp.classical_vdp_field])
 def test_variational_jacobian_matches_fd(builder):
     f = builder(vdp.ForcingParams(0.1, 1.0))
     v, eps = np.array([0.5, 1.2]), 0.05
     _, DP = variational_map(f, v, eps, _ORBIT_CFG)
-    J = poincare_jacobian(f, v, eps, IntegratorConfig(abs_tol=1e-13, rel_tol=1e-13),
-                          fd_step=1e-4)
+    tight = IntegratorConfig(abs_tol=1e-13, rel_tol=1e-13)
+    J = np.empty((2, 2))
+    for j, e in enumerate(1e-4 * np.eye(2)):
+        J[:, j] = (poincare_map(f, v + e, eps, tight)
+                   - poincare_map(f, v - e, eps, tight)) / 2e-4
     assert np.max(np.abs(DP - J)) <= 1e-6
 
 
@@ -172,6 +153,20 @@ def test_multipliers_match_tight_variational_reference(builder):
         _, ref = variational_map(f, r.v_star, eps, IntegratorConfig(abs_tol=1e-14, rel_tol=1e-14))
         want = np.sort_complex(np.linalg.eigvals(ref))
         assert np.max(np.abs(np.sort_complex(r.multipliers) - want)) <= 1e-9
+
+
+@pytest.mark.parametrize("builder", [vdp.nonsmooth_vdp_field, vdp.classical_vdp_field])
+def test_fd_field_multipliers_match_tight_variational_reference(builder):
+    # without `jacobian`, Phi flows with a central-difference dg/dx and must
+    # still match the reference flowed with the exact one
+    f = builder(vdp.ForcingParams(0.1, 1.0))
+    root = _closed_form_root(0.1, 1.0)
+    for eps in (0.02, 0.1):
+        r = find_periodic(dataclasses.replace(f, jacobian=None), root, eps, v0=root)
+        assert r.converged
+        _, ref = variational_map(f, r.v_star, eps, IntegratorConfig(abs_tol=1e-14, rel_tol=1e-14))
+        want = np.sort_complex(np.linalg.eigvals(ref))
+        assert np.max(np.abs(np.sort_complex(r.multipliers) - want)) <= 1e-8
 
 
 @pytest.mark.parametrize("case", ["forced", "unforced stall"])
@@ -207,12 +202,6 @@ def test_jacobian_field_runs_no_fd_batch():
     assert fd.converged and np.max(np.abs(fd.v_star - r.v_star)) <= 1e-9
     assert np.max(np.abs(np.sort_complex(fd.multipliers)
                          - np.sort_complex(r.multipliers))) <= 1e-6
-
-
-def test_poincare_jacobian_identity_at_eps_zero():
-    f = vdp.nonsmooth_vdp_field()
-    assert np.array_equal(poincare_jacobian(f, np.array([0.5, 1.2]), 0.0),
-                          np.eye(2))
 
 
 def test_forced_point_stable_multipliers():

@@ -3,8 +3,7 @@ import pytest
 
 from slowflow.errors import NotHurwitz, Singular
 from slowflow.smalllin import (
-    Spectrum, cholesky, det, eig2x2, eigenvalues, lyapunov_solve, solve,
-    solve_lower, solve_upper,
+    cholesky, eig2x2, eigenvalues, lyapunov_solve, solve, solve_lower,
 )
 
 
@@ -34,7 +33,6 @@ def test_solve_nearly_singular_matrix_singular():
     A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
     with pytest.raises(Singular):
         solve(A, np.ones(2))
-    assert det(A) == 0.0
 
 
 def test_solve_residual_contract():
@@ -70,7 +68,8 @@ def test_eigenvalues_trace_det_identities():
         A = rng.standard_normal((5, 5))
         vals = eigenvalues(A).values
         assert abs(np.sum(vals) - np.trace(A)) < 1e-8
-        assert abs(np.prod(vals) - det(A)) < 1e-6 * max(1.0, abs(det(A)))
+        det = np.linalg.det(A)
+        assert abs(np.prod(vals) - det) < 1e-6 * max(1.0, abs(det))
 
 
 def test_eigenvalues_similarity_invariance():
@@ -127,9 +126,8 @@ def test_closed_form_2x2_cross_checks_qr():
 
 def test_spectrum_flags():
     spec = eigenvalues(np.array([[-1.0, 0.0], [0.0, -2.0]]))
-    assert spec.is_hurwitz() and not spec.is_degenerate()
-    spec2 = Spectrum(np.array([-1.0 + 0j, 1e-12 + 0j]))
-    assert spec2.is_degenerate(1e-9)
+    assert spec.is_hurwitz()
+    assert not eigenvalues(np.array([[-1.0, 0.0], [0.0, 1e-12]])).is_hurwitz()
 
 
 def test_lyapunov_minus_identity():
@@ -174,7 +172,6 @@ def test_cholesky_triangular_solves():
     assert np.allclose(L @ L.T, P, atol=1e-12)
     b = rng.standard_normal(4)
     assert np.allclose(L @ solve_lower(L, b), b, atol=1e-12)
-    assert np.allclose(L.T @ solve_upper(L.T, b), b, atol=1e-12)
 
 
 def test_cholesky_rejects_indefinite():
