@@ -1,4 +1,4 @@
-"""The averaged field: one-period quadrature, its FD Jacobian, and root finding.
+"""The averaged field: one-period quadrature, its Jacobian, and root finding.
 
 For a T-periodic field g the averaged field at frozen state v is
 
@@ -10,15 +10,23 @@ switching times (``field.kinks``: the built-ins and every DSL field with
 integrates a smooth piece and the full O(h^4) rate is retained; a corner
 inside a panel costs O(h^2) locally.
 
+Its Jacobian (g0)'(v) is the average of dg/dx: g is differentiable in x off
+a switching set of measure zero, with a bounded derivative, so dominated
+convergence moves the derivative under the integral.  A field that publishes
+``jacobian`` gets that integral by the same kink-aligned Simpson rule; a
+field without one, or a call with an explicit ``fd_step``, gets central
+differences of the averaged field instead.
+
 Zeros of the averaged field are the candidate initial points of periodic
 solutions of x' = eps*g; they are located by the damped Newton loop of
 ``newton.solve`` (trust region, Armijo line search, no full-step fallback) on
-the quadrature values with a central-difference Jacobian.
+the quadrature values with that Jacobian.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional
 
 import numpy as np
@@ -30,7 +38,7 @@ from .odeint import PeriodicField
 
 __all__ = [
     "AveragedReport", "RootResult",
-    "averaged_function", "averaged_jacobian", "averaged_report",
+    "averaged_function", "averaged_jacobian", "averaged_report", "jacobian_fd_step",
     "find_root", "scan_roots",
     "DEFAULT_NODES", "DEFAULT_FD_STEP_SCALE",
 ]
@@ -38,6 +46,8 @@ __all__ = [
 DEFAULT_NODES = 4096
 DEFAULT_FD_STEP_SCALE = 1e-6      # fd step = scale * (1 + |v|)
 NON_ISOLATED_RATIO = 1e-6         # sigma_min/sigma_max below this flags a continuum
+JACOBIAN_CHUNK = 2048             # nodes per `jacobian` call: (n, k, k) tangents stay small
+CACHED_PANELS = 2048              # largest segment whose Simpson weights are cached
 
 
 @dataclass(frozen=True)
@@ -48,7 +58,7 @@ class AveragedReport:
     value: np.ndarray
     jacobian: Optional[np.ndarray]
     quadrature_nodes: int
-    fd_step: Optional[float]
+    fd_step: Optional[float]      # None unless the Jacobian is a finite difference
 
 
 @dataclass(frozen=True)
@@ -63,15 +73,27 @@ class RootResult:
     non_isolated: bool = False     # near-singular Jacobian: continuum suspected
 
 
-def _simpson_weights(n: int) -> np.ndarray:
+@lru_cache(maxsize=4)
+def _cached_weights(n: int) -> np.ndarray:
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
+    w.flags.writeable = False       # shared by every call with this n
     return w
+
+
+def _simpson_weights(n: int) -> np.ndarray:
+    """Composite Simpson weights 1, 4, 2, 4, ..., 4, 1 for n (even) panels,
+    read-only.  Up to ``CACHED_PANELS`` panels they come from a small cache
+    (segment sizes follow the kinks, so they form no fixed set); larger ones
+    are rebuilt per call, as a cached one would stay resident."""
+    return _cached_weights(n) if n <= CACHED_PANELS else _cached_weights.__wrapped__(n)
 
 
 def _panel_layout(f: PeriodicField, v, n_nodes: int):
     """Segment [0, T] at the field's switching times; panels stay even per segment."""
+    if n_nodes < 16 or n_nodes % 2:
+        raise ValueError("n_nodes must be even and >= 16")
     T = f.period
     pts = [0.0, T]
     if f.kinks is not None:
@@ -89,8 +111,6 @@ def _panel_layout(f: PeriodicField, v, n_nodes: int):
 
 def averaged_function(f: PeriodicField, v, n_nodes: int = DEFAULT_NODES) -> np.ndarray:
     """Integral of g(., v, 0) over one period (not divided by T)."""
-    if n_nodes < 16 or n_nodes % 2:
-        raise ValueError("n_nodes must be even and >= 16")
     v = np.asarray(v, dtype=float)
     total = np.zeros(f.dim)
     for lo, hi, n in _panel_layout(f, v, n_nodes):
@@ -105,29 +125,60 @@ def averaged_function(f: PeriodicField, v, n_nodes: int = DEFAULT_NODES) -> np.n
     return total
 
 
-def _fd_step(v: np.ndarray, fd_step: Optional[float]) -> float:
-    return DEFAULT_FD_STEP_SCALE * (1.0 + float(np.linalg.norm(v))) if fd_step is None else fd_step
+def jacobian_fd_step(f: PeriodicField, v, fd_step: Optional[float] = None) -> Optional[float]:
+    """The FD step `averaged_jacobian` takes at v, or None when it integrates
+    the field's ``jacobian``."""
+    if fd_step is not None:
+        return fd_step
+    if f.jacobian is not None:
+        return None
+    return DEFAULT_FD_STEP_SCALE * (1.0 + float(np.linalg.norm(v)))
+
+
+def _integrated_jacobian(f: PeriodicField, v: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Simpson rule for the integral of dg/dx(., v, 0) on the kink-aligned
+    segments.  dg/dx jumps at a corner, where ``jacobian`` may take either
+    side or neither (sign(0) = 0), so each segment's end nodes move 1e-9 of
+    the segment inward and take the one-sided value."""
+    k = f.dim
+    total = np.zeros(k * k)
+    for lo, hi, n in _panel_layout(f, v, n_nodes):
+        t = np.linspace(lo, hi, n + 1)
+        t[0], t[-1] = lo + 1e-9 * (hi - lo), hi - 1e-9 * (hi - lo)
+        w, part = _simpson_weights(n), np.zeros(k * k)
+        for i in range(0, n + 1, JACOBIAN_CHUNK):
+            J = np.asarray(f.jacobian(t[i:i + JACOBIAN_CHUNK], v, 0.0), dtype=float)
+            part += w[i:i + JACOBIAN_CHUNK] @ J.reshape(-1, k * k)
+        total += ((hi - lo) / n / 3.0) * part
+    return total.reshape(k, k)
 
 
 def averaged_jacobian(f: PeriodicField, v, n_nodes: int = DEFAULT_NODES,
                       fd_step: Optional[float] = None) -> np.ndarray:
-    """Central-difference Jacobian of the averaged field at v.
+    """Jacobian (g0)'(v) of the averaged field at v.
 
-    Differentiation happens on the averaged field, not on g itself: averaging
-    smooths the corners, so the derivative is well defined near simple roots
-    even when g is only Lipschitz.
+    With ``fd_step=None`` and a field that publishes ``jacobian``, it is the
+    Simpson integral of dg/dx over the kink-aligned panels of
+    `averaged_function`: one quadrature, and exact up to that rule.
+    Otherwise it is the central difference of the averaged field with step
+    `fd_step` (default ``DEFAULT_FD_STEP_SCALE * (1 + |v|)``), 2k quadratures.
+    Either way the derivative is taken of the average, which is smooth near
+    simple roots even when g is only Lipschitz.
     """
     v = np.asarray(v, dtype=float)
-    h = _fd_step(v, fd_step)
-    if not h > 0:
-        raise ValueError("fd_step must be positive")
-    k = f.dim
-    J = np.empty((k, k))
-    for j in range(k):
-        e = np.zeros(k)
-        e[j] = h
-        J[:, j] = (averaged_function(f, v + e, n_nodes)
-                   - averaged_function(f, v - e, n_nodes)) / (2.0 * h)
+    h = jacobian_fd_step(f, v, fd_step)
+    if h is None:
+        J = _integrated_jacobian(f, v, n_nodes)
+    else:
+        if not h > 0:
+            raise ValueError("fd_step must be positive")
+        k = f.dim
+        J = np.empty((k, k))
+        for j in range(k):
+            e = np.zeros(k)
+            e[j] = h
+            J[:, j] = (averaged_function(f, v + e, n_nodes)
+                       - averaged_function(f, v - e, n_nodes)) / (2.0 * h)
     if not np.all(np.isfinite(J)):
         raise NonFiniteValue(f"averaged Jacobian not finite at v={v}")
     return J
@@ -138,8 +189,8 @@ def averaged_report(f: PeriodicField, v, n_nodes: int = DEFAULT_NODES,
                     fd_step: Optional[float] = None) -> AveragedReport:
     v = np.asarray(v, dtype=float)
     val = averaged_function(f, v, n_nodes)
-    h = _fd_step(v, fd_step) if with_jacobian else None
-    J = averaged_jacobian(f, v, n_nodes, h) if with_jacobian else None
+    h = jacobian_fd_step(f, v, fd_step) if with_jacobian else None
+    J = averaged_jacobian(f, v, n_nodes, fd_step) if with_jacobian else None
     return AveragedReport(v, val, J, n_nodes, h)
 
 

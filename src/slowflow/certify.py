@@ -42,12 +42,12 @@ __all__ = [
     "DEGENERACY_BAND",
 ]
 
-# FD Jacobians carry noise well above machine precision; eigenvalues within
-# this relative band of zero are classified degenerate rather than guessed at
+# FD Jacobians carry noise well above machine precision, and a quadrature
+# Jacobian its rule's error; eigenvalues within this relative band of zero are
+# classified degenerate rather than guessed at
 DEGENERACY_BAND = 1e-4
 
 _CERT_NODES = 16384
-_FD_SCALE = 1e-5
 
 
 @dataclass
@@ -59,7 +59,8 @@ class StabilityCertificate:
     spectrum: smalllin.Spectrum
     hurwitz: bool
     degenerate: bool
-    fd_step: float                       # heuristic radius of validity of the FD data
+    fd_step: Optional[float]             # FD step of the Jacobian; None when it
+                                         # integrates the field's ``jacobian``
     lyapunov_P: Optional[np.ndarray] = None
     alpha: Optional[float] = None
     q: Optional[float] = None
@@ -95,13 +96,15 @@ def certify_hurwitz(f: PeriodicField, v0, n_nodes: int = _CERT_NODES,
                     degeneracy_band: float = DEGENERACY_BAND) -> StabilityCertificate:
     """Eigenvalue classification of the averaged Jacobian at v0.
 
-    ``degenerate`` means some eigenvalue real part sits inside the noise band
+    The Jacobian is ``averaging.averaged_jacobian`` with the caller's
+    `fd_step`: the quadrature of the field's ``jacobian`` when it has one and
+    `fd_step` is None, else a central difference.  ``degenerate`` means some
+    eigenvalue real part sits inside the noise band
     ``degeneracy_band * max(1, spectral radius)`` -- a first-class outcome
     (phase invariance of an unforced cycle lands exactly there), not an error.
     """
     v0 = np.asarray(v0, dtype=float)
-    h = fd_step if fd_step is not None else _FD_SCALE * (1.0 + float(np.linalg.norm(v0)))
-    A = averaging.averaged_jacobian(f, v0, n_nodes=n_nodes, fd_step=h)
+    A = averaging.averaged_jacobian(f, v0, n_nodes=n_nodes, fd_step=fd_step)
     spec = smalllin.eigenvalues(A)
     scale = max(1.0, float(np.max(np.abs(spec.values))))
     band = degeneracy_band * scale
@@ -109,7 +112,7 @@ def certify_hurwitz(f: PeriodicField, v0, n_nodes: int = _CERT_NODES,
     hurwitz = spec.max_real < -band
     return StabilityCertificate(v0=v0, jacobian=A, spectrum=spec,
                                 hurwitz=hurwitz, degenerate=degenerate,
-                                fd_step=h)
+                                fd_step=averaging.jacobian_fd_step(f, v0, fd_step))
 
 
 def pnorm_operator(M, P) -> float:
@@ -329,7 +332,7 @@ class TheoremReport:
             "spectrum": [[float(z.real), float(z.imag)] for z in cert.spectrum.values],
             "hurwitz": bool(cert.hurwitz),
             "degenerate": bool(cert.degenerate),
-            "fd_step": float(cert.fd_step),
+            "fd_step": None if cert.fd_step is None else float(cert.fd_step),
             "lipschitz_hat": float(self.lipschitz.l_hat),
             "lipschitz_radius": float(self.lipschitz.radius),
             "assumed_not_verified": list(self.assumed_not_verified),

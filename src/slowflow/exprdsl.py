@@ -319,17 +319,27 @@ class _Tape:
         return regs
 
     def jacobian(self, t, x, eps):
-        """d(outputs)/dx at scalar t and x of shape (k,), in forward mode: one
-        k-tangent per slot, None for slots that do not depend on x."""
+        """d(outputs)/dx at x of shape (k,), in forward mode: one k-tangent per
+        slot, None for slots that do not depend on x.  A scalar t gives (k, k);
+        an array of n times runs as a column, so a slot that depends on t holds
+        (n, 1) values and (n, k) tangents, and gives (n, k, k)."""
         x = np.asarray(x, dtype=float)
-        regs, dot = self.run(t, x, eps), [None] * len(self.values)
+        rows = np.shape(t)
+        regs = self.run(np.asarray(t, dtype=float)[:, None] if rows else t, x, eps)
+        dot = [None] * len(self.values)
         dot[2:2 + self.k] = np.eye(self.k)
         with np.errstate(all="ignore"):
             for s, _, dfn, i, j in self.code:
                 da, db = dot[i], None if j is None else dot[j]
                 if da is not None or db is not None:
                     dot[s] = dfn(regs[i], None if j is None else regs[j], regs[s], da, db)
-        return np.array([np.zeros(self.k) if dot[s] is None else dot[s] for s in self.out])
+        if not rows:
+            return np.array([np.zeros(self.k) if dot[s] is None else dot[s] for s in self.out])
+        J = np.zeros(rows + (len(self.out), self.k))
+        for r, s in enumerate(self.out):
+            if dot[s] is not None:
+                J[:, r] = dot[s]
+        return J
 
 
 def eval_expr(e: Expr, t, x, eps, params: Optional[Dict[str, float]] = None):
@@ -345,25 +355,40 @@ def _switch_zeros(tape: _Tape, grid, v, eps) -> tuple:
     """Zeros in [0, T) of the switching slots at frozen v: a sign scan on `grid`,
     then Illinois regula falsi on all brackets at once (Dahlquist & Björck §6.2).
     Two zeros in one scan interval leave only a grid minimum of |s| with no
-    sign change beside it; a dip below zero there gives two more brackets."""
+    sign change beside it; a dip below zero there gives two more brackets.
+    An interior minimum is searched over its two intervals.  One at the first
+    or last grid point is searched over its one interval, as s need not be
+    T-periodic, and only when the parabola through that interval's ends and
+    midpoint has its vertex inside: near a zero-free end, a smooth |s| that
+    rises away from the end is not searched."""
     x = np.asarray(v, dtype=float)
     def values(t):                          # (len(t), switches)
         regs, zero = tape.run(t, x, eps, tape.switch_ops), np.zeros_like(t)
         return np.array([regs[s] + zero for s in tape.switches]).T
 
-    S = values(grid)
+    S = values(np.concatenate([grid, 0.5 * (grid[[0, -2]] + grid[[1, -1]])]))
+    S, mid = S[:-2], S[-2:]                 # the grid, the end intervals' midpoints
     col, row = np.nonzero((S[:-1] < 0) != (S[1:] < 0))   # a sign change
     ends, g = grid[[col, col + 1]], S[[col, col + 1], row]
-    A, same = np.abs(S), (S[:-1] < 0) == (S[1:] < 0)
-    dc, drow = np.nonzero((A[1:-1] < A[:-2]) & (A[1:-1] <= A[2:]) & (S[1:-1] != 0)
+    A, same, n = np.abs(S), (S[:-1] < 0) == (S[1:] < 0), len(grid) - 1
+    lo, drow = np.nonzero((A[1:-1] < A[:-2]) & (A[1:-1] <= A[2:]) & (S[1:-1] != 0)
                           & same[:-1] & same[1:])
-    if len(dc):
-        sign = np.sign(S[dc + 1, drow])
-        t_dip, f_dip = _dip_floor(values, grid[dc], grid[dc + 2], drow, sign)
+    at, hi = lo + 1, lo + 2                 # the grid minimum, the search interval
+    for e, o, is_min, fm in ((0, 1, A[0] <= A[1], mid[0]),        # an end point,
+                             (n, n - 1, A[n] < A[n - 1], mid[1])):  # its neighbour
+        r = np.nonzero(is_min & (S[e] != 0) & same[min(e, o)])[0]
+        fm = np.sign(S[e, r]) * fm[r]
+        r = r[np.abs(A[e, r] - A[o, r]) < 2.0 * (A[e, r] + A[o, r] - 2.0 * fm)]
+        at, drow = np.concatenate([at, np.full(len(r), e)]), np.concatenate([drow, r])
+        lo = np.concatenate([lo, np.full(len(r), min(e, o))])
+        hi = np.concatenate([hi, np.full(len(r), max(e, o))])
+    if len(drow):
+        sign = np.sign(S[at, drow])
+        t_dip, f_dip = _dip_floor(values, grid[lo], grid[hi], drow, sign)
         hit = f_dip < 0
-        dc, drow, t_dip, g_dip = dc[hit], drow[hit], t_dip[hit], (sign * f_dip)[hit]
-        ends = np.hstack([ends, [grid[dc], t_dip], [t_dip, grid[dc + 2]]])
-        g = np.hstack([g, [S[dc, drow], g_dip], [g_dip, S[dc + 2, drow]]])
+        lo, hi, drow, t_dip, g_dip = lo[hit], hi[hit], drow[hit], t_dip[hit], (sign * f_dip)[hit]
+        ends = np.hstack([ends, [grid[lo], t_dip], [t_dip, grid[hi]]])
+        g = np.hstack([g, [S[lo, drow], g_dip], [g_dip, S[hi, drow]]])
         row = np.concatenate([row, drow, drow])
     ar, last = np.arange(len(row)), -1
     for _ in range(KINK_MAX_ITER):

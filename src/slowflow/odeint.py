@@ -68,12 +68,15 @@ class PeriodicField:
     Quadratures align panel boundaries with them; they never affect values.
 
     ``jacobian``, when given, maps scalar ``t`` and a state of shape ``(k,)``
-    to the ``(k, k)`` matrix dg/dx.  Off the switching set it must be exact;
+    to the ``(k, k)`` matrix dg/dx, and an array of times with frozen ``x`` of
+    shape ``(k,)`` to ``(len(t), k, k)`` (the quadrature of
+    ``averaging.averaged_jacobian``).  Off the switching set it must be exact;
     on it, any one-sided value will do; without it ``variational_map`` takes
-    central differences of ``evaluate``.  The field must be continuous across
-    the switching set, which flows cross transversally, so the period map is
-    C^1 there (the saltation matrix is the identity), and ``find_periodic``
-    takes its Newton steps and Floquet multipliers from the variational flow.
+    central differences of ``evaluate``, and ``averaged_jacobian`` of the
+    averaged field.  The field must be continuous across the switching set,
+    which flows cross transversally, so the period map is C^1 there (the
+    saltation matrix is the identity), and ``find_periodic`` takes its Newton
+    steps and Floquet multipliers from the variational flow.
     """
 
     dim: int

@@ -91,7 +91,8 @@ class ResonancePoint:
 # --- built-in fields ----------------------------------------------------------
 
 
-def _slow_field(damping_scalar, damping_array, slope, p: ForcingParams, kinks, name):
+def _slow_field(damping_scalar, damping_array, slope_scalar, slope_array,
+                p: ForcingParams, kinks, name):
     a, lam = p.a, p.lam
 
     def evaluate(t, x, eps):
@@ -114,13 +115,22 @@ def _slow_field(damping_scalar, damping_array, slope, p: ForcingParams, kinks, n
 
     def jacobian(t, x, eps):
         # dF/dM and dF/dN through u and u', with slope = d'(u)
-        s, c = math.sin(t), math.cos(t)
-        M, N = float(x[0]), float(x[1])
+        M, N, scalar = float(x[0]), float(x[1]), isinstance(t, float)
+        sin, cos, damping, slope = ((math.sin, math.cos, damping_scalar, slope_scalar)
+                                    if scalar else (np.sin, np.cos, damping_array, slope_array))
+        s, c = sin(t), cos(t)
         u, du = M * s + N * c, M * c - N * s
-        d, dd = damping_scalar(u), slope(u)
+        d, dd = damping(u), slope(u)
         FM = -dd * s * du - d * c - a * s
         FN = -dd * c * du + d * s - a * c
-        return np.array([[FM * c, FN * c], [-FM * s, -FN * s]])
+        if scalar:
+            return np.array([[FM * c, FN * c], [-FM * s, -FN * s]])
+        out = np.empty(np.shape(t) + (2, 2))
+        np.multiply(FM, c, out=out[..., 0, 0])
+        np.multiply(FN, c, out=out[..., 0, 1])
+        np.multiply(-FM, s, out=out[..., 1, 0])
+        np.multiply(-FN, s, out=out[..., 1, 1])
+        return out
 
     return PeriodicField(dim=2, period=TWO_PI, evaluate=evaluate,
                          kinks=kinks, name=name, jacobian=jacobian)
@@ -144,13 +154,13 @@ def nonsmooth_vdp_field(p: ForcingParams = ForcingParams()) -> PeriodicField:
                              (phi - math.pi / 2) % TWO_PI)))
 
     return _slow_field(lambda u: abs(u) - 1.0, lambda u: np.abs(u) - 1.0,
-                       lambda u: (u > 0) - (u < 0), p, kinks, "nonsmooth_vdp")
+                       lambda u: (u > 0) - (u < 0), np.sign, p, kinks, "nonsmooth_vdp")
 
 
 def classical_vdp_field(p: ForcingParams = ForcingParams()) -> PeriodicField:
     """Slow-frame field of u'' + eps(u^2 - 1)u' + (1 + a*eps)u = eps*lam*sin t."""
-    return _slow_field(lambda u: u * u - 1.0, lambda u: u * u - 1.0,
-                       lambda u: 2.0 * u, p, None, "classical_vdp")
+    damping, slope = (lambda u: u * u - 1.0), (lambda u: 2.0 * u)
+    return _slow_field(damping, damping, slope, slope, p, None, "classical_vdp")
 
 
 def linear_test_field() -> PeriodicField:
@@ -168,7 +178,7 @@ def linear_test_field() -> PeriodicField:
 
     return PeriodicField(dim=1, period=TWO_PI, evaluate=evaluate,
                          name="linear_test",
-                         jacobian=lambda t, x, eps: np.array([[-1.0]]))
+                         jacobian=lambda t, x, eps: np.full(np.shape(t) + (1, 1), -1.0))
 
 
 # --- closed-form averaged data (test oracles and fast paths) -------------------
@@ -354,7 +364,9 @@ def resonance_point(model: str, a: float, lam: float, A: float,
     M, N = float(r.v0[0]), float(r.v0[1])
     amp = math.hypot(M, N)
     i6, i7 = stability_indicators(model, amp * amp, a)
-    # independent eigenvalue verdict on the FD Jacobian (pure sign test)
+    # independent eigenvalue verdict on the FD Jacobian (pure sign test); the
+    # explicit step keeps the CSV columns fixed: at a = lam = 0 the phase
+    # eigenvalue is 0 up to noise, -3e-10 by FD and +3e-12 by quadrature
     J = averaging.averaged_jacobian(_field_for(model, a, lam), r.v0,
                                     n_nodes=jacobian_nodes,
                                     fd_step=1e-5 * (1.0 + amp))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -65,6 +66,16 @@ def test_node_count_validation():
         averaged_function(f, np.zeros(1), n_nodes=101)
 
 
+def test_simpson_weights_are_shared_and_read_only():
+    w = averaging._simpson_weights(10)
+    assert w.tolist() == [1, 4, 2, 4, 2, 4, 2, 4, 2, 4, 1]
+    assert averaging._simpson_weights(10) is w and not w.flags.writeable
+    n = averaging.CACHED_PANELS + 2         # rebuilt per call, not kept
+    big = averaging._simpson_weights(n)
+    assert big[0] == big[-1] == 1.0 and big.sum() == 3 * n
+    assert averaging._simpson_weights(n) is not big
+
+
 def test_quadrature_converged_on_smooth_integrand():
     f = _field(1, TWO_PI, lambda t, x, eps: _stack(
         [np.sin(3 * t) ** 2 + np.cos(t)], t, x))
@@ -127,6 +138,54 @@ def test_jacobian_closed_form_nonsmooth_at_origin():
     J = averaged_jacobian(f, np.zeros(2), n_nodes=16384, fd_step=1e-9)
     want = vdp.averaged_jacobian_closed_form("nonsmooth", 0.0, 0.0, a)
     assert np.max(np.abs(J - want)) < 1e-8
+
+
+@pytest.mark.parametrize("model,builder", [
+    ("nonsmooth", vdp.nonsmooth_vdp_field),
+    ("classical", vdp.classical_vdp_field),
+])
+def test_quadrature_jacobian_matches_closed_form(model, builder):
+    # the average of dg/dx on kink-aligned panels; central differences of the
+    # averaged field were off by up to 8e-9 here
+    rng = np.random.default_rng(13)
+    worst = 0.0
+    for _ in range(200):
+        a, lam = rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0)
+        v = rng.uniform(-3.0, 3.0, 2)
+        J = averaged_jacobian(builder(vdp.ForcingParams(a, lam)), v)
+        worst = max(worst, float(np.max(np.abs(
+            J - vdp.averaged_jacobian_closed_form(model, v[0], v[1], a)))))
+    J = averaged_jacobian(builder(vdp.ForcingParams(0.37, 0.0)), np.zeros(2))
+    worst = max(worst, float(np.max(np.abs(
+        J - vdp.averaged_jacobian_closed_form(model, 0.0, 0.0, 0.37)))))
+    assert worst <= 1e-10
+
+
+def test_quadrature_jacobian_calls_no_evaluate_and_fd_step_forces_differences():
+    base = vdp.classical_vdp_field(vdp.ForcingParams(0.2, 0.4))    # no kinks: one panel
+    calls = {"evaluate": 0, "jacobian": 0}
+
+    def counted(name):
+        fn = getattr(base, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    f = dataclasses.replace(base, evaluate=counted("evaluate"), jacobian=counted("jacobian"))
+    v, n = np.array([1.2, -0.4]), 4096
+    averaged_jacobian(f, v, n)
+    chunks = -(-(n + 1) // averaging.JACOBIAN_CHUNK)
+    assert calls == {"evaluate": 0, "jacobian": chunks}
+    calls.update(evaluate=0, jacobian=0)
+    J = averaged_jacobian(f, v, n, fd_step=1e-5)
+    assert calls == {"evaluate": 2 * f.dim, "jacobian": 0}
+    # an explicit step is the plain central difference of the averaged field
+    want = np.column_stack([(averaged_function(base, v + 1e-5 * e, n)
+                             - averaged_function(base, v - 1e-5 * e, n)) / 2e-5
+                            for e in np.eye(2)])
+    assert np.array_equal(J, want)
 
 
 def test_find_root_linear_converges_fast(linear_field):
@@ -227,17 +286,29 @@ def test_scan_roots_validation(unforced_nonsmooth):
 
 
 def test_averaged_report_shapes(unforced_nonsmooth):
-    rep = averaged_report(unforced_nonsmooth, np.array([1.0, 0.0]),
-                          with_jacobian=True)
+    f = dataclasses.replace(unforced_nonsmooth, jacobian=None)
+    rep = averaged_report(f, np.array([1.0, 0.0]), with_jacobian=True)
     assert rep.value.shape == (2,)
     assert rep.jacobian.shape == (2, 2)
     assert rep.fd_step is not None
-    rep2 = averaged_report(unforced_nonsmooth, np.array([1.0, 0.0]))
+    rep2 = averaged_report(f, np.array([1.0, 0.0]))
     assert rep2.jacobian is None
 
 
 def test_averaged_report_uses_the_jacobian_step(unforced_nonsmooth):
+    f = dataclasses.replace(unforced_nonsmooth, jacobian=None)
+    v = np.array([1.0, 0.5])
+    rep = averaged_report(f, v, n_nodes=256, with_jacobian=True)
+    assert rep.fd_step == averaging.DEFAULT_FD_STEP_SCALE * (1.0 + np.linalg.norm(v))
+    assert np.array_equal(rep.jacobian, averaged_jacobian(f, v, 256))
+
+
+def test_averaged_report_of_a_jacobian_field_takes_no_fd_step(unforced_nonsmooth):
     v = np.array([1.0, 0.5])
     rep = averaged_report(unforced_nonsmooth, v, n_nodes=256, with_jacobian=True)
-    assert rep.fd_step == averaging.DEFAULT_FD_STEP_SCALE * (1.0 + np.linalg.norm(v))
+    assert rep.fd_step is None
     assert np.array_equal(rep.jacobian, averaged_jacobian(unforced_nonsmooth, v, 256))
+    rep = averaged_report(unforced_nonsmooth, v, n_nodes=256, with_jacobian=True,
+                          fd_step=1e-5)
+    assert rep.fd_step == 1e-5
+    assert np.array_equal(rep.jacobian, averaged_jacobian(unforced_nonsmooth, v, 256, 1e-5))

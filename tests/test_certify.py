@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -44,6 +45,23 @@ def test_certify_forced_hurwitz():
     a, lam, root = certified_forced_params()
     f = vdp.nonsmooth_vdp_field(vdp.ForcingParams(a, lam))
     cert = certify_hurwitz(f, root)
+    assert cert.hurwitz and not cert.degenerate
+
+
+def test_certify_passes_the_fd_step_through():
+    a, lam, root = certified_forced_params()
+    f = vdp.nonsmooth_vdp_field(vdp.ForcingParams(a, lam))
+    cert = certify_hurwitz(f, root)
+    assert cert.fd_step is None
+    assert np.array_equal(cert.jacobian, averaging.averaged_jacobian(f, root, 16384))
+    assert np.max(np.abs(cert.jacobian - vdp.averaged_jacobian_closed_form(
+        "nonsmooth", root[0], root[1], a))) <= 1e-10
+    cert = certify_hurwitz(f, root, fd_step=1e-5)
+    assert cert.fd_step == 1e-5
+    assert np.array_equal(cert.jacobian, averaging.averaged_jacobian(f, root, 16384, 1e-5))
+    g = dataclasses.replace(f, jacobian=None)
+    cert = certify_hurwitz(g, root)
+    assert cert.fd_step == averaging.DEFAULT_FD_STEP_SCALE * (1.0 + np.linalg.norm(root))
     assert cert.hurwitz and not cert.degenerate
 
 

@@ -437,7 +437,7 @@ def test_twin_averaged_jacobian_matches_closed_form():
         J = averaged_jacobian(f, v, 4096)
         worst = max(worst, float(np.max(np.abs(
             J - vdp.averaged_jacobian_closed_form("nonsmooth", v[0], v[1], a)))))
-    assert worst <= 1e-8
+    assert worst <= 1e-10
 
 
 def test_twin_certified_at_closed_form_root():
@@ -479,6 +479,15 @@ def test_kinks_find_two_zeros_in_one_scan_interval():
     assert g.kinks(np.zeros(1), 0.0) == ()
 
 
+@pytest.mark.parametrize("c", [0.03, TWO_PI - 0.03])
+def test_kinks_find_a_dip_in_an_end_scan_interval(c):
+    # the grid minimum of |s| is the first (last) scan point, so the dip lies
+    # in the first (last) interval and has no interior grid minimum
+    f = field_from_spec(FieldSpec.from_strings(1, TWO_PI, [f"abs(cos(t - {c!r}) - 0.99999)"]))
+    d = math.acos(0.99999)
+    assert np.allclose(f.kinks(np.zeros(1), 0.0), [c - d, c + d], rtol=0, atol=1e-12)
+
+
 # --- forward-mode jacobian ---------------------------------------------------------
 
 def test_twin_jacobian_matches_builtin():
@@ -511,6 +520,20 @@ def test_jacobian_corners_and_constant_exponents():
     assert np.array_equal(f.jacobian(0.0, np.array([-2.0, 0.0]), 0.0), [[-1.0, 0.0], [12.0, 0.0]])
     g = field_from_spec(FieldSpec.from_strings(1, TWO_PI, ["cos(t) + eps"]))
     assert np.array_equal(g.jacobian(1.0, np.array([3.0]), 0.1), [[0.0]])
+
+
+def test_jacobian_rows_at_an_array_of_times():
+    # tangents that depend on t, on x alone, and none at all
+    f = field_from_spec(FieldSpec.from_strings(3, TWO_PI, [
+        "abs(x1 - sin(t))*x2 / (2 + cos(t))",
+        "x1^3 - x2/x3 + sin(x2)^2",
+        "cos(t)^2 + eps"]))
+    t, x = np.linspace(0.0, TWO_PI, 101), np.array([0.7, 1.4, 2.1])
+    J = f.jacobian(t, x, 0.1)
+    assert J.shape == (101, 3, 3)
+    rows = np.array([f.jacobian(float(ti), x, 0.1) for ti in t])
+    assert np.max(np.abs(J - rows)) <= 1e-13
+    assert not np.any(J[:, 2])
 
 
 @pytest.mark.parametrize("source,x,error,text", [

@@ -88,6 +88,20 @@ def test_builtin_jacobian_matches_central_difference(field):
     assert checked >= 190
 
 
+@pytest.mark.parametrize("field", [
+    nonsmooth_vdp_field(ForcingParams(0.1, 1.0)),
+    classical_vdp_field(ForcingParams(0.3, 0.7)),
+    linear_test_field(),
+])
+def test_builtin_jacobian_rows_at_an_array_of_times(field):
+    x = np.random.default_rng(12).uniform(-3.0, 3.0, field.dim)
+    t = np.linspace(0.0, TWO_PI, 101)
+    J = field.jacobian(t, x, 0.05)
+    assert J.shape == (101, field.dim, field.dim)
+    rows = np.array([field.jacobian(float(ti), x, 0.05) for ti in t])
+    assert np.max(np.abs(J - rows)) <= 1e-13
+
+
 def test_eps_zero_freezes_slow_flow(unforced_nonsmooth):
     v = np.array([1.2, 0.7])
     out = odeint.poincare_map(unforced_nonsmooth, v, 0.0)
