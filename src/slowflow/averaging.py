@@ -10,12 +10,13 @@ switching times (``field.kinks``: the built-ins and every DSL field with
 integrates a smooth piece and the full O(h^4) rate is retained; a corner
 inside a panel costs O(h^2) locally.
 
-Its Jacobian (g0)'(v) is the average of dg/dx: g is differentiable in x off
-a switching set of measure zero, with a bounded derivative, so dominated
-convergence moves the derivative under the integral.  A field that publishes
-``jacobian`` gets that integral by the same kink-aligned Simpson rule; a
-field without one, or a call with an explicit ``fd_step``, gets central
-differences of the averaged field instead.
+Its Jacobian (g0)'(v) is the average of dg/dx: g is continuous in x, and
+differentiable off a switching set of measure zero with a bounded
+derivative, so dominated convergence moves the derivative under the
+integral.  A field that publishes ``jacobian`` gets that integral by the
+same kink-aligned Simpson rule; a field without one, a field that jumps
+(``PeriodicField.jumps``), or a call with an explicit ``fd_step``, gets
+central differences of the averaged field instead.
 
 Zeros of the averaged field are the candidate initial points of periodic
 solutions of x' = eps*g; they are located by the damped Newton loop of
@@ -26,7 +27,6 @@ the quadrature values with that Jacobian.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Optional
 
 import numpy as np
@@ -38,7 +38,7 @@ from .odeint import PeriodicField
 
 __all__ = [
     "AveragedReport", "RootResult",
-    "averaged_function", "averaged_jacobian", "averaged_report", "jacobian_fd_step",
+    "averaged_function", "averaged_jacobian", "averaged_report",
     "find_root", "scan_roots",
     "DEFAULT_NODES", "DEFAULT_FD_STEP_SCALE",
 ]
@@ -47,7 +47,6 @@ DEFAULT_NODES = 4096
 DEFAULT_FD_STEP_SCALE = 1e-6      # fd step = scale * (1 + |v|)
 NON_ISOLATED_RATIO = 1e-6         # sigma_min/sigma_max below this flags a continuum
 JACOBIAN_CHUNK = 2048             # nodes per `jacobian` call: (n, k, k) tangents stay small
-CACHED_PANELS = 2048              # largest segment whose Simpson weights are cached
 
 
 @dataclass(frozen=True)
@@ -73,21 +72,11 @@ class RootResult:
     non_isolated: bool = False     # near-singular Jacobian: continuum suspected
 
 
-@lru_cache(maxsize=4)
-def _cached_weights(n: int) -> np.ndarray:
+def _simpson_weights(n: int) -> np.ndarray:
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    w.flags.writeable = False       # shared by every call with this n
     return w
-
-
-def _simpson_weights(n: int) -> np.ndarray:
-    """Composite Simpson weights 1, 4, 2, 4, ..., 4, 1 for n (even) panels,
-    read-only.  Up to ``CACHED_PANELS`` panels they come from a small cache
-    (segment sizes follow the kinks, so they form no fixed set); larger ones
-    are rebuilt per call, as a cached one would stay resident."""
-    return _cached_weights(n) if n <= CACHED_PANELS else _cached_weights.__wrapped__(n)
 
 
 def _panel_layout(f: PeriodicField, v, n_nodes: int):
@@ -109,12 +98,27 @@ def _panel_layout(f: PeriodicField, v, n_nodes: int):
     return segs
 
 
+def _nodes(lo: float, hi: float, n: int, T: float, one_sided: bool) -> np.ndarray:
+    """The n + 1 Simpson nodes of [lo, hi].  With `one_sided` the end nodes,
+    which lie on the switching set, move inward to take the value of the
+    segment's own side (``sign(0) = 0`` would take neither): by 1e-9 of the
+    segment, and by at least 1e-12*T, far past the 1e-15*T to which the
+    switching times are found."""
+    t = np.linspace(lo, hi, n + 1)
+    if one_sided:
+        d = max(1e-9 * (hi - lo), 1e-12 * T)
+        t[0], t[-1] = lo + d, hi - d
+    return t
+
+
 def averaged_function(f: PeriodicField, v, n_nodes: int = DEFAULT_NODES) -> np.ndarray:
-    """Integral of g(., v, 0) over one period (not divided by T)."""
+    """Integral of g(., v, 0) over one period (not divided by T).  A field
+    that jumps takes one-sided values at the segment ends, so a piecewise
+    constant g integrates exactly."""
     v = np.asarray(v, dtype=float)
     total = np.zeros(f.dim)
     for lo, hi, n in _panel_layout(f, v, n_nodes):
-        t = np.linspace(lo, hi, n + 1)
+        t = _nodes(lo, hi, n, f.period, f.jumps)
         vals = np.asarray(f.evaluate(t, v, 0.0), dtype=float)
         if vals.shape != (n + 1, f.dim):
             vals = vals.reshape(n + 1, f.dim)
@@ -125,12 +129,13 @@ def averaged_function(f: PeriodicField, v, n_nodes: int = DEFAULT_NODES) -> np.n
     return total
 
 
-def jacobian_fd_step(f: PeriodicField, v, fd_step: Optional[float] = None) -> Optional[float]:
+def _jacobian_fd_step(f: PeriodicField, v, fd_step: Optional[float]) -> Optional[float]:
     """The FD step `averaged_jacobian` takes at v, or None when it integrates
-    the field's ``jacobian``."""
+    the field's ``jacobian``.  A field that jumps is differenced: its
+    ``jacobian`` misses what the moving jumps add to (g0)'(v)."""
     if fd_step is not None:
         return fd_step
-    if f.jacobian is not None:
+    if f.jacobian is not None and not f.jumps:
         return None
     return DEFAULT_FD_STEP_SCALE * (1.0 + float(np.linalg.norm(v)))
 
@@ -138,14 +143,11 @@ def jacobian_fd_step(f: PeriodicField, v, fd_step: Optional[float] = None) -> Op
 def _integrated_jacobian(f: PeriodicField, v: np.ndarray, n_nodes: int) -> np.ndarray:
     """Simpson rule for the integral of dg/dx(., v, 0) on the kink-aligned
     segments.  dg/dx jumps at a corner, where ``jacobian`` may take either
-    side or neither (sign(0) = 0), so each segment's end nodes move 1e-9 of
-    the segment inward and take the one-sided value."""
+    side or neither, so the end nodes take one-sided values."""
     k = f.dim
     total = np.zeros(k * k)
     for lo, hi, n in _panel_layout(f, v, n_nodes):
-        t = np.linspace(lo, hi, n + 1)
-        t[0], t[-1] = lo + 1e-9 * (hi - lo), hi - 1e-9 * (hi - lo)
-        w, part = _simpson_weights(n), np.zeros(k * k)
+        t, w, part = _nodes(lo, hi, n, f.period, True), _simpson_weights(n), np.zeros(k * k)
         for i in range(0, n + 1, JACOBIAN_CHUNK):
             J = np.asarray(f.jacobian(t[i:i + JACOBIAN_CHUNK], v, 0.0), dtype=float)
             part += w[i:i + JACOBIAN_CHUNK] @ J.reshape(-1, k * k)
@@ -157,16 +159,16 @@ def averaged_jacobian(f: PeriodicField, v, n_nodes: int = DEFAULT_NODES,
                       fd_step: Optional[float] = None) -> np.ndarray:
     """Jacobian (g0)'(v) of the averaged field at v.
 
-    With ``fd_step=None`` and a field that publishes ``jacobian``, it is the
-    Simpson integral of dg/dx over the kink-aligned panels of
-    `averaged_function`: one quadrature, and exact up to that rule.
+    With ``fd_step=None`` and a field that publishes ``jacobian`` and does
+    not jump, it is the Simpson integral of dg/dx over the kink-aligned
+    panels of `averaged_function`: one quadrature, and exact up to that rule.
     Otherwise it is the central difference of the averaged field with step
     `fd_step` (default ``DEFAULT_FD_STEP_SCALE * (1 + |v|)``), 2k quadratures.
     Either way the derivative is taken of the average, which is smooth near
     simple roots even when g is only Lipschitz.
     """
     v = np.asarray(v, dtype=float)
-    h = jacobian_fd_step(f, v, fd_step)
+    h = _jacobian_fd_step(f, v, fd_step)
     if h is None:
         J = _integrated_jacobian(f, v, n_nodes)
     else:
@@ -189,8 +191,8 @@ def averaged_report(f: PeriodicField, v, n_nodes: int = DEFAULT_NODES,
                     fd_step: Optional[float] = None) -> AveragedReport:
     v = np.asarray(v, dtype=float)
     val = averaged_function(f, v, n_nodes)
-    h = jacobian_fd_step(f, v, fd_step) if with_jacobian else None
-    J = averaged_jacobian(f, v, n_nodes, fd_step) if with_jacobian else None
+    h = _jacobian_fd_step(f, v, fd_step) if with_jacobian else None
+    J = averaged_jacobian(f, v, n_nodes, h) if with_jacobian else None
     return AveragedReport(v, val, J, n_nodes, h)
 
 

@@ -97,14 +97,15 @@ def certify_hurwitz(f: PeriodicField, v0, n_nodes: int = _CERT_NODES,
     """Eigenvalue classification of the averaged Jacobian at v0.
 
     The Jacobian is ``averaging.averaged_jacobian`` with the caller's
-    `fd_step`: the quadrature of the field's ``jacobian`` when it has one and
-    `fd_step` is None, else a central difference.  ``degenerate`` means some
-    eigenvalue real part sits inside the noise band
+    `fd_step`: the quadrature of the field's ``jacobian`` when it has one, does
+    not jump and `fd_step` is None, else a central difference.  ``degenerate``
+    means some eigenvalue real part sits inside the noise band
     ``degeneracy_band * max(1, spectral radius)`` -- a first-class outcome
     (phase invariance of an unforced cycle lands exactly there), not an error.
     """
     v0 = np.asarray(v0, dtype=float)
-    A = averaging.averaged_jacobian(f, v0, n_nodes=n_nodes, fd_step=fd_step)
+    h = averaging._jacobian_fd_step(f, v0, fd_step)
+    A = averaging.averaged_jacobian(f, v0, n_nodes=n_nodes, fd_step=h)
     spec = smalllin.eigenvalues(A)
     scale = max(1.0, float(np.max(np.abs(spec.values))))
     band = degeneracy_band * scale
@@ -112,7 +113,7 @@ def certify_hurwitz(f: PeriodicField, v0, n_nodes: int = _CERT_NODES,
     hurwitz = spec.max_real < -band
     return StabilityCertificate(v0=v0, jacobian=A, spectrum=spec,
                                 hurwitz=hurwitz, degenerate=degenerate,
-                                fd_step=averaging.jacobian_fd_step(f, v0, fd_step))
+                                fd_step=h)
 
 
 def pnorm_operator(M, P) -> float:

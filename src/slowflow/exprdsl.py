@@ -271,6 +271,7 @@ class _Tape:
         self.k, self.values, self.code = k, [None] * (k + 2) + list(params.values()), []
         self.out = [self._slot(e) for e in exprs]
         self.switches = sorted({i for _, fn, _, i, _ in self.code if fn in (np.abs, np.sign)})
+        self.jumps = any(fn is np.sign for _, fn, *_ in self.code)
         # kinks run the ops up to the last switching slot
         self.switch_ops = sum(s <= max(self.switches, default=-1) for s, *_ in self.code)
 
@@ -451,7 +452,8 @@ def field_from_spec(spec: FieldSpec) -> PeriodicField:
     declared parameter; the component count must match the dimension.  The
     field publishes ``kinks`` when a component calls ``abs`` or ``sign``, and
     always ``jacobian``, by forward mode over the tape with abs' = sign and
-    sign' = 0; a derivative that is not finite raises ``DomainError``."""
+    sign' = 0; a derivative that is not finite raises ``DomainError``.  A
+    field that calls ``sign`` is marked ``jumps``, as its value may jump."""
     if len(spec.components) != spec.dim:
         raise DimensionMismatch(f"{len(spec.components)} components for dimension {spec.dim}")
     tape = _Tape(spec.components, dict(spec.params), spec.dim)
@@ -467,4 +469,4 @@ def field_from_spec(spec: FieldSpec) -> PeriodicField:
 
     return PeriodicField(dim=spec.dim, period=spec.period, evaluate=evaluate, name="dsl",
                          kinks=partial(_switch_zeros, tape, grid) if tape.switches else None,
-                         jacobian=tape.jacobian)
+                         jacobian=tape.jacobian, jumps=tape.jumps)

@@ -77,6 +77,12 @@ class PeriodicField:
     which flows cross transversally, so the period map is C^1 there (the
     saltation matrix is the identity), and ``find_periodic`` takes its Newton
     steps and Floquet multipliers from the variational flow.
+
+    ``jumps`` marks a field that is itself discontinuous across its switching
+    set (a DSL ``sign``).  Its ``jacobian`` is then only dg/dx off the jumps;
+    quadratures take one-sided values at the panel ends, and
+    ``averaged_jacobian`` differences the averaged field, as the jumps move
+    with x and add to (g0)'(v).
     """
 
     dim: int
@@ -85,6 +91,7 @@ class PeriodicField:
     kinks: Optional[Callable] = None
     name: str = "field"
     jacobian: Optional[Callable] = None
+    jumps: bool = False
 
     def __post_init__(self):
         if self.dim < 1:

@@ -11,6 +11,7 @@ from slowflow.averaging import (
     averaged_function, averaged_jacobian, averaged_report, find_root,
     scan_roots,
 )
+from slowflow.certify import certify_hurwitz
 from slowflow.errors import MaxIterations
 from slowflow.exprdsl import FieldSpec, field_from_spec
 from slowflow.odeint import PeriodicField
@@ -64,16 +65,6 @@ def test_node_count_validation():
         averaged_function(f, np.zeros(1), n_nodes=8)
     with pytest.raises(ValueError):
         averaged_function(f, np.zeros(1), n_nodes=101)
-
-
-def test_simpson_weights_are_shared_and_read_only():
-    w = averaging._simpson_weights(10)
-    assert w.tolist() == [1, 4, 2, 4, 2, 4, 2, 4, 2, 4, 1]
-    assert averaging._simpson_weights(10) is w and not w.flags.writeable
-    n = averaging.CACHED_PANELS + 2         # rebuilt per call, not kept
-    big = averaging._simpson_weights(n)
-    assert big[0] == big[-1] == 1.0 and big.sum() == 3 * n
-    assert averaging._simpson_weights(n) is not big
 
 
 def test_quadrature_converged_on_smooth_integrand():
@@ -186,6 +177,24 @@ def test_quadrature_jacobian_calls_no_evaluate_and_fd_step_forces_differences():
                              - averaged_function(base, v - 1e-5 * e, n)) / 2e-5
                             for e in np.eye(2)])
     assert np.array_equal(J, want)
+
+
+def test_jump_field_differences_its_one_sided_average():
+    # the average of sign(x1 - sin t) is 4 asin(v); dg/dx = 0 off the switching
+    # set, so the quadrature of `jacobian` would drop the moving jumps and give
+    # 0, where (g0)'(v) = 4 / sqrt(1 - v^2)
+    f = field_from_spec(FieldSpec.from_strings(1, TWO_PI, ["0.5 - sign(x1 - sin(t))"]))
+    assert f.jumps
+    assert not field_from_spec(FieldSpec.from_strings(1, TWO_PI, ["abs(x1 - sin(t))"])).jumps
+    for v in np.linspace(-0.9, 0.9, 13):
+        assert abs(averaged_function(f, [v])[0] - (math.pi - 4.0 * math.asin(v))) <= 1e-12
+        J = averaged_jacobian(f, [v])
+        assert abs(J[0, 0] + 4.0 / math.sqrt(1.0 - v * v)) <= 1e-7
+    assert averaged_report(f, [0.2], with_jacobian=True).fd_step is not None
+    r = find_root(f, [0.2])
+    assert abs(r.v0[0] - math.sqrt(0.5)) <= 1e-10      # 4 asin(v) = pi
+    cert = certify_hurwitz(f, r.v0)
+    assert cert.hurwitz and abs(cert.spectrum.max_real + 4.0 * math.sqrt(2.0)) <= 1e-6
 
 
 def test_find_root_linear_converges_fast(linear_field):
