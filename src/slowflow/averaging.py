@@ -14,9 +14,10 @@ Its Jacobian (g0)'(v) is the average of dg/dx: g is continuous in x, and
 differentiable off a switching set of measure zero with a bounded
 derivative, so dominated convergence moves the derivative under the
 integral.  A field that publishes ``jacobian`` gets that integral by the
-same kink-aligned Simpson rule; a field without one, a field that jumps
-(``PeriodicField.jumps``), or a call with an explicit ``fd_step``, gets
-central differences of the averaged field instead.
+same kink-aligned Simpson rule; a field without one, or a call with an
+explicit ``fd_step``, gets central differences of the averaged field instead.
+A field that jumps (``PeriodicField.jumps``) jumps only at fixed times, so
+its ``jacobian`` integrates like any other.
 
 Zeros of the averaged field are the candidate initial points of periodic
 solutions of x' = eps*g; they are located by the damped Newton loop of
@@ -46,6 +47,7 @@ __all__ = [
 DEFAULT_NODES = 4096
 DEFAULT_FD_STEP_SCALE = 1e-6      # fd step = scale * (1 + |v|)
 NON_ISOLATED_RATIO = 1e-6         # sigma_min/sigma_max below this flags a continuum
+DEDUP_TOL = 1e-6                  # `scan_roots` merges roots closer than this
 JACOBIAN_CHUNK = 2048             # nodes per `jacobian` call: (n, k, k) tangents stay small
 
 
@@ -131,11 +133,10 @@ def averaged_function(f: PeriodicField, v, n_nodes: int = DEFAULT_NODES) -> np.n
 
 def _jacobian_fd_step(f: PeriodicField, v, fd_step: Optional[float]) -> Optional[float]:
     """The FD step `averaged_jacobian` takes at v, or None when it integrates
-    the field's ``jacobian``.  A field that jumps is differenced: its
-    ``jacobian`` misses what the moving jumps add to (g0)'(v)."""
+    the field's ``jacobian``."""
     if fd_step is not None:
         return fd_step
-    if f.jacobian is not None and not f.jumps:
+    if f.jacobian is not None:
         return None
     return DEFAULT_FD_STEP_SCALE * (1.0 + float(np.linalg.norm(v)))
 
@@ -159,9 +160,9 @@ def averaged_jacobian(f: PeriodicField, v, n_nodes: int = DEFAULT_NODES,
                       fd_step: Optional[float] = None) -> np.ndarray:
     """Jacobian (g0)'(v) of the averaged field at v.
 
-    With ``fd_step=None`` and a field that publishes ``jacobian`` and does
-    not jump, it is the Simpson integral of dg/dx over the kink-aligned
-    panels of `averaged_function`: one quadrature, and exact up to that rule.
+    With ``fd_step=None`` and a field that publishes ``jacobian``, it is the
+    Simpson integral of dg/dx over the kink-aligned panels of
+    `averaged_function`: one quadrature, and exact up to that rule.
     Otherwise it is the central difference of the averaged field with step
     `fd_step` (default ``DEFAULT_FD_STEP_SCALE * (1 + |v|)``), 2k quadratures.
     Either way the derivative is taken of the average, which is smooth near
@@ -187,11 +188,10 @@ def averaged_jacobian(f: PeriodicField, v, n_nodes: int = DEFAULT_NODES,
 
 
 def averaged_report(f: PeriodicField, v, n_nodes: int = DEFAULT_NODES,
-                    with_jacobian: bool = False,
-                    fd_step: Optional[float] = None) -> AveragedReport:
+                    with_jacobian: bool = False) -> AveragedReport:
     v = np.asarray(v, dtype=float)
     val = averaged_function(f, v, n_nodes)
-    h = _jacobian_fd_step(f, v, fd_step) if with_jacobian else None
+    h = _jacobian_fd_step(f, v, None) if with_jacobian else None
     J = averaged_jacobian(f, v, n_nodes, h) if with_jacobian else None
     return AveragedReport(v, val, J, n_nodes, h)
 
@@ -230,13 +230,12 @@ def find_root(f: PeriodicField, guess, root_tol: float = 1e-10,
 
 
 def scan_roots(f: PeriodicField, box, grid_n: int = 32,
-               root_tol: float = 1e-10, n_nodes: int = DEFAULT_NODES,
-               dedup_tol: float = 1e-6) -> List[RootResult]:
+               root_tol: float = 1e-10, n_nodes: int = DEFAULT_NODES) -> List[RootResult]:
     """Grid scan of the averaged field over an axis-aligned box, Newton polish.
 
     Newton is launched from every cell whose corner values change sign in some
     component and from every grid-local minimum of the residual norm; results
-    closer than `dedup_tol` are merged.  Scanning is supported for k <= 3.
+    closer than ``DEDUP_TOL`` are merged.  Scanning is supported for k <= 3.
     """
     box = np.asarray(box, dtype=float)
     if box.shape != (f.dim, 2):
@@ -288,7 +287,7 @@ def scan_roots(f: PeriodicField, box, grid_n: int = 32,
             continue
         if np.any(r.v0 < box[:, 0] - 0.5) or np.any(r.v0 > box[:, 1] + 0.5):
             continue
-        if any(np.linalg.norm(r.v0 - prev.v0) < dedup_tol for prev in roots):
+        if any(np.linalg.norm(r.v0 - prev.v0) < DEDUP_TOL for prev in roots):
             continue
         roots.append(r)
     roots.sort(key=lambda r: tuple(r.v0))

@@ -17,7 +17,9 @@ Two hypotheses of the underlying averaging theory are *not* checkable by any
 finite computation -- the uniform-limit condition over all continuous
 perturbations, and measurability/measure-zero structure of the switching set.
 Reports list them as assumed; ``uniform_limit_diagnostic`` provides a sampled
-exploration of the former without claiming verification.
+exploration of the former without claiming verification.  The alpha grid,
+sample sizes and noise band are module constants (``ALPHA_*``,
+``LIPSCHITZ_*``, ``UNIFORM_*``, ``DEGENERACY_BAND``), one value each.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .odeint import PeriodicField
 from .orbit import _ball_batch
 
 __all__ = [
-    "StabilityCertificate", "LipschitzEstimate", "AlphaPolicy", "TheoremReport",
+    "StabilityCertificate", "LipschitzEstimate", "TheoremReport",
     "certify_hurwitz", "build_contraction_certificate",
     "pnorm_operator", "pnorm_operator_sampled",
     "estimate_lipschitz", "sampled_contraction_check",
@@ -48,6 +50,15 @@ __all__ = [
 DEGENERACY_BAND = 1e-4
 
 _CERT_NODES = 16384
+
+ALPHA_OCTAVES = 20               # alpha grid: 2^j/(2|tr A|) for |j| <= 20,
+ALPHA_MAX = 1.0                  # capped here, then refined by
+ALPHA_REFINE_STEPS = 60          # golden-section steps around the minimizer
+LIPSCHITZ_RADIUS = 0.5           # `theorem_report`'s sampled Lipschitz ball,
+LIPSCHITZ_SAMPLES = 2000         # its pairs,
+LIPSCHITZ_EPS_MAX = 1.0          # and the eps range [0, 1) they draw from
+UNIFORM_QUAD = 512               # `uniform_limit_diagnostic`: Simpson panels
+UNIFORM_KNOTS = 9                # per period, knots per perturbation
 
 
 @dataclass
@@ -81,34 +92,21 @@ class LipschitzEstimate:
     samples: int
 
 
-@dataclass(frozen=True)
-class AlphaPolicy:
-    """Geometric alpha grid around 1/(2|tr A|), refined near the minimizer."""
-
-    octaves_down: int = 20
-    octaves_up: int = 20
-    alpha_max: float = 1.0
-    refine_steps: int = 60
-
-
-def certify_hurwitz(f: PeriodicField, v0, n_nodes: int = _CERT_NODES,
-                    fd_step: Optional[float] = None,
-                    degeneracy_band: float = DEGENERACY_BAND) -> StabilityCertificate:
+def certify_hurwitz(f: PeriodicField, v0, n_nodes: int = _CERT_NODES) -> StabilityCertificate:
     """Eigenvalue classification of the averaged Jacobian at v0.
 
-    The Jacobian is ``averaging.averaged_jacobian`` with the caller's
-    `fd_step`: the quadrature of the field's ``jacobian`` when it has one, does
-    not jump and `fd_step` is None, else a central difference.  ``degenerate``
-    means some eigenvalue real part sits inside the noise band
-    ``degeneracy_band * max(1, spectral radius)`` -- a first-class outcome
+    The Jacobian is ``averaging.averaged_jacobian``: the quadrature of the
+    field's ``jacobian`` when it has one, else a central difference.
+    ``degenerate`` means some eigenvalue real part sits inside the noise band
+    ``DEGENERACY_BAND * max(1, spectral radius)`` -- a first-class outcome
     (phase invariance of an unforced cycle lands exactly there), not an error.
     """
     v0 = np.asarray(v0, dtype=float)
-    h = averaging._jacobian_fd_step(f, v0, fd_step)
+    h = averaging._jacobian_fd_step(f, v0, None)
     A = averaging.averaged_jacobian(f, v0, n_nodes=n_nodes, fd_step=h)
     spec = smalllin.eigenvalues(A)
     scale = max(1.0, float(np.max(np.abs(spec.values))))
-    band = degeneracy_band * scale
+    band = DEGENERACY_BAND * scale
     degenerate = bool(np.any(np.abs(spec.values.real) <= band))
     hurwitz = spec.max_real < -band
     return StabilityCertificate(v0=v0, jacobian=A, spectrum=spec,
@@ -157,9 +155,7 @@ def pnorm_operator_sampled(M, P, n_samples: int = 10_000, seed: int = 0) -> floa
     return max(best, polished)
 
 
-def build_contraction_certificate(cert: StabilityCertificate,
-                                  alpha_policy: AlphaPolicy = AlphaPolicy()
-                                  ) -> StabilityCertificate:
+def build_contraction_certificate(cert: StabilityCertificate) -> StabilityCertificate:
     """Complete a Hurwitz certificate with the Lyapunov norm and (alpha, q).
 
     P solves A'P + PA = -I; alpha scans a geometric grid (then golden-section
@@ -179,8 +175,7 @@ def build_contraction_certificate(cert: StabilityCertificate,
 
     base = 1.0 / (2.0 * abs(float(np.trace(A))))
     alphas = sorted({
-        min(alpha_policy.alpha_max, base * 2.0 ** j)
-        for j in range(-alpha_policy.octaves_down, alpha_policy.octaves_up + 1)
+        min(ALPHA_MAX, base * 2.0 ** j) for j in range(-ALPHA_OCTAVES, ALPHA_OCTAVES + 1)
     })
     vals = [mu(a) for a in alphas]
     i = int(np.argmin(vals))
@@ -191,7 +186,7 @@ def build_contraction_certificate(cert: StabilityCertificate,
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
     f1, f2 = mu(x1), mu(x2)
-    for _ in range(alpha_policy.refine_steps):
+    for _ in range(ALPHA_REFINE_STEPS):
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - invphi * (hi - lo)
@@ -213,8 +208,7 @@ def build_contraction_certificate(cert: StabilityCertificate,
 
 
 def estimate_lipschitz(f: PeriodicField, v0, delta: float,
-                       n_samples: int = 10_000, seed: int = 0,
-                       eps_max: float = 1.0) -> LipschitzEstimate:
+                       n_samples: int = 10_000, seed: int = 0) -> LipschitzEstimate:
     """Sampled difference quotient of g over the ball B_delta(v0).
 
     A lower bound on the true Lipschitz constant; diagnostic only.  All
@@ -227,7 +221,7 @@ def estimate_lipschitz(f: PeriodicField, v0, delta: float,
     v0 = np.asarray(v0, dtype=float)
     rng = np.random.default_rng(seed)
     t = rng.uniform(0.0, f.period, n_samples)
-    eps = rng.uniform(0.0, eps_max, n_samples)
+    eps = rng.uniform(0.0, LIPSCHITZ_EPS_MAX, n_samples)
     V1 = v0 + delta * _ball_batch(rng, n_samples, f.dim)
     V2 = v0 + delta * _ball_batch(rng, n_samples, f.dim)
     d = np.linalg.norm(V1 - V2, axis=1)
@@ -268,8 +262,7 @@ def sampled_contraction_check(f: PeriodicField, cert: StabilityCertificate,
 
 
 def uniform_limit_diagnostic(f: PeriodicField, v0, delta: float,
-                             n_samples: int = 50, seed: int = 0,
-                             n_quad: int = 512, n_knots: int = 9) -> float:
+                             n_samples: int = 50, seed: int = 0) -> float:
     """Sampled exploration of the uniform-limit averaging condition.
 
     Draws random piecewise-linear perturbations u with sup-norm <= delta and
@@ -286,13 +279,13 @@ def uniform_limit_diagnostic(f: PeriodicField, v0, delta: float,
     rng = np.random.default_rng(seed)
     k = f.dim
     T = f.period
-    tq = np.linspace(0.0, T, n_quad + 1)
-    w = averaging._simpson_weights(n_quad) * ((T / n_quad) / 3.0)
-    knots = np.linspace(0.0, T, n_knots)
+    tq = np.linspace(0.0, T, UNIFORM_QUAD + 1)
+    w = averaging._simpson_weights(UNIFORM_QUAD) * ((T / UNIFORM_QUAD) / 3.0)
+    knots = np.linspace(0.0, T, UNIFORM_KNOTS)
     V = v0 + delta * _ball_batch(rng, 2 * n_samples, k)
     worst = 0.0
     for v1, v2 in zip(V[:n_samples], V[n_samples:]):
-        uvals = rng.uniform(-delta, delta, size=(n_knots, k))
+        uvals = rng.uniform(-delta, delta, size=(UNIFORM_KNOTS, k))
         u = np.stack([np.interp(tq, knots, uvals[:, j]) for j in range(k)], axis=-1)
         d = float(np.linalg.norm(v1 - v2))
         if d < 1e-12:
@@ -353,8 +346,7 @@ class TheoremReport:
 
 
 def theorem_report(f: PeriodicField, point, root_tol: float = 1e-8,
-                   n_nodes: int = _CERT_NODES, lipschitz_radius: float = 0.5,
-                   lipschitz_samples: int = 2000, seed: int = 0) -> TheoremReport:
+                   n_nodes: int = _CERT_NODES, seed: int = 0) -> TheoremReport:
     """Evaluate every checkable condition at `point` and return the bundle.
 
     Verdicts: ``certified`` (root + Hurwitz + contraction certificate),
@@ -365,8 +357,8 @@ def theorem_report(f: PeriodicField, point, root_tol: float = 1e-8,
     residual = float(np.linalg.norm(averaging.averaged_function(f, point, n_nodes)))
     root_ok = residual <= root_tol
     cert = certify_hurwitz(f, point, n_nodes=n_nodes)
-    lip = estimate_lipschitz(f, point, lipschitz_radius,
-                             n_samples=lipschitz_samples, seed=seed)
+    lip = estimate_lipschitz(f, point, LIPSCHITZ_RADIUS,
+                             n_samples=LIPSCHITZ_SAMPLES, seed=seed)
     if not root_ok:
         verdict = f"failed(root residual {residual:.3e} > {root_tol:g})"
     elif cert.degenerate:

@@ -36,7 +36,7 @@ CSV_ROOTS_HEADER = "index,v,residual,iterations,converged,non_isolated"
 CSV_VERIFY_HEADER = "eps,v_star,residual,multipliers_re,multipliers_im,stable,orbitally_stable,dist_to_v0"
 
 _CONFIG_KEYS = {"system", "params", "integrator", "quadrature_nodes",
-                "fd_step", "root_tol", "seed"}
+                "root_tol", "seed"}
 _INTEGRATOR_KEYS = {"method", "h", "abs_tol", "rel_tol", "max_steps"}
 _SYSTEM_KEYS = {"dim", "period", "components", "params"}
 
@@ -53,7 +53,6 @@ class RunConfig:
     # `certify` has a higher fidelity than the package-wide one
     integrator: Optional[IntegratorConfig] = None
     quadrature_nodes: Optional[int] = None
-    fd_step: Optional[float] = None
     root_tol: float = 1e-10
     seed: int = 12345
 
@@ -138,8 +137,6 @@ def load_config(path: Optional[str], overrides: Optional[dict] = None) -> RunCon
                 setattr(cfg, key, conv(raw[key]))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad value for {key}: {raw[key]!r}") from exc
-    if "fd_step" in raw and raw["fd_step"] is not None:
-        cfg.fd_step = float(raw["fd_step"])
     if cfg.quadrature_nodes is not None and (cfg.quadrature_nodes < 16
                                              or cfg.quadrature_nodes % 2):
         raise ConfigError("quadrature_nodes must be even and >= 16")
@@ -191,7 +188,6 @@ def cmd_avg(args) -> int:
     f = cfg.build_field()
     point = _parse_point(args.point, f.dim)
     rep = averaging.averaged_report(f, point, with_jacobian=args.jacobian,
-                                    fd_step=cfg.fd_step,
                                     **_given(n_nodes=cfg.quadrature_nodes))
     out = {
         "point": [float(x) for x in rep.point],
@@ -379,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--nodes", type=int, default=None,
                    help="override quadrature_nodes from the config")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--point", type=float, nargs="+", required=True)
     p.add_argument("--jacobian", action="store_true")
     p.add_argument("--out", default=None)
@@ -388,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roots", help="grid scan + Newton roots (CSV)")
     p.add_argument("--config", default=None)
     p.add_argument("--nodes", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--box", type=float, nargs="+", required=True,
                    metavar="LO_HI", help="lo hi per axis")
     p.add_argument("--grid", type=int, default=32)
@@ -406,8 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="period-map fixed points over eps (CSV+JSON)")
     p.add_argument("--config", default=None)
-    p.add_argument("--nodes", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--point", type=float, nargs="+", required=True)
     p.add_argument("--eps", type=float, nargs="+", required=True)
     p.add_argument("--out", default=None)

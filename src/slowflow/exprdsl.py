@@ -10,9 +10,10 @@ unary minus; factors nest at most ``MAX_DEPTH`` deep)::
 
 Recognized functions: ``sin cos abs sqrt sign``.  Free names must be ``t``,
 ``eps``, ``x1..xk`` or a declared parameter; there are no conditionals or
-loops, so every expression is a pure, Lipschitz-friendly formula.  ``abs`` and
-``sign`` are exact at 0 (``abs(0) = 0``, ``sign(0) = 0``).  Expressions run
-compiled, as one straight-line tape per field (``field_from_spec``).
+loops, so every expression is a pure formula.  ``abs`` and ``sign`` are exact
+at 0 (``abs(0) = 0``, ``sign(0) = 0``).  Expressions run compiled, as one
+straight-line tape per field (``field_from_spec``), which keeps g Lipschitz
+in x: ``sign`` there takes only arguments free of x1..xk.
 """
 
 from __future__ import annotations
@@ -269,9 +270,10 @@ class _Tape:
         self.keyed = {**{f"x{i + 1}": i + 2 for i in range(k)},
                       **{p: k + 2 + j for j, p in enumerate(params)}, "t": 0, "eps": 1}
         self.k, self.values, self.code = k, [None] * (k + 2) + list(params.values()), []
+        self.signs = []                 # (argument slot, expression) of each `sign`
         self.out = [self._slot(e) for e in exprs]
         self.switches = sorted({i for _, fn, _, i, _ in self.code if fn in (np.abs, np.sign)})
-        self.jumps = any(fn is np.sign for _, fn, *_ in self.code)
+        self.jumps = bool(self.signs)
         # kinks run the ops up to the last switching slot
         self.switch_ops = sum(s <= max(self.switches, default=-1) for s, *_ in self.code)
 
@@ -305,6 +307,8 @@ class _Tape:
                         dfn = _checked(dfn, e, _nonfinite, DomainError, "non-finite derivative")
                     self.code.append((self.keyed[key], fn, dfn, args[0],
                                       args[1] if len(args) > 1 else None))
+                    if e.op == "sign":
+                        self.signs.append((args[0], e))
             done.append(self.keyed[key])
         return done[0]
 
@@ -451,12 +455,22 @@ def field_from_spec(spec: FieldSpec) -> PeriodicField:
     Every free name of every component must resolve to t, eps, x1..xk or a
     declared parameter; the component count must match the dimension.  The
     field publishes ``kinks`` when a component calls ``abs`` or ``sign``, and
-    always ``jacobian``, by forward mode over the tape with abs' = sign and
-    sign' = 0; a derivative that is not finite raises ``DomainError``.  A
-    field that calls ``sign`` is marked ``jumps``, as its value may jump."""
+    always ``jacobian``, by forward mode over the tape with abs' = sign; a
+    derivative that is not finite raises ``DomainError``.  ``sign`` of an
+    argument in x1..xk raises ``DomainError``: its jump would move with x,
+    which no period-map derivative follows.  A field that calls ``sign`` of
+    t, eps and parameters is marked ``jumps``: it jumps at fixed times."""
     if len(spec.components) != spec.dim:
         raise DimensionMismatch(f"{len(spec.components)} components for dimension {spec.dim}")
     tape = _Tape(spec.components, dict(spec.params), spec.dim)
+    xdep = set(range(2, 2 + spec.dim))      # the slots that depend on x1..xk
+    for s, _, _, i, j in tape.code:
+        if i in xdep or j in xdep:
+            xdep.add(s)
+    for i, e in tape.signs:
+        if i in xdep:
+            raise DomainError(pretty(e), "sign of an argument in x1..xk (g must be "
+                                         "Lipschitz in x)")
     grid = np.linspace(0.0, spec.period, KINK_SCAN + 1)
 
     def evaluate(t, x, eps):

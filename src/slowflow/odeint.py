@@ -73,16 +73,15 @@ class PeriodicField:
     ``averaging.averaged_jacobian``).  Off the switching set it must be exact;
     on it, any one-sided value will do; without it ``variational_map`` takes
     central differences of ``evaluate``, and ``averaged_jacobian`` of the
-    averaged field.  The field must be continuous across the switching set,
-    which flows cross transversally, so the period map is C^1 there (the
-    saltation matrix is the identity), and ``find_periodic`` takes its Newton
-    steps and Floquet multipliers from the variational flow.
+    averaged field.  The field must be continuous across a switching set that
+    moves with x, which flows cross transversally, so the period map is C^1
+    there (the saltation matrix is the identity), and ``find_periodic`` takes
+    its Newton steps and Floquet multipliers from the variational flow.
 
-    ``jumps`` marks a field that is itself discontinuous across its switching
-    set (a DSL ``sign``).  Its ``jacobian`` is then only dg/dx off the jumps;
-    quadratures take one-sided values at the panel ends, and
-    ``averaged_jacobian`` differences the averaged field, as the jumps move
-    with x and add to (g0)'(v).
+    ``jumps`` marks a field that jumps at fixed times only (a DSL ``sign`` of
+    t, eps and parameters): the jumps do not move with x, so ``jacobian`` and
+    the variational flow stay exact, and quadratures take one-sided values at
+    the panel ends.
     """
 
     dim: int

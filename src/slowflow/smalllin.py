@@ -27,6 +27,7 @@ __all__ = [
 # strict margin: max Re < -HURWITZ_MARGIN counts as Hurwitz, |Re| <= margin
 # is the degenerate band (the unforced oscillator sits exactly there)
 HURWITZ_MARGIN = 1e-9
+LYAPUNOV_RESIDUAL_TOL = 1e-8     # max |A'P + PA + I| that `lyapunov_solve` accepts
 
 
 def _as_square(A) -> np.ndarray:
@@ -48,8 +49,8 @@ class Spectrum:
     def max_real(self) -> float:
         return float(np.max(self.values.real))
 
-    def is_hurwitz(self, margin: float = HURWITZ_MARGIN) -> bool:
-        return self.max_real < -margin
+    def is_hurwitz(self) -> bool:
+        return self.max_real < -HURWITZ_MARGIN
 
 
 def _lapack(fn, *args, error=Singular):
@@ -120,7 +121,7 @@ def solve_lower(L, B) -> np.ndarray:
     return _lapack(np.linalg.solve, _as_square(L), np.asarray(B, dtype=float))
 
 
-def lyapunov_solve(A, residual_tol: float = 1e-8) -> np.ndarray:
+def lyapunov_solve(A) -> np.ndarray:
     """Symmetric positive-definite P with A'P + PA = -I, for Hurwitz A.
 
     Assembled as the k^2 x k^2 linear system
@@ -138,7 +139,7 @@ def lyapunov_solve(A, residual_tol: float = 1e-8) -> np.ndarray:
     P = solve(M, (-eye).reshape(-1)).reshape(n, n)
     P = 0.5 * (P + P.T)
     resid = float(np.max(np.abs(A.T @ P + P @ A + eye)))
-    if resid > residual_tol:
-        raise NoConvergence(f"Lyapunov residual {resid:.3e} exceeds {residual_tol:g}")
+    if resid > LYAPUNOV_RESIDUAL_TOL:
+        raise NoConvergence(f"Lyapunov residual {resid:.3e} exceeds {LYAPUNOV_RESIDUAL_TOL:g}")
     cholesky(P)    # certifies positive definiteness
     return P

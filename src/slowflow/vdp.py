@@ -51,6 +51,7 @@ UNFORCED_AMPLITUDE = {"nonsmooth": 3.0 * math.pi / 4.0, "classical": 2.0}
 
 AMP_MATCH_TOL = 1e-6          # recovered root must match the amplitude this well
 DEGENERATE_BAND = 1e-9        # |indicator| below this is flagged degenerate
+JACOBIAN_NODES = 16384        # quadrature nodes of a resonance root's FD Jacobian
 
 
 @dataclass(frozen=True)
@@ -356,11 +357,9 @@ def recover_root(model: str, a: float, lam: float, A: float,
         averaging._singular_ratio(J) < averaging.NON_ISOLATED_RATIO)
 
 
-def resonance_point(model: str, a: float, lam: float, A: float,
-                    n_nodes: int = 8192,
-                    jacobian_nodes: int = 16384) -> ResonancePoint:
+def resonance_point(model: str, a: float, lam: float, A: float) -> ResonancePoint:
     """Assemble the full resonance record for one amplitude root."""
-    r = recover_root(model, a, lam, A, n_nodes)
+    r = recover_root(model, a, lam, A)
     M, N = float(r.v0[0]), float(r.v0[1])
     amp = math.hypot(M, N)
     i6, i7 = stability_indicators(model, amp * amp, a)
@@ -368,7 +367,7 @@ def resonance_point(model: str, a: float, lam: float, A: float,
     # explicit step keeps the CSV columns fixed: at a = lam = 0 the phase
     # eigenvalue is 0 up to noise, -3e-10 by FD and +3e-12 by quadrature
     J = averaging.averaged_jacobian(_field_for(model, a, lam), r.v0,
-                                    n_nodes=jacobian_nodes,
+                                    n_nodes=JACOBIAN_NODES,
                                     fd_step=1e-5 * (1.0 + amp))
     hurwitz = smalllin.eigenvalues(J).max_real < 0.0
     stable = (i6 > 0.0) and (i7 < 0.0)
@@ -379,8 +378,7 @@ def resonance_point(model: str, a: float, lam: float, A: float,
                           degenerate=degenerate)
 
 
-def _resonance_curve(model: str, lam: float, a_range, n: int,
-                     n_nodes: int, jacobian_nodes: int) -> List[ResonancePoint]:
+def _resonance_curve(model: str, lam: float, a_range, n: int) -> List[ResonancePoint]:
     if n < 1:
         raise ValueError("n must be >= 1")
     a_lo, a_hi = float(a_range[0]), float(a_range[1])
@@ -391,23 +389,20 @@ def _resonance_curve(model: str, lam: float, a_range, n: int,
     for a in grid.tolist():
         for A in amplitude_roots(model, a, lam):
             try:
-                points.append(resonance_point(model, a, lam, A,
-                                              n_nodes, jacobian_nodes))
+                points.append(resonance_point(model, a, lam, A))
             except RootRecoveryFailed as exc:
                 log.warning("root recovery failed: %s", exc)
     return points
 
 
-def resonance_curve_nonsmooth(lam: float, a_range, n: int, n_nodes: int = 8192,
-                              jacobian_nodes: int = 16384) -> List[ResonancePoint]:
+def resonance_curve_nonsmooth(lam: float, a_range, n: int) -> List[ResonancePoint]:
     """Resonance curve of the piecewise-linear oscillator over a detuning grid."""
-    return _resonance_curve("nonsmooth", lam, a_range, n, n_nodes, jacobian_nodes)
+    return _resonance_curve("nonsmooth", lam, a_range, n)
 
 
-def resonance_curve_classical(lam: float, a_range, n: int, n_nodes: int = 8192,
-                              jacobian_nodes: int = 16384) -> List[ResonancePoint]:
+def resonance_curve_classical(lam: float, a_range, n: int) -> List[ResonancePoint]:
     """Resonance curve of the classical cubic oscillator over a detuning grid."""
-    return _resonance_curve("classical", lam, a_range, n, n_nodes, jacobian_nodes)
+    return _resonance_curve("classical", lam, a_range, n)
 
 
 def reconstruct_u(t, M, N):

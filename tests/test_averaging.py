@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import time
 
 import numpy as np
@@ -12,8 +13,8 @@ from slowflow.averaging import (
     scan_roots,
 )
 from slowflow.certify import certify_hurwitz
-from slowflow.errors import MaxIterations
-from slowflow.exprdsl import FieldSpec, field_from_spec
+from slowflow.errors import DomainError, MaxIterations
+from slowflow.exprdsl import FieldSpec, eval_expr, field_from_spec, parse
 from slowflow.odeint import PeriodicField
 
 TWO_PI = 2.0 * math.pi
@@ -179,22 +180,25 @@ def test_quadrature_jacobian_calls_no_evaluate_and_fd_step_forces_differences():
     assert np.array_equal(J, want)
 
 
-def test_jump_field_differences_its_one_sided_average():
-    # the average of sign(x1 - sin t) is 4 asin(v); dg/dx = 0 off the switching
-    # set, so the quadrature of `jacobian` would drop the moving jumps and give
-    # 0, where (g0)'(v) = 4 / sqrt(1 - v^2)
-    f = field_from_spec(FieldSpec.from_strings(1, TWO_PI, ["0.5 - sign(x1 - sin(t))"]))
+def test_state_jumps_are_rejected_and_time_jumps_integrate():
+    # sign(x1 - sin t) jumps where x1 = sin t, which moves with x: g is not
+    # Lipschitz in x, and no period-map derivative follows such a jump
+    with pytest.raises(DomainError, match=re.escape("'sign(x1 - sin(t))'")):
+        field_from_spec(FieldSpec.from_strings(1, TWO_PI, ["0.5 - sign(x1 - sin(t))"]))
+    assert eval_expr(parse("0.5 - sign(x1 - sin(t))"), 0.0, np.array([0.2]), 0.0) == -0.5
+    # sign(cos t) jumps at pi/2 and 3 pi/2 whatever x is: the average of
+    # x1*(1 + sign(cos t)) is 2 pi v, and the quadrature of `jacobian` 2 pi
+    f = field_from_spec(FieldSpec.from_strings(1, TWO_PI, ["x1*(1 + sign(cos(t)))"]))
     assert f.jumps
     assert not field_from_spec(FieldSpec.from_strings(1, TWO_PI, ["abs(x1 - sin(t))"])).jumps
-    for v in np.linspace(-0.9, 0.9, 13):
-        assert abs(averaged_function(f, [v])[0] - (math.pi - 4.0 * math.asin(v))) <= 1e-12
-        J = averaged_jacobian(f, [v])
-        assert abs(J[0, 0] + 4.0 / math.sqrt(1.0 - v * v)) <= 1e-7
-    assert averaged_report(f, [0.2], with_jacobian=True).fd_step is not None
+    for v in np.linspace(-2.0, 2.0, 13):
+        assert abs(averaged_function(f, [v])[0] - TWO_PI * v) <= 1e-12
+        rep = averaged_report(f, [v], with_jacobian=True)
+        assert rep.fd_step is None and abs(rep.jacobian[0, 0] - TWO_PI) <= 1e-12
     r = find_root(f, [0.2])
-    assert abs(r.v0[0] - math.sqrt(0.5)) <= 1e-10      # 4 asin(v) = pi
+    assert abs(r.v0[0]) <= 1e-12
     cert = certify_hurwitz(f, r.v0)
-    assert cert.hurwitz and abs(cert.spectrum.max_real + 4.0 * math.sqrt(2.0)) <= 1e-6
+    assert not cert.hurwitz and abs(cert.spectrum.max_real - TWO_PI) <= 1e-12
 
 
 def test_find_root_linear_converges_fast(linear_field):
@@ -317,7 +321,3 @@ def test_averaged_report_of_a_jacobian_field_takes_no_fd_step(unforced_nonsmooth
     rep = averaged_report(unforced_nonsmooth, v, n_nodes=256, with_jacobian=True)
     assert rep.fd_step is None
     assert np.array_equal(rep.jacobian, averaged_jacobian(unforced_nonsmooth, v, 256))
-    rep = averaged_report(unforced_nonsmooth, v, n_nodes=256, with_jacobian=True,
-                          fd_step=1e-5)
-    assert rep.fd_step == 1e-5
-    assert np.array_equal(rep.jacobian, averaged_jacobian(unforced_nonsmooth, v, 256, 1e-5))

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import NONSMOOTH_DSL, certified_forced_params
-from slowflow import averaging, exprdsl, smalllin, vdp
+from slowflow import averaging, certify, exprdsl, smalllin, vdp
 from slowflow.certify import (
-    AlphaPolicy, StabilityCertificate, build_contraction_certificate,
+    StabilityCertificate, build_contraction_certificate,
     certify_hurwitz, estimate_lipschitz, pnorm_operator,
     pnorm_operator_sampled, sampled_contraction_check, theorem_report,
     uniform_limit_diagnostic,
@@ -56,9 +56,6 @@ def test_certify_passes_the_fd_step_through():
     assert np.array_equal(cert.jacobian, averaging.averaged_jacobian(f, root, 16384))
     assert np.max(np.abs(cert.jacobian - vdp.averaged_jacobian_closed_form(
         "nonsmooth", root[0], root[1], a))) <= 1e-10
-    cert = certify_hurwitz(f, root, fd_step=1e-5)
-    assert cert.fd_step == 1e-5
-    assert np.array_equal(cert.jacobian, averaging.averaged_jacobian(f, root, 16384, 1e-5))
     g = dataclasses.replace(f, jacobian=None)
     cert = certify_hurwitz(g, root)
     assert cert.fd_step == averaging.DEFAULT_FD_STEP_SCALE * (1.0 + np.linalg.norm(root))
@@ -246,6 +243,9 @@ def test_uniform_limit_diagnostic_deterministic(linear_field):
 
 
 def test_alpha_policy_grid_bounds():
-    done = build_contraction_certificate(
-        _cert_for(-3.0 * np.eye(2)), AlphaPolicy(alpha_max=0.25))
-    assert done.alpha <= 0.25 + 1e-12
+    # the grid centre 1/(2|tr A|) = 2.5 lies above the cap, and |I + alpha*A|_P
+    # = 1 - 0.1*alpha falls all the way to it
+    done = build_contraction_certificate(_cert_for(-0.1 * np.eye(2)))
+    assert certify.ALPHA_MAX == 1.0
+    assert done.alpha == certify.ALPHA_MAX
+    assert abs(done.q - 0.9) <= 1e-12

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -95,7 +96,8 @@ def test_numerical_failure_exits_4(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("component", ["x1 +", "x9", "foo(x1)"])
+# the last is well formed, but its jump moves with x1
+@pytest.mark.parametrize("component", ["x1 +", "x9", "foo(x1)", "0.5 - sign(x1 - sin(t))"])
 def test_bad_dsl_component_exits_2(tmp_path, capsys, component):
     cfg = _write_cfg(tmp_path, {
         "system": {"dim": 1, "period": 1.0, "components": [component]},
@@ -236,6 +238,36 @@ def test_cli_flag_overrides_config_nodes(tmp_path, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["quadrature_nodes"] == 256
+
+
+def test_subcommand_options_are_pinned():
+    # every flag of every subcommand: one added or dropped shows up here
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: sorted(o for a in p._actions for o in a.option_strings
+                        if o not in ("-h", "--help"))
+           for name, p in sub.choices.items()}
+    assert got == {
+        "avg": ["--config", "--jacobian", "--nodes", "--out", "--point"],
+        "roots": ["--box", "--config", "--grid", "--nodes", "--out"],
+        "certify": ["--config", "--nodes", "--out", "--point", "--root-tol", "--seed"],
+        "verify": ["--config", "--eps", "--out", "--point", "--summary"],
+        "resonance": ["--a", "--lambda", "--model", "--n", "--out", "--svg"],
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--point", "0", "--eps", "0.04", "--nodes", "256"],
+    ["avg", "--point", "0", "--seed", "1"],
+    ["roots", "--box", "0", "1", "--seed", "1"],
+    ["verify", "--point", "0", "--eps", "0.04", "--seed", "1"],
+])
+def test_nodes_and_seed_only_where_they_act(argv, capsys):
+    # verify integrates and never averages; only certify draws random samples
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
 
 
 def test_format_float_17_digits():

@@ -1,11 +1,12 @@
-"""CLI reports of the averaged Jacobian: quadrature by default, FD on request."""
+"""CLI reports of the averaged Jacobian: the quadrature of the field's `jacobian`."""
 
 import json
 
 import numpy as np
+import pytest
 
 from conftest import certified_forced_params, validate_schema
-from slowflow import averaging, vdp
+from slowflow import vdp
 from slowflow.cli import main
 
 
@@ -33,7 +34,7 @@ def test_certify_reports_null_fd_step_and_validates(tmp_path, capsys):
     validate_schema(rep, _schema("theorem_report.schema.json"))
 
 
-def test_avg_jacobian_is_the_quadrature_unless_fd_step_is_configured(tmp_path, capsys):
+def test_avg_jacobian_is_the_quadrature(tmp_path, capsys):
     cfg, f, a, root = _config(tmp_path)
     point = [repr(float(x)) for x in root]
     assert main(["avg", "--config", cfg, "--point", *point, "--jacobian"]) == 0
@@ -43,13 +44,15 @@ def test_avg_jacobian_is_the_quadrature_unless_fd_step_is_configured(tmp_path, c
     assert np.max(np.abs(np.array(rep["jacobian"]) - want)) <= 1e-10
     validate_schema(rep, _schema("avg_report.schema.json"))
 
-    cfg, f, a, root = _config(tmp_path, fd_step=1e-5)
-    assert main(["avg", "--config", cfg, "--point", *point, "--jacobian"]) == 0
-    rep = json.loads(capsys.readouterr().out)
-    assert rep["fd_step"] == 1e-5
-    n = averaging.DEFAULT_NODES
-    fd = np.column_stack([(averaging.averaged_function(f, root + 1e-5 * e, n)
-                           - averaging.averaged_function(f, root - 1e-5 * e, n)) / 2e-5
-                          for e in np.eye(2)])
-    assert np.array_equal(np.array(rep["jacobian"]), fd)
-    validate_schema(rep, _schema("avg_report.schema.json"))
+
+@pytest.mark.parametrize("args", [
+    ["avg", "--point", "1", "2", "--jacobian"],
+    ["roots", "--box", "0", "1", "0", "1"],
+    ["certify", "--point", "1", "2"],
+    ["verify", "--point", "1", "2", "--eps", "0.04", "0.02", "0.01"],
+])
+def test_fd_step_is_no_config_key(tmp_path, capsys, args):
+    cfg = _config(tmp_path, fd_step=1e-5)[0]
+    assert main([args[0], "--config", cfg, *args[1:]]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "unknown config keys: ['fd_step']" in out.err

@@ -262,6 +262,17 @@ def _ref_eval(e, t, x, eps, params):
     raise UnknownIdentifier(e.op)
 
 
+def _sign_of_state(e, under_sign=False):
+    """Whether some ``sign`` in e takes an argument that names x1..xk."""
+    if isinstance(e, Var):
+        return under_sign and e.name.startswith("x")
+    if isinstance(e, Unary):
+        return _sign_of_state(e.arg, under_sign or e.op == "sign")
+    if isinstance(e, Binary):
+        return _sign_of_state(e.left, under_sign) or _sign_of_state(e.right, under_sign)
+    return False
+
+
 def _ref_field(components, k, params):
     """The replaced ``field_from_spec`` evaluate over the reference walk."""
 
@@ -322,10 +333,16 @@ def test_tape_bit_identical_to_tree_walk():
             assert _same(got, want), pretty(tree)
             raised += got[1] is not None
     assert raised > 0          # the trees do reach the domain checks
-    # the same trees as the components of 3-dimensional fields
+    # the same trees as the components of 3-dimensional fields, which reject
+    # a jump that moves with x
     for i in range(0, 300, 3):
         comps = tuple(trees[i:i + 3])
-        f = field_from_spec(FieldSpec(3, TWO_PI, comps, tuple(params.items())))
+        spec = FieldSpec(3, TWO_PI, comps, tuple(params.items()))
+        if any(map(_sign_of_state, comps)):
+            with pytest.raises(DomainError, match=re.escape("sign of an argument in x1..xk")):
+                field_from_spec(spec)
+            continue
+        f = field_from_spec(spec)
         for t, x, eps in _SHAPES:
             want = _outcome(_ref_field(comps, 3, params), t, x, eps)
             assert _same(_outcome(f.evaluate, t, x, eps), want), list(map(pretty, comps))
@@ -502,7 +519,7 @@ def test_jacobian_matches_central_difference_for_every_op():
     # every function and operator, on a box where all of them are smooth
     f = field_from_spec(FieldSpec.from_strings(2, TWO_PI, [
         "sin(x1)*cos(x2) + sqrt(x1)/x2 - x1^x2 + abs(x2)*x1",
-        "-x1^2 + 2^x2 + sign(x1)*x2 - (x2 - 3)^3 + eps*t*x1"]))
+        "-x1^2 + 2^x2 + sign(cos(t))*x2 - (x2 - 3)^3 + eps*t*x1"]))
     rng = np.random.default_rng(8)
     h = 1e-6
     for _ in range(50):
@@ -513,11 +530,11 @@ def test_jacobian_matches_central_difference_for_every_op():
 
 
 def test_jacobian_corners_and_constant_exponents():
-    # abs' = sign (0 at the corner), sign' = 0, and a negative base under a
-    # constant exponent differentiates without the log term
-    f = field_from_spec(FieldSpec.from_strings(2, TWO_PI, ["abs(x1) + sign(x2)*x1", "x1^3"]))
-    assert np.array_equal(f.jacobian(0.0, np.array([0.0, -2.0]), 0.0), [[-1.0, 0.0], [0.0, 0.0]])
-    assert np.array_equal(f.jacobian(0.0, np.array([-2.0, 0.0]), 0.0), [[-1.0, 0.0], [12.0, 0.0]])
+    # abs' = sign (0 at the corner), sign of t is a constant factor, and a
+    # negative base under a constant exponent differentiates without the log term
+    f = field_from_spec(FieldSpec.from_strings(2, TWO_PI, ["abs(x1) + sign(t - 1)*x2", "x1^3"]))
+    assert np.array_equal(f.jacobian(0.0, np.array([0.0, -2.0]), 0.0), [[0.0, -1.0], [0.0, 0.0]])
+    assert np.array_equal(f.jacobian(0.0, np.array([-2.0, 0.0]), 0.0), [[-1.0, -1.0], [12.0, 0.0]])
     g = field_from_spec(FieldSpec.from_strings(1, TWO_PI, ["cos(t) + eps"]))
     assert np.array_equal(g.jacobian(1.0, np.array([3.0]), 0.1), [[0.0]])
 
