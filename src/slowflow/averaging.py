@@ -13,9 +13,10 @@ inside a panel costs O(h^2) locally.
 Its Jacobian (g0)'(v) is the average of dg/dx: g is continuous in x, and
 differentiable off a switching set of measure zero with a bounded
 derivative, so dominated convergence moves the derivative under the
-integral.  A field that publishes ``jacobian`` gets that integral by the
-same kink-aligned Simpson rule; a field without one, or a call with an
-explicit ``fd_step``, gets central differences of the averaged field instead.
+integral, and the theorem has no step size.  The field picks the path: one
+that publishes ``jacobian`` (the built-ins and every DSL field do) gets that
+integral by the same kink-aligned Simpson rule; one without gets central
+differences of the averaged field at ``odeint.FD_STEP_SCALE * (1 + |v|)``.
 A field that jumps (``PeriodicField.jumps``) jumps only at fixed times, so
 its ``jacobian`` integrates like any other.
 
@@ -35,31 +36,19 @@ import numpy as np
 from . import newton, smalllin
 from .errors import (MaxIterations, NonFiniteValue, Singular, SingularJacobian,
                      SlowflowError)
-from .odeint import PeriodicField
+from .odeint import FD_STEP_SCALE, PeriodicField
 
 __all__ = [
-    "AveragedReport", "RootResult",
-    "averaged_function", "averaged_jacobian", "averaged_report",
+    "RootResult",
+    "averaged_function", "averaged_jacobian",
     "find_root", "scan_roots",
-    "DEFAULT_NODES", "DEFAULT_FD_STEP_SCALE",
+    "DEFAULT_NODES",
 ]
 
 DEFAULT_NODES = 4096
-DEFAULT_FD_STEP_SCALE = 1e-6      # fd step = scale * (1 + |v|)
 NON_ISOLATED_RATIO = 1e-6         # sigma_min/sigma_max below this flags a continuum
 DEDUP_TOL = 1e-6                  # `scan_roots` merges roots closer than this
 JACOBIAN_CHUNK = 2048             # nodes per `jacobian` call: (n, k, k) tangents stay small
-
-
-@dataclass(frozen=True)
-class AveragedReport:
-    """Averaged field value (and optionally its Jacobian) at one point."""
-
-    point: np.ndarray
-    value: np.ndarray
-    jacobian: Optional[np.ndarray]
-    quadrature_nodes: int
-    fd_step: Optional[float]      # None unless the Jacobian is a finite difference
 
 
 @dataclass(frozen=True)
@@ -131,16 +120,6 @@ def averaged_function(f: PeriodicField, v, n_nodes: int = DEFAULT_NODES) -> np.n
     return total
 
 
-def _jacobian_fd_step(f: PeriodicField, v, fd_step: Optional[float]) -> Optional[float]:
-    """The FD step `averaged_jacobian` takes at v, or None when it integrates
-    the field's ``jacobian``."""
-    if fd_step is not None:
-        return fd_step
-    if f.jacobian is not None:
-        return None
-    return DEFAULT_FD_STEP_SCALE * (1.0 + float(np.linalg.norm(v)))
-
-
 def _integrated_jacobian(f: PeriodicField, v: np.ndarray, n_nodes: int) -> np.ndarray:
     """Simpson rule for the integral of dg/dx(., v, 0) on the kink-aligned
     segments.  dg/dx jumps at a corner, where ``jacobian`` may take either
@@ -156,44 +135,27 @@ def _integrated_jacobian(f: PeriodicField, v: np.ndarray, n_nodes: int) -> np.nd
     return total.reshape(k, k)
 
 
-def averaged_jacobian(f: PeriodicField, v, n_nodes: int = DEFAULT_NODES,
-                      fd_step: Optional[float] = None) -> np.ndarray:
+def averaged_jacobian(f: PeriodicField, v, n_nodes: int = DEFAULT_NODES) -> np.ndarray:
     """Jacobian (g0)'(v) of the averaged field at v.
 
-    With ``fd_step=None`` and a field that publishes ``jacobian``, it is the
-    Simpson integral of dg/dx over the kink-aligned panels of
-    `averaged_function`: one quadrature, and exact up to that rule.
-    Otherwise it is the central difference of the averaged field with step
-    `fd_step` (default ``DEFAULT_FD_STEP_SCALE * (1 + |v|)``), 2k quadratures.
-    Either way the derivative is taken of the average, which is smooth near
-    simple roots even when g is only Lipschitz.
+    For a field that publishes ``jacobian`` it is the Simpson integral of
+    dg/dx over the kink-aligned panels of `averaged_function`: one
+    quadrature, and exact up to that rule.  For a field without one it is the
+    central difference of the averaged field with step
+    ``FD_STEP_SCALE * (1 + |v|)``: 2k quadratures, and the derivative of the
+    average, which is smooth near simple roots even when g is only Lipschitz.
     """
     v = np.asarray(v, dtype=float)
-    h = _jacobian_fd_step(f, v, fd_step)
-    if h is None:
+    if f.jacobian is not None:
         J = _integrated_jacobian(f, v, n_nodes)
     else:
-        if not h > 0:
-            raise ValueError("fd_step must be positive")
-        k = f.dim
-        J = np.empty((k, k))
-        for j in range(k):
-            e = np.zeros(k)
-            e[j] = h
-            J[:, j] = (averaged_function(f, v + e, n_nodes)
-                       - averaged_function(f, v - e, n_nodes)) / (2.0 * h)
+        h = FD_STEP_SCALE * (1.0 + float(np.linalg.norm(v)))
+        J = np.column_stack([(averaged_function(f, v + h * e, n_nodes)
+                              - averaged_function(f, v - h * e, n_nodes)) / (2.0 * h)
+                             for e in np.eye(f.dim)])
     if not np.all(np.isfinite(J)):
         raise NonFiniteValue(f"averaged Jacobian not finite at v={v}")
     return J
-
-
-def averaged_report(f: PeriodicField, v, n_nodes: int = DEFAULT_NODES,
-                    with_jacobian: bool = False) -> AveragedReport:
-    v = np.asarray(v, dtype=float)
-    val = averaged_function(f, v, n_nodes)
-    h = _jacobian_fd_step(f, v, None) if with_jacobian else None
-    J = averaged_jacobian(f, v, n_nodes, h) if with_jacobian else None
-    return AveragedReport(v, val, J, n_nodes, h)
 
 
 def _singular_ratio(J: np.ndarray) -> float:

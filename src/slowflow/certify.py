@@ -44,9 +44,9 @@ __all__ = [
     "DEGENERACY_BAND",
 ]
 
-# FD Jacobians carry noise well above machine precision, and a quadrature
-# Jacobian its rule's error; eigenvalues within this relative band of zero are
-# classified degenerate rather than guessed at
+# the averaged Jacobian carries its quadrature rule's error, and that of a
+# field without ``jacobian`` FD noise well above machine precision; eigenvalues
+# within this relative band of zero are classified degenerate, not guessed at
 DEGENERACY_BAND = 1e-4
 
 _CERT_NODES = 16384
@@ -70,8 +70,6 @@ class StabilityCertificate:
     spectrum: smalllin.Spectrum
     hurwitz: bool
     degenerate: bool
-    fd_step: Optional[float]             # FD step of the Jacobian; None when it
-                                         # integrates the field's ``jacobian``
     lyapunov_P: Optional[np.ndarray] = None
     alpha: Optional[float] = None
     q: Optional[float] = None
@@ -102,16 +100,14 @@ def certify_hurwitz(f: PeriodicField, v0, n_nodes: int = _CERT_NODES) -> Stabili
     (phase invariance of an unforced cycle lands exactly there), not an error.
     """
     v0 = np.asarray(v0, dtype=float)
-    h = averaging._jacobian_fd_step(f, v0, None)
-    A = averaging.averaged_jacobian(f, v0, n_nodes=n_nodes, fd_step=h)
+    A = averaging.averaged_jacobian(f, v0, n_nodes)
     spec = smalllin.eigenvalues(A)
     scale = max(1.0, float(np.max(np.abs(spec.values))))
     band = DEGENERACY_BAND * scale
     degenerate = bool(np.any(np.abs(spec.values.real) <= band))
     hurwitz = spec.max_real < -band
     return StabilityCertificate(v0=v0, jacobian=A, spectrum=spec,
-                                hurwitz=hurwitz, degenerate=degenerate,
-                                fd_step=h)
+                                hurwitz=hurwitz, degenerate=degenerate)
 
 
 def pnorm_operator(M, P) -> float:
@@ -326,7 +322,6 @@ class TheoremReport:
             "spectrum": [[float(z.real), float(z.imag)] for z in cert.spectrum.values],
             "hurwitz": bool(cert.hurwitz),
             "degenerate": bool(cert.degenerate),
-            "fd_step": None if cert.fd_step is None else float(cert.fd_step),
             "lipschitz_hat": float(self.lipschitz.l_hat),
             "lipschitz_radius": float(self.lipschitz.radius),
             "assumed_not_verified": list(self.assumed_not_verified),

@@ -16,6 +16,7 @@ with 17 significant digits so CSV re-runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
@@ -183,20 +184,29 @@ def _given(**kwargs) -> dict:
     return {k: v for k, v in kwargs.items() if v is not None}
 
 
+@contextlib.contextmanager
+def _checked_arguments():
+    """The library checks its arguments up front with ValueError; those are
+    usage errors here."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def cmd_avg(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     f = cfg.build_field()
     point = _parse_point(args.point, f.dim)
-    rep = averaging.averaged_report(f, point, with_jacobian=args.jacobian,
-                                    **_given(n_nodes=cfg.quadrature_nodes))
+    n = averaging.DEFAULT_NODES if cfg.quadrature_nodes is None else cfg.quadrature_nodes
+    value = averaging.averaged_function(f, point, n)
+    J = averaging.averaged_jacobian(f, point, n) if args.jacobian else None
     out = {
-        "point": [float(x) for x in rep.point],
-        "value": [float(x) for x in rep.value],
-        "norm": float(np.linalg.norm(rep.value)),
-        "quadrature_nodes": rep.quadrature_nodes,
-        "jacobian": None if rep.jacobian is None
-        else [[float(x) for x in row] for row in rep.jacobian],
-        "fd_step": None if rep.fd_step is None else float(rep.fd_step),
+        "point": [float(x) for x in point],
+        "value": [float(x) for x in value],
+        "norm": float(np.linalg.norm(value)),
+        "quadrature_nodes": n,
+        "jacobian": None if J is None else [[float(x) for x in row] for row in J],
     }
     _write_text(args.out, json.dumps(out, indent=2, sort_keys=True))
     return 0
@@ -208,9 +218,10 @@ def cmd_roots(args) -> int:
     if len(args.box) != 2 * f.dim:
         raise ConfigError(f"--box needs {2 * f.dim} numbers (lo hi per axis)")
     box = np.asarray(args.box, dtype=float).reshape(f.dim, 2)
-    roots = averaging.scan_roots(f, box, grid_n=args.grid,
-                                 root_tol=cfg.root_tol,
-                                 **_given(n_nodes=cfg.quadrature_nodes))
+    with _checked_arguments():
+        roots = averaging.scan_roots(f, box, grid_n=args.grid,
+                                     root_tol=cfg.root_tol,
+                                     **_given(n_nodes=cfg.quadrature_nodes))
     lines = [CSV_ROOTS_HEADER]
     for i, r in enumerate(roots):
         vtxt = ";".join(format_float(x) for x in r.v0)
@@ -226,6 +237,8 @@ def cmd_certify(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     f = cfg.build_field()
     point = _parse_point(args.point, f.dim)
+    if not args.root_tol > 0:
+        raise ConfigError("--root-tol must be positive")
     rep = certify.theorem_report(f, point, root_tol=args.root_tol, seed=cfg.seed,
                                  **_given(n_nodes=cfg.quadrature_nodes))
     _write_text(args.out, json.dumps(rep.to_dict(), indent=2, sort_keys=True))
@@ -237,7 +250,8 @@ def cmd_verify(args) -> int:
     f = cfg.build_field()
     point = _parse_point(args.point, f.dim)
     eps_list = [float(e) for e in args.eps]
-    sweep = orbit.eps_sweep(f, point, eps_list, **_given(cfg=cfg.integrator))
+    with _checked_arguments():
+        sweep = orbit.eps_sweep(f, point, eps_list, **_given(cfg=cfg.integrator))
     lines = [CSV_VERIFY_HEADER]
     for entry in sweep.entries:
         r = entry.result

@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 BLOWUP_NORM = 1e8
-VARIATIONAL_FD_SCALE = 1e-6     # dg/dx step of fields without ``jacobian``
+FD_STEP_SCALE = 1e-6            # FD step = scale * (1 + |x|) where a field has no ``jacobian``
 
 
 @dataclass(frozen=True)
@@ -440,7 +440,7 @@ def variational_map(f: PeriodicField, v, eps: float,
     Mechanical Systems*, 2004), so Phi(T) is DP(v).
 
     dg/dx is the field's ``jacobian``, or else central differences of
-    ``evaluate`` with step ``VARIATIONAL_FD_SCALE * (1 + |x|)``: one call on
+    ``evaluate`` with step ``FD_STEP_SCALE * (1 + |x|)``: one call on
     the 2k states x +- h*e_j at scalar t.  Across a corner the difference
     ramps oddly about the crossing, so its error in Phi is second order in h.
     """
@@ -451,7 +451,7 @@ def variational_map(f: PeriodicField, v, eps: float,
     ev, jac, eye = f.evaluate, f.jacobian, np.eye(k)
     if jac is None:
         def jac(t, x, eps):
-            h = VARIATIONAL_FD_SCALE * (1.0 + float(np.linalg.norm(x)))
+            h = FD_STEP_SCALE * (1.0 + float(np.linalg.norm(x)))
             G = np.asarray(ev(t, np.concatenate([x + h * eye, x - h * eye]), eps))
             return (G[:k] - G[k:]).T / (2.0 * h)
 

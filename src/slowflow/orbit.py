@@ -194,6 +194,8 @@ def eps_sweep(f: PeriodicField, v0, eps_list: Sequence[float],
         raise ValueError("eps_list needs at least 3 values")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
+    if not all(e > 0 for e in eps_list):
+        raise ValueError("eps must be positive")
     v0 = np.asarray(v0, dtype=float)
     guess = v0.copy()
     entries: List[SweepEntry] = []

@@ -51,7 +51,7 @@ UNFORCED_AMPLITUDE = {"nonsmooth": 3.0 * math.pi / 4.0, "classical": 2.0}
 
 AMP_MATCH_TOL = 1e-6          # recovered root must match the amplitude this well
 DEGENERATE_BAND = 1e-9        # |indicator| below this is flagged degenerate
-JACOBIAN_NODES = 16384        # quadrature nodes of a resonance root's FD Jacobian
+JACOBIAN_NODES = 16384        # quadrature nodes of a resonance root's Jacobian, as in `certify`
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,8 @@ class ResonancePoint:
     ``phi`` is the phase with M = A sin(phi), N = A cos(phi).  ``ineq6`` and
     ``ineq7`` are the determinant-sign and trace-sign stability indicators;
     the root is stable when ineq6 > 0 and ineq7 < 0.  ``hurwitz_numeric`` is
-    the independent eigenvalue verdict on the finite-difference Jacobian.
+    the independent eigenvalue verdict (max real part < 0) on the quadrature
+    Jacobian of ``averaging.averaged_jacobian``, the one ``certify`` takes.
     """
 
     a: float
@@ -363,12 +364,9 @@ def resonance_point(model: str, a: float, lam: float, A: float) -> ResonancePoin
     M, N = float(r.v0[0]), float(r.v0[1])
     amp = math.hypot(M, N)
     i6, i7 = stability_indicators(model, amp * amp, a)
-    # independent eigenvalue verdict on the FD Jacobian (pure sign test); the
-    # explicit step keeps the CSV columns fixed: at a = lam = 0 the phase
-    # eigenvalue is 0 up to noise, -3e-10 by FD and +3e-12 by quadrature
-    J = averaging.averaged_jacobian(_field_for(model, a, lam), r.v0,
-                                    n_nodes=JACOBIAN_NODES,
-                                    fd_step=1e-5 * (1.0 + amp))
+    # independent eigenvalue verdict (pure sign test); at a = lam = 0 the phase
+    # eigenvalue is 0, read as +3e-12 (nonsmooth) or +2e-15 (classical): false
+    J = averaging.averaged_jacobian(_field_for(model, a, lam), r.v0, JACOBIAN_NODES)
     hurwitz = smalllin.eigenvalues(J).max_real < 0.0
     stable = (i6 > 0.0) and (i7 < 0.0)
     degenerate = abs(i6) <= DEGENERATE_BAND or abs(i7) <= DEGENERATE_BAND

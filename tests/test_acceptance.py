@@ -157,7 +157,7 @@ def test_c07_contraction_certificates():
                 cert = certify.StabilityCertificate(
                     v0=np.zeros(k), jacobian=A,
                     spectrum=smalllin.eigenvalues(A), hurwitz=True,
-                    degenerate=False, fd_step=1e-5)
+                    degenerate=False)
                 done = certify.build_contraction_certificate(cert)
                 assert done.q < 1.0
                 assert done.lyapunov_residual <= 1e-8

@@ -9,13 +9,12 @@ import pytest
 from conftest import certified_forced_params
 from slowflow import averaging, vdp
 from slowflow.averaging import (
-    averaged_function, averaged_jacobian, averaged_report, find_root,
-    scan_roots,
+    averaged_function, averaged_jacobian, find_root, scan_roots,
 )
 from slowflow.certify import certify_hurwitz
 from slowflow.errors import DomainError, MaxIterations
 from slowflow.exprdsl import FieldSpec, eval_expr, field_from_spec, parse
-from slowflow.odeint import PeriodicField
+from slowflow.odeint import FD_STEP_SCALE, PeriodicField
 
 TWO_PI = 2.0 * math.pi
 
@@ -76,28 +75,6 @@ def test_quadrature_converged_on_smooth_integrand():
     assert abs(a[0] - b[0]) < 1e-10
 
 
-def test_jacobian_of_linear_map():
-    A = np.array([[0.3, -1.2], [0.8, 0.1]])
-
-    def fn(t, x, eps):
-        y = np.asarray(x, dtype=float) @ A.T
-        return _stack([y[..., 0], y[..., 1]], t, x)
-
-    f = _field(2, TWO_PI, fn)
-    # the averaged field is exactly linear, so a large step has zero
-    # truncation error and divides quadrature roundoff down to ~1e-11
-    J = averaged_jacobian(f, np.array([0.4, 0.6]), fd_step=1e-3)
-    assert np.max(np.abs(J - TWO_PI * A)) < 1e-9
-
-
-def test_jacobian_step_robustness():
-    f = vdp.classical_vdp_field(vdp.ForcingParams(0.2, 0.4))
-    v = np.array([1.2, -0.4])
-    J1 = averaged_jacobian(f, v, fd_step=1e-5)
-    J2 = averaged_jacobian(f, v, fd_step=5e-6)
-    assert np.max(np.abs(J1 - J2)) < 1e-6
-
-
 @pytest.mark.parametrize("model,builder", [
     ("nonsmooth", vdp.nonsmooth_vdp_field),
     ("classical", vdp.classical_vdp_field),
@@ -111,25 +88,6 @@ def test_quadrature_matches_closed_form(model, builder):
         got = averaged_function(f, v)
         want = vdp.averaged_closed_form(model, v[0], v[1], a, lam)
         assert np.max(np.abs(got - want)) < 1e-9
-
-
-def test_jacobian_matches_closed_form_nonsmooth():
-    a, lam = 0.37, 0.8
-    f = vdp.nonsmooth_vdp_field(vdp.ForcingParams(a, lam))
-    v = np.array([1.3, -0.7])
-    J = averaged_jacobian(f, v, n_nodes=16384, fd_step=1e-5 * (1 + np.hypot(*v)))
-    want = vdp.averaged_jacobian_closed_form("nonsmooth", v[0], v[1], a)
-    assert np.max(np.abs(J - want)) < 1e-8
-
-
-def test_jacobian_closed_form_nonsmooth_at_origin():
-    # A*(M, N) is O(|v|^2), so the averaged field is differentiable at 0;
-    # unforced, so the FD quotient is not swamped by rounding of lam*pi
-    a = 0.37
-    f = vdp.nonsmooth_vdp_field(vdp.ForcingParams(a, 0.0))
-    J = averaged_jacobian(f, np.zeros(2), n_nodes=16384, fd_step=1e-9)
-    want = vdp.averaged_jacobian_closed_form("nonsmooth", 0.0, 0.0, a)
-    assert np.max(np.abs(J - want)) < 1e-8
 
 
 @pytest.mark.parametrize("model,builder", [
@@ -153,7 +111,7 @@ def test_quadrature_jacobian_matches_closed_form(model, builder):
     assert worst <= 1e-10
 
 
-def test_quadrature_jacobian_calls_no_evaluate_and_fd_step_forces_differences():
+def test_quadrature_jacobian_calls_no_evaluate():
     base = vdp.classical_vdp_field(vdp.ForcingParams(0.2, 0.4))    # no kinks: one panel
     calls = {"evaluate": 0, "jacobian": 0}
 
@@ -170,14 +128,6 @@ def test_quadrature_jacobian_calls_no_evaluate_and_fd_step_forces_differences():
     averaged_jacobian(f, v, n)
     chunks = -(-(n + 1) // averaging.JACOBIAN_CHUNK)
     assert calls == {"evaluate": 0, "jacobian": chunks}
-    calls.update(evaluate=0, jacobian=0)
-    J = averaged_jacobian(f, v, n, fd_step=1e-5)
-    assert calls == {"evaluate": 2 * f.dim, "jacobian": 0}
-    # an explicit step is the plain central difference of the averaged field
-    want = np.column_stack([(averaged_function(base, v + 1e-5 * e, n)
-                             - averaged_function(base, v - 1e-5 * e, n)) / 2e-5
-                            for e in np.eye(2)])
-    assert np.array_equal(J, want)
 
 
 def test_state_jumps_are_rejected_and_time_jumps_integrate():
@@ -193,8 +143,7 @@ def test_state_jumps_are_rejected_and_time_jumps_integrate():
     assert not field_from_spec(FieldSpec.from_strings(1, TWO_PI, ["abs(x1 - sin(t))"])).jumps
     for v in np.linspace(-2.0, 2.0, 13):
         assert abs(averaged_function(f, [v])[0] - TWO_PI * v) <= 1e-12
-        rep = averaged_report(f, [v], with_jacobian=True)
-        assert rep.fd_step is None and abs(rep.jacobian[0, 0] - TWO_PI) <= 1e-12
+        assert abs(averaged_jacobian(f, [v])[0, 0] - TWO_PI) <= 1e-12
     r = find_root(f, [0.2])
     assert abs(r.v0[0]) <= 1e-12
     cert = certify_hurwitz(f, r.v0)
@@ -299,25 +248,30 @@ def test_scan_roots_validation(unforced_nonsmooth):
 
 
 def test_averaged_report_shapes(unforced_nonsmooth):
+    # `avg` reports averaged_function and, with --jacobian, averaged_jacobian
     f = dataclasses.replace(unforced_nonsmooth, jacobian=None)
-    rep = averaged_report(f, np.array([1.0, 0.0]), with_jacobian=True)
-    assert rep.value.shape == (2,)
-    assert rep.jacobian.shape == (2, 2)
-    assert rep.fd_step is not None
-    rep2 = averaged_report(f, np.array([1.0, 0.0]))
-    assert rep2.jacobian is None
+    assert averaged_function(f, np.array([1.0, 0.0])).shape == (2,)
+    assert averaged_jacobian(f, np.array([1.0, 0.0])).shape == (2, 2)
 
 
 def test_averaged_report_uses_the_jacobian_step(unforced_nonsmooth):
+    # a field without `jacobian` gets the central difference of its averaged
+    # field at the package's one FD step rule
     f = dataclasses.replace(unforced_nonsmooth, jacobian=None)
-    v = np.array([1.0, 0.5])
-    rep = averaged_report(f, v, n_nodes=256, with_jacobian=True)
-    assert rep.fd_step == averaging.DEFAULT_FD_STEP_SCALE * (1.0 + np.linalg.norm(v))
-    assert np.array_equal(rep.jacobian, averaged_jacobian(f, v, 256))
+    v, n = np.array([1.0, 0.5]), 256
+    h = FD_STEP_SCALE * (1.0 + np.linalg.norm(v))
+    want = np.column_stack([(averaged_function(f, v + h * e, n)
+                             - averaged_function(f, v - h * e, n)) / (2.0 * h)
+                            for e in np.eye(2)])
+    assert np.array_equal(averaged_jacobian(f, v, n), want)
 
 
 def test_averaged_report_of_a_jacobian_field_takes_no_fd_step(unforced_nonsmooth):
+    # the quadrature of `jacobian` (within 1.2e-11 of the closed form here),
+    # not the central difference the same field without `jacobian` gets
     v = np.array([1.0, 0.5])
-    rep = averaged_report(unforced_nonsmooth, v, n_nodes=256, with_jacobian=True)
-    assert rep.fd_step is None
-    assert np.array_equal(rep.jacobian, averaged_jacobian(unforced_nonsmooth, v, 256))
+    J = averaged_jacobian(unforced_nonsmooth, v)
+    fd = averaged_jacobian(dataclasses.replace(unforced_nonsmooth, jacobian=None), v)
+    assert not np.array_equal(J, fd)
+    want = vdp.averaged_jacobian_closed_form("nonsmooth", 1.0, 0.5, 0.0)
+    assert np.max(np.abs(J - want)) <= 1e-10

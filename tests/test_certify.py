@@ -23,7 +23,7 @@ def _cert_for(A):
     spec = smalllin.eigenvalues(A)
     return StabilityCertificate(v0=np.zeros(A.shape[0]), jacobian=A,
                                 spectrum=spec, hurwitz=spec.is_hurwitz(),
-                                degenerate=False, fd_step=1e-5)
+                                degenerate=False)
 
 
 def test_certify_linear_field(linear_field):
@@ -52,13 +52,13 @@ def test_certify_passes_the_fd_step_through():
     a, lam, root = certified_forced_params()
     f = vdp.nonsmooth_vdp_field(vdp.ForcingParams(a, lam))
     cert = certify_hurwitz(f, root)
-    assert cert.fd_step is None
     assert np.array_equal(cert.jacobian, averaging.averaged_jacobian(f, root, 16384))
     assert np.max(np.abs(cert.jacobian - vdp.averaged_jacobian_closed_form(
         "nonsmooth", root[0], root[1], a))) <= 1e-10
+    # without `jacobian` the certificate takes the central difference
     g = dataclasses.replace(f, jacobian=None)
     cert = certify_hurwitz(g, root)
-    assert cert.fd_step == averaging.DEFAULT_FD_STEP_SCALE * (1.0 + np.linalg.norm(root))
+    assert np.array_equal(cert.jacobian, averaging.averaged_jacobian(g, root, 16384))
     assert cert.hurwitz and not cert.degenerate
 
 

@@ -96,6 +96,22 @@ def test_numerical_failure_exits_4(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--point", "0", "--eps", "0.04", "0.02"], "at least 3 values"),
+    (["verify", "--point", "0", "--eps", "0.02", "0.04", "0.01"], "strictly decreasing"),
+    (["verify", "--point", "0", "--eps", "0.04", "0.02", "0"], "eps must be positive"),
+    (["roots", "--box", "-1", "1", "--grid", "1"], "grid_n must be in [2, 64]"),
+    (["roots", "--box", "-1", "1", "--grid", "100"], "grid_n must be in [2, 64]"),
+    (["certify", "--point", "0", "--root-tol", "-1"], "--root-tol must be positive"),
+])
+def test_bad_arguments_exit_2_with_one_line(tmp_path, capsys, argv, message):
+    cfg = _write_cfg(tmp_path, {"system": "linear_test"})
+    assert main([argv[0], "--config", cfg, *argv[1:]]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and len(out.err.splitlines()) == 1
+    assert out.err.startswith("config error: ") and message in out.err
+
+
 # the last is well formed, but its jump moves with x1
 @pytest.mark.parametrize("component", ["x1 +", "x9", "foo(x1)", "0.5 - sign(x1 - sin(t))"])
 def test_bad_dsl_component_exits_2(tmp_path, capsys, component):
@@ -183,7 +199,7 @@ def test_python_m_slowflow_runs_clean():
     assert proc.stdout.splitlines() == [
         "a,lambda,A,M,N,phi,ineq6,ineq7,hurwitz,stable,degenerate",
         "0,0,2.3561944901923448,0,2.3561944901923448,0,0,-3.1415926535897931,"
-        "true,false,true",
+        "false,false,true",
     ]
 
 
