@@ -4,21 +4,27 @@ For a T-periodic field g the averaged field at frozen state v is
 
     avg(v) = integral over [0, T] of g(tau, v, 0) dtau,
 
-computed by composite Simpson quadrature.  When the field publishes its
-switching times (``field.kinks``: the built-ins and every DSL field with
-``abs``/``sign`` do), panel boundaries are aligned with them so each panel
-integrates a smooth piece and the full O(h^4) rate is retained; a corner
-inside a panel costs O(h^2) locally.
+computed by adaptive Gauss-Legendre quadrature on the segments of [0, T]
+between the field's switching times (``field.kinks``: the built-ins and every
+DSL field with ``abs``/``sign`` publish them), on each of which it converges
+geometrically (Davis & Rabinowitz, *Methods of Numerical Integration*, 2.7).
+One field call takes ``GL_ORDER`` nodes on every segment and as many on each
+of its halves (at most 216 per period for the built-ins): the halves give the
+value, their difference from the whole the error estimate.  Segments whose
+estimate exceeds ``GL_TOL * length * (1 + max |g|)`` are bisected while the
+budget of ``n_nodes`` per period lasts; the first pass always runs, and a
+spent budget returns the finer value with a ``WARNING`` naming the estimate.
+Nodes are interior, so none sits on a corner or a jump.  An unpublished
+corner is found only if the first pass sees it: a dip narrower than about
+1/25 of its segment can fall between all the nodes.
 
 Its Jacobian (g0)'(v) is the average of dg/dx: g is continuous in x, and
 differentiable off a switching set of measure zero with a bounded
 derivative, so dominated convergence moves the derivative under the
 integral, and the theorem has no step size.  The field picks the path: one
 that publishes ``jacobian`` (the built-ins and every DSL field do) gets that
-integral by the same kink-aligned Simpson rule; one without gets central
+integral by the same rule on the same segments; one without gets central
 differences of the averaged field at ``odeint.FD_STEP_SCALE * (1 + |v|)``.
-A field that jumps (``PeriodicField.jumps``) jumps only at fixed times, so
-its ``jacobian`` integrates like any other.
 
 Zeros of the averaged field are the candidate initial points of periodic
 solutions of x' = eps*g; they are located by the damped Newton loop of
@@ -28,8 +34,9 @@ the quadrature values with that Jacobian.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -45,10 +52,26 @@ __all__ = [
     "DEFAULT_NODES",
 ]
 
-DEFAULT_NODES = 4096
+log = logging.getLogger(__name__)
+
+DEFAULT_NODES = 4096              # node budget per period
+GL_ORDER = 24                     # Gauss-Legendre nodes per segment and per half
+GL_TOL = 1e-12                    # bisect where |whole - halves| > this * length * (1 + max|g|)
 NON_ISOLATED_RATIO = 1e-6         # sigma_min/sigma_max below this flags a continuum
 DEDUP_TOL = 1e-6                  # `scan_roots` merges roots closer than this
-JACOBIAN_CHUNK = 2048             # nodes per `jacobian` call: (n, k, k) tangents stay small
+
+
+def _gauss_legendre(m: int):
+    """Nodes and weights of the m-point Gauss-Legendre rule on [0, 1], from the
+    eigen-decomposition of the Jacobi matrix (Golub & Welsch 1969)."""
+    k = np.arange(1.0, m)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    x, V = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    w = V[0] ** 2                   # half the weights on [-1, 1]; symmetrized below
+    return 0.5 + 0.25 * (x - x[::-1]), 0.5 * (w + w[::-1])
+
+
+_X, _W = _gauss_legendre(GL_ORDER)
 
 
 @dataclass(frozen=True)
@@ -63,91 +86,72 @@ class RootResult:
     non_isolated: bool = False     # near-singular Jacobian: continuum suspected
 
 
-def _simpson_weights(n: int) -> np.ndarray:
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w
+def _gauss_integrals(fn: Callable, lo: np.ndarray, L: np.ndarray) -> tuple:
+    """The ``GL_ORDER``-point integrals of `fn` over each [lo, lo + L], from
+    one call of `fn` on all their nodes: shape (len(lo), values), and max |fn|."""
+    vals = np.asarray(fn((lo[:, None] + L[:, None] * _X).ravel()), dtype=float)
+    vals = vals.reshape(len(lo), GL_ORDER, -1)
+    return L[:, None] * (_W @ vals), max(vals.max(), -vals.min())
 
 
-def _panel_layout(f: PeriodicField, v, n_nodes: int):
-    """Segment [0, T] at the field's switching times; panels stay even per segment."""
+def _integrate(fn: Callable, f: PeriodicField, v, n_nodes: int) -> np.ndarray:
+    """Integral over one period, flattened, of `fn`: times -> ``(len(t), ...)``
+    values at frozen v, by the rule of the module docstring on f's segments."""
     if n_nodes < 16 or n_nodes % 2:
         raise ValueError("n_nodes must be even and >= 16")
     T = f.period
-    pts = [0.0, T]
-    if f.kinks is not None:
-        for s in f.kinks(np.asarray(v, dtype=float), 0.0):
-            s = float(s) % T
-            if 1e-12 * T < s < T * (1 - 1e-12):
-                pts.append(s)
-    pts = sorted(set(pts))
-    segs = []
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        n = max(2, 2 * int(round(n_nodes * (hi - lo) / T / 2.0)))
-        segs.append((lo, hi, n))
-    return segs
-
-
-def _nodes(lo: float, hi: float, n: int, T: float, one_sided: bool) -> np.ndarray:
-    """The n + 1 Simpson nodes of [lo, hi].  With `one_sided` the end nodes,
-    which lie on the switching set, move inward to take the value of the
-    segment's own side (``sign(0) = 0`` would take neither): by 1e-9 of the
-    segment, and by at least 1e-12*T, far past the 1e-15*T to which the
-    switching times are found."""
-    t = np.linspace(lo, hi, n + 1)
-    if one_sided:
-        d = max(1e-9 * (hi - lo), 1e-12 * T)
-        t[0], t[-1] = lo + d, hi - d
-    return t
+    cuts = {float(s) % T for s in (f.kinks(v, 0.0) if f.kinks else ())}
+    edges = np.array([0.0, *sorted(s for s in cuts if 1e-12 * T < s < T * (1 - 1e-12)), T])
+    lo, L = edges[:-1], np.diff(edges)
+    n, half = len(lo), 0.5 * L
+    S, gmax = _gauss_integrals(fn, np.concatenate([lo, lo, lo + half]),
+                               np.concatenate([L, half, half]))
+    whole, left, right = S[:n], S[n:2 * n], S[2 * n:]
+    used, total = 3 * GL_ORDER * n, 0.0
+    while True:
+        fine = left + right
+        err = np.abs(whole - fine).max(axis=1)
+        over = err > GL_TOL * (1.0 + gmax) * L         # NaN is not: the caller checks
+        if not over.any():
+            return total + fine.sum(axis=0)
+        total = total + fine[~over].sum(axis=0)
+        lo, L, left, right, fine, err = (x[over] for x in (lo, L, left, right, fine, err))
+        n = len(lo)
+        if used + 4 * GL_ORDER * n > n_nodes:
+            log.warning("quadrature node budget %d spent with error estimate %.3e",
+                        n_nodes, err.sum())
+            return total + fine.sum(axis=0)
+        # bisect: the halves become segments, and their halves, the quarters,
+        # come from one call
+        q = 0.25 * L
+        Q, h = _gauss_integrals(fn, (lo + np.arange(4.0)[:, None] * q).ravel(), np.tile(q, 4))
+        used, gmax = used + 4 * GL_ORDER * n, max(gmax, h)
+        lo, L = np.concatenate([lo, lo + 2.0 * q]), np.tile(2.0 * q, 2)
+        whole = np.concatenate([left, right])
+        left, right = Q.reshape(2, 2, n, -1).swapaxes(0, 1).reshape(2, 2 * n, -1)
 
 
 def averaged_function(f: PeriodicField, v, n_nodes: int = DEFAULT_NODES) -> np.ndarray:
-    """Integral of g(., v, 0) over one period (not divided by T).  A field
-    that jumps takes one-sided values at the segment ends, so a piecewise
-    constant g integrates exactly."""
+    """Integral of g(., v, 0) over one period (not divided by T)."""
     v = np.asarray(v, dtype=float)
-    total = np.zeros(f.dim)
-    for lo, hi, n in _panel_layout(f, v, n_nodes):
-        t = _nodes(lo, hi, n, f.period, f.jumps)
-        vals = np.asarray(f.evaluate(t, v, 0.0), dtype=float)
-        if vals.shape != (n + 1, f.dim):
-            vals = vals.reshape(n + 1, f.dim)
-        h = (hi - lo) / n
-        total = total + (h / 3.0) * (_simpson_weights(n) @ vals)
+    total = _integrate(lambda t: f.evaluate(t, v, 0.0), f, v, n_nodes)
     if not np.all(np.isfinite(total)):
         raise NonFiniteValue(f"averaged field not finite at v={v}")
     return total
 
 
-def _integrated_jacobian(f: PeriodicField, v: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Simpson rule for the integral of dg/dx(., v, 0) on the kink-aligned
-    segments.  dg/dx jumps at a corner, where ``jacobian`` may take either
-    side or neither, so the end nodes take one-sided values."""
-    k = f.dim
-    total = np.zeros(k * k)
-    for lo, hi, n in _panel_layout(f, v, n_nodes):
-        t, w, part = _nodes(lo, hi, n, f.period, True), _simpson_weights(n), np.zeros(k * k)
-        for i in range(0, n + 1, JACOBIAN_CHUNK):
-            J = np.asarray(f.jacobian(t[i:i + JACOBIAN_CHUNK], v, 0.0), dtype=float)
-            part += w[i:i + JACOBIAN_CHUNK] @ J.reshape(-1, k * k)
-        total += ((hi - lo) / n / 3.0) * part
-    return total.reshape(k, k)
-
-
 def averaged_jacobian(f: PeriodicField, v, n_nodes: int = DEFAULT_NODES) -> np.ndarray:
     """Jacobian (g0)'(v) of the averaged field at v.
 
-    For a field that publishes ``jacobian`` it is the Simpson integral of
-    dg/dx over the kink-aligned panels of `averaged_function`: one
-    quadrature, and exact up to that rule.  For a field without one it is the
-    central difference of the averaged field with step
-    ``FD_STEP_SCALE * (1 + |v|)``: 2k quadratures, and the derivative of the
-    average, which is smooth near simple roots even when g is only Lipschitz.
+    For a field that publishes ``jacobian`` it is the integral of dg/dx by the
+    rule of `averaged_function`: one quadrature.  For a field without one it
+    is the central difference of the averaged field with step ``FD_STEP_SCALE
+    * (1 + |v|)``: 2k quadratures, and the derivative of the average, which is
+    smooth near simple roots even when g is only Lipschitz.
     """
     v = np.asarray(v, dtype=float)
     if f.jacobian is not None:
-        J = _integrated_jacobian(f, v, n_nodes)
+        J = _integrate(lambda t: f.jacobian(t, v, 0.0), f, v, n_nodes).reshape(f.dim, f.dim)
     else:
         h = FD_STEP_SCALE * (1.0 + float(np.linalg.norm(v)))
         J = np.column_stack([(averaged_function(f, v + h * e, n_nodes)
@@ -212,10 +216,9 @@ def scan_roots(f: PeriodicField, box, grid_n: int = 32,
     axes = [np.linspace(lo, hi, grid_n) for lo, hi in box]
     shape = (grid_n,) * f.dim
     vals = np.empty(shape + (f.dim,))
-    scan_nodes = max(256, min(n_nodes, 1024))
     for idx in np.ndindex(shape):
         pt = np.array([axes[d][idx[d]] for d in range(f.dim)])
-        vals[idx] = averaged_function(f, pt, scan_nodes)
+        vals[idx] = averaged_function(f, pt, n_nodes)
     norms = np.linalg.norm(vals, axis=-1)
 
     seeds = []

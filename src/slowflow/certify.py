@@ -49,16 +49,13 @@ __all__ = [
 # within this relative band of zero are classified degenerate, not guessed at
 DEGENERACY_BAND = 1e-4
 
-_CERT_NODES = 16384
-
 ALPHA_OCTAVES = 20               # alpha grid: 2^j/(2|tr A|) for |j| <= 20,
 ALPHA_MAX = 1.0                  # capped here, then refined by
 ALPHA_REFINE_STEPS = 60          # golden-section steps around the minimizer
 LIPSCHITZ_RADIUS = 0.5           # `theorem_report`'s sampled Lipschitz ball,
 LIPSCHITZ_SAMPLES = 2000         # its pairs,
 LIPSCHITZ_EPS_MAX = 1.0          # and the eps range [0, 1) they draw from
-UNIFORM_QUAD = 512               # `uniform_limit_diagnostic`: Simpson panels
-UNIFORM_KNOTS = 9                # per period, knots per perturbation
+UNIFORM_KNOTS = 9                # `uniform_limit_diagnostic`: knots per perturbation
 
 
 @dataclass
@@ -90,7 +87,8 @@ class LipschitzEstimate:
     samples: int
 
 
-def certify_hurwitz(f: PeriodicField, v0, n_nodes: int = _CERT_NODES) -> StabilityCertificate:
+def certify_hurwitz(f: PeriodicField, v0,
+                    n_nodes: int = averaging.DEFAULT_NODES) -> StabilityCertificate:
     """Eigenvalue classification of the averaged Jacobian at v0.
 
     The Jacobian is ``averaging.averaged_jacobian``: the quadrature of the
@@ -232,8 +230,7 @@ def estimate_lipschitz(f: PeriodicField, v0, delta: float,
 
 def sampled_contraction_check(f: PeriodicField, cert: StabilityCertificate,
                               delta: float, n_pairs: int = 10_000,
-                              seed: int = 0,
-                              n_nodes: int = averaging.DEFAULT_NODES) -> float:
+                              seed: int = 0) -> float:
     """Secondary diagnostic: sampled Lipschitz constant of v + alpha*avg(v).
 
     Checks the map itself (not its linearization) on random pairs in
@@ -251,8 +248,8 @@ def sampled_contraction_check(f: PeriodicField, cert: StabilityCertificate,
         dnorm = float(np.linalg.norm(L.T @ dv))
         if dnorm < 1e-12:
             continue
-        w = dv + alpha * (averaging.averaged_function(f, v1, n_nodes)
-                          - averaging.averaged_function(f, v2, n_nodes))
+        w = dv + alpha * (averaging.averaged_function(f, v1)
+                          - averaging.averaged_function(f, v2))
         worst = max(worst, float(np.linalg.norm(L.T @ w)) / dnorm)
     return worst
 
@@ -275,23 +272,21 @@ def uniform_limit_diagnostic(f: PeriodicField, v0, delta: float,
     rng = np.random.default_rng(seed)
     k = f.dim
     T = f.period
-    tq = np.linspace(0.0, T, UNIFORM_QUAD + 1)
-    w = averaging._simpson_weights(UNIFORM_QUAD) * ((T / UNIFORM_QUAD) / 3.0)
     knots = np.linspace(0.0, T, UNIFORM_KNOTS)
     V = v0 + delta * _ball_batch(rng, 2 * n_samples, k)
     worst = 0.0
     for v1, v2 in zip(V[:n_samples], V[n_samples:]):
         uvals = rng.uniform(-delta, delta, size=(UNIFORM_KNOTS, k))
-        u = np.stack([np.interp(tq, knots, uvals[:, j]) for j in range(k)], axis=-1)
         d = float(np.linalg.norm(v1 - v2))
         if d < 1e-12:
             continue
         eps = float(rng.uniform(0.0, delta))
-        g1 = np.asarray(f.evaluate(tq, v1 + u, eps), dtype=float)
-        g2 = np.asarray(f.evaluate(tq, v2 + u, eps), dtype=float)
-        g10 = np.asarray(f.evaluate(tq, v1, 0.0), dtype=float)
-        g20 = np.asarray(f.evaluate(tq, v2, 0.0), dtype=float)
-        val = w @ (g1 - g2 - g10 + g20)
+
+        def excess(t):          # u is linear between the knots, where segments end
+            u = np.stack([np.interp(t, knots, uvals[:, j]) for j in range(k)], axis=-1)
+            return (f.evaluate(t, v1 + u, eps) - f.evaluate(t, v2 + u, eps)
+                    - f.evaluate(t, v1, 0.0) + f.evaluate(t, v2, 0.0))
+        val = averaging._gauss_integrals(excess, knots[:-1], np.diff(knots))[0].sum(axis=0)
         worst = max(worst, float(np.linalg.norm(val)) / d)
     return worst
 
@@ -341,7 +336,7 @@ class TheoremReport:
 
 
 def theorem_report(f: PeriodicField, point, root_tol: float = 1e-8,
-                   n_nodes: int = _CERT_NODES, seed: int = 0) -> TheoremReport:
+                   n_nodes: int = averaging.DEFAULT_NODES, seed: int = 0) -> TheoremReport:
     """Evaluate every checkable condition at `point` and return the bundle.
 
     Verdicts: ``certified`` (root + Hurwitz + contraction certificate),

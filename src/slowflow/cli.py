@@ -168,6 +168,8 @@ def _parse_point(values: List[float], dim: int) -> np.ndarray:
     pt = np.asarray(values, dtype=float)
     if pt.shape != (dim,):
         raise ConfigError(f"--point needs {dim} coordinates, got {len(values)}")
+    if not np.all(np.isfinite(pt)):
+        raise ConfigError("--point coordinates must be finite")
     return pt
 
 
@@ -218,6 +220,8 @@ def cmd_roots(args) -> int:
     if len(args.box) != 2 * f.dim:
         raise ConfigError(f"--box needs {2 * f.dim} numbers (lo hi per axis)")
     box = np.asarray(args.box, dtype=float).reshape(f.dim, 2)
+    if not np.all(np.isfinite(box)):
+        raise ConfigError("--box bounds must be finite")
     with _checked_arguments():
         roots = averaging.scan_roots(f, box, grid_n=args.grid,
                                      root_tol=cfg.root_tol,
@@ -289,6 +293,8 @@ def cmd_resonance(args) -> int:
         raise ConfigError("--n must be >= 1")
     if args.n > 100_000:
         raise ConfigError("--n must be <= 100000")
+    if not np.all(np.isfinite([args.lam, *args.a])):
+        raise ConfigError("--lambda and --a must be finite")
     if args.lam < 0:
         raise ConfigError("--lambda must be >= 0")
     if args.a[1] < args.a[0]:
@@ -388,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("avg", help="averaged field at a point (JSON)")
     p.add_argument("--config", default=None)
     p.add_argument("--nodes", type=int, default=None,
-                   help="override quadrature_nodes from the config")
+                   help="override quadrature_nodes (node budget per period) from the config")
     p.add_argument("--point", type=float, nargs="+", required=True)
     p.add_argument("--jacobian", action="store_true")
     p.add_argument("--out", default=None)

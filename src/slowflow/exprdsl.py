@@ -273,7 +273,6 @@ class _Tape:
         self.signs = []                 # (argument slot, expression) of each `sign`
         self.out = [self._slot(e) for e in exprs]
         self.switches = sorted({i for _, fn, _, i, _ in self.code if fn in (np.abs, np.sign)})
-        self.jumps = bool(self.signs)
         # kinks run the ops up to the last switching slot
         self.switch_ops = sum(s <= max(self.switches, default=-1) for s, *_ in self.code)
 
@@ -458,8 +457,8 @@ def field_from_spec(spec: FieldSpec) -> PeriodicField:
     always ``jacobian``, by forward mode over the tape with abs' = sign; a
     derivative that is not finite raises ``DomainError``.  ``sign`` of an
     argument in x1..xk raises ``DomainError``: its jump would move with x,
-    which no period-map derivative follows.  A field that calls ``sign`` of
-    t, eps and parameters is marked ``jumps``: it jumps at fixed times."""
+    which no period-map derivative follows; ``sign`` of t, eps and
+    parameters jumps at fixed times, which ``kinks`` publishes."""
     if len(spec.components) != spec.dim:
         raise DimensionMismatch(f"{len(spec.components)} components for dimension {spec.dim}")
     tape = _Tape(spec.components, dict(spec.params), spec.dim)
@@ -483,4 +482,4 @@ def field_from_spec(spec: FieldSpec) -> PeriodicField:
 
     return PeriodicField(dim=spec.dim, period=spec.period, evaluate=evaluate, name="dsl",
                          kinks=partial(_switch_zeros, tape, grid) if tape.switches else None,
-                         jacobian=tape.jacobian, jumps=tape.jumps)
+                         jacobian=tape.jacobian)

@@ -65,7 +65,7 @@ class PeriodicField:
     ``kinks``, when given, maps ``(x, eps)`` to the times in ``[0, T)`` where
     ``t -> g(t, x, eps)`` (state frozen) is not smooth: closed forms for the
     built-ins, the zeros of the ``abs``/``sign`` arguments for DSL fields.
-    Quadratures align panel boundaries with them; they never affect values.
+    Quadratures cut their segments there; they never affect values.
 
     ``jacobian``, when given, maps scalar ``t`` and a state of shape ``(k,)``
     to the ``(k, k)`` matrix dg/dx, and an array of times with frozen ``x`` of
@@ -76,12 +76,9 @@ class PeriodicField:
     averaged field.  The field must be continuous across a switching set that
     moves with x, which flows cross transversally, so the period map is C^1
     there (the saltation matrix is the identity), and ``find_periodic`` takes
-    its Newton steps and Floquet multipliers from the variational flow.
-
-    ``jumps`` marks a field that jumps at fixed times only (a DSL ``sign`` of
-    t, eps and parameters): the jumps do not move with x, so ``jacobian`` and
-    the variational flow stay exact, and quadratures take one-sided values at
-    the panel ends.
+    its Newton steps and Floquet multipliers from the variational flow.  A
+    jump at fixed times (a DSL ``sign`` of t, eps and parameters) does not
+    move with x, so ``jacobian`` and the variational flow stay exact there.
     """
 
     dim: int
@@ -90,7 +87,6 @@ class PeriodicField:
     kinks: Optional[Callable] = None
     name: str = "field"
     jacobian: Optional[Callable] = None
-    jumps: bool = False
 
     def __post_init__(self):
         if self.dim < 1:

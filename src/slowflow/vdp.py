@@ -30,7 +30,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from . import averaging, smalllin
+from . import averaging, certify
 from .errors import RootRecoveryFailed
 from .odeint import PeriodicField
 
@@ -51,7 +51,6 @@ UNFORCED_AMPLITUDE = {"nonsmooth": 3.0 * math.pi / 4.0, "classical": 2.0}
 
 AMP_MATCH_TOL = 1e-6          # recovered root must match the amplitude this well
 DEGENERATE_BAND = 1e-9        # |indicator| below this is flagged degenerate
-JACOBIAN_NODES = 16384        # quadrature nodes of a resonance root's Jacobian, as in `certify`
 
 
 @dataclass(frozen=True)
@@ -73,8 +72,8 @@ class ResonancePoint:
     ``phi`` is the phase with M = A sin(phi), N = A cos(phi).  ``ineq6`` and
     ``ineq7`` are the determinant-sign and trace-sign stability indicators;
     the root is stable when ineq6 > 0 and ineq7 < 0.  ``hurwitz_numeric`` is
-    the independent eigenvalue verdict (max real part < 0) on the quadrature
-    Jacobian of ``averaging.averaged_jacobian``, the one ``certify`` takes.
+    the independent eigenvalue verdict of ``certify.certify_hurwitz`` on the
+    quadrature Jacobian: max real part below minus its noise band.
     """
 
     a: float
@@ -331,7 +330,6 @@ def _field_for(model: str, a: float, lam: float) -> PeriodicField:
 
 
 def recover_root(model: str, a: float, lam: float, A: float,
-                 n_nodes: int = 8192,
                  root_tol: float = 1e-10) -> averaging.RootResult:
     """Full (M, N) root of the averaged field matching amplitude A.
 
@@ -339,16 +337,15 @@ def recover_root(model: str, a: float, lam: float, A: float,
     d = k^2 + a^2 pi^2, the root is M = a*pi * lam*pi / d, N = k * lam*pi / d.
     At lam = 0 the roots (a = 0 only) form a circle; its phase-0 point (0, A)
     is returned.  ``RootRecoveryFailed`` is raised unless |(M, N)| matches A
-    within ``AMP_MATCH_TOL`` and the quadrature residual at ``n_nodes`` is at
-    most ``root_tol``.  The result carries the closed-form Jacobian.
+    within ``AMP_MATCH_TOL`` and the quadrature residual is at most
+    ``root_tol``.  The result carries the closed-form Jacobian.
     """
     k, _ = _k(model, A)
     d = k * k + (a * math.pi) ** 2
     M, N = (0.0, A) if lam == 0.0 or d == 0.0 else \
         (a * math.pi * lam * math.pi / d, k * lam * math.pi / d)
     v = np.array([M, N])
-    res = float(np.linalg.norm(averaging.averaged_function(
-        _field_for(model, a, lam), v, n_nodes)))
+    res = float(np.linalg.norm(averaging.averaged_function(_field_for(model, a, lam), v)))
     if not (abs(math.hypot(M, N) - A) <= AMP_MATCH_TOL and res <= root_tol):
         raise RootRecoveryFailed(a, A, f"no averaged-field root with amplitude {A:.6g} "
                                  f"at a={a:.6g}: closed form {v}, residual {res:.3e}")
@@ -364,10 +361,9 @@ def resonance_point(model: str, a: float, lam: float, A: float) -> ResonancePoin
     M, N = float(r.v0[0]), float(r.v0[1])
     amp = math.hypot(M, N)
     i6, i7 = stability_indicators(model, amp * amp, a)
-    # independent eigenvalue verdict (pure sign test); at a = lam = 0 the phase
-    # eigenvalue is 0, read as +3e-12 (nonsmooth) or +2e-15 (classical): false
-    J = averaging.averaged_jacobian(_field_for(model, a, lam), r.v0, JACOBIAN_NODES)
-    hurwitz = smalllin.eigenvalues(J).max_real < 0.0
+    # independent eigenvalue verdict, as `certify` gives it: at a = lam = 0 the
+    # phase eigenvalue is 0, which the noise band reads as not Hurwitz
+    hurwitz = certify.certify_hurwitz(_field_for(model, a, lam), r.v0).hurwitz
     stable = (i6 > 0.0) and (i7 < 0.0)
     degenerate = abs(i6) <= DEGENERATE_BAND or abs(i7) <= DEGENERATE_BAND
     return ResonancePoint(a=a, lam=lam, A=amp, M=M, N=N,

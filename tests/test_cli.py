@@ -221,6 +221,35 @@ def test_resonance_rejects_bad_flags(capsys):
     capsys.readouterr()
 
 
+def _exits_2_naming(argv, what, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and what in captured.err
+
+
+def test_resonance_nan_a_bound_exits_2(capsys):
+    # NaN passed the `hi < lo` check and its grid row was dropped
+    _exits_2_naming(["resonance", "--model", "nonsmooth", "--lambda", "1",
+                     "--a", "nan", "1", "--n", "2"], "must be finite", capsys)
+
+
+def test_resonance_nan_lambda_exits_2(capsys):
+    _exits_2_naming(["resonance", "--model", "nonsmooth", "--lambda", "nan",
+                     "--a", "0", "1", "--n", "2"], "must be finite", capsys)
+
+
+def test_avg_nan_point_exits_2(capsys):
+    _exits_2_naming(["avg", "--point", "nan", "1"], "--point", capsys)
+
+
+def test_certify_inf_point_exits_2(capsys):
+    _exits_2_naming(["certify", "--point", "inf", "1"], "--point", capsys)
+
+
+def test_roots_nan_box_exits_2(capsys):
+    _exits_2_naming(["roots", "--box", "nan", "1", "-1", "1"], "--box", capsys)
+
+
 def test_resonance_csv_deterministic(tmp_path):
     out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
     args = ["resonance", "--model", "nonsmooth", "--lambda", "0.4",
