@@ -213,36 +213,26 @@ def scan_roots(f: PeriodicField, box, grid_n: int = 32,
     if grid_n < 2 or grid_n > 64:
         raise ValueError("grid_n must be in [2, 64]")
 
+    k = f.dim
     axes = [np.linspace(lo, hi, grid_n) for lo, hi in box]
-    shape = (grid_n,) * f.dim
-    vals = np.empty(shape + (f.dim,))
-    for idx in np.ndindex(shape):
-        pt = np.array([axes[d][idx[d]] for d in range(f.dim)])
-        vals[idx] = averaged_function(f, pt, n_nodes)
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    vals = np.array([averaged_function(f, p, n_nodes)
+                     for p in pts.reshape(-1, k)]).reshape(pts.shape)
     norms = np.linalg.norm(vals, axis=-1)
 
-    seeds = []
-    for idx in np.ndindex(tuple(n - 1 for n in shape)):
-        corners = list(np.ndindex((2,) * f.dim))
-        cvals = np.array([vals[tuple(np.add(idx, c))] for c in corners])
-        if np.any(np.min(cvals, axis=0) < 0) and np.any(
-                (np.min(cvals, axis=0) < 0) & (np.max(cvals, axis=0) > 0)):
-            center = np.array([
-                0.5 * (axes[d][idx[d]] + axes[d][idx[d] + 1]) for d in range(f.dim)
-            ])
-            seeds.append(center)
-    for idx in np.ndindex(shape):
-        is_min = True
-        for d in range(f.dim):
-            for off in (-1, 1):
-                j = idx[d] + off
-                if 0 <= j < grid_n:
-                    nidx = list(idx)
-                    nidx[d] = j
-                    if norms[tuple(nidx)] < norms[idx]:
-                        is_min = False
-        if is_min:
-            seeds.append(np.array([axes[d][idx[d]] for d in range(f.dim)]))
+    # a cell's corner values are its 2^k slices, shifted by 0 or 1 per axis
+    corners = [vals[tuple(slice(c, grid_n - 1 + c) for c in cs)]
+               for cs in np.ndindex((2,) * k)]
+    cmin, cmax = np.minimum.reduce(corners), np.maximum.reduce(corners)
+    mids = [0.5 * (ax[:-1] + ax[1:]) for ax in axes]
+    centers = np.stack(np.meshgrid(*mids, indexing="ij"), axis=-1)
+    # a grid minimum: no neighbour along any axis is strictly smaller
+    is_min = np.ones(norms.shape, dtype=bool)
+    for d in range(k):
+        n, m = np.moveaxis(norms, d, 0), np.moveaxis(is_min, d, 0)
+        m[:-1] &= ~(n[1:] < n[:-1])
+        m[1:] &= ~(n[:-1] < n[1:])
+    seeds = [*centers[((cmin < 0) & (cmax > 0)).any(axis=-1)], *pts[is_min]]
 
     roots: List[RootResult] = []
     for seed in seeds:

@@ -299,9 +299,7 @@ def cmd_resonance(args) -> int:
         raise ConfigError("--lambda must be >= 0")
     if args.a[1] < args.a[0]:
         raise ConfigError("--a must be lo hi with lo <= hi")
-    curve_fn = (vdp.resonance_curve_nonsmooth if args.model == "nonsmooth"
-                else vdp.resonance_curve_classical)
-    points = curve_fn(args.lam, args.a, args.n)
+    points = vdp.resonance_curve(args.model, args.lam, args.a, args.n)
     text = "\n".join(resonance_csv_lines(points)) + "\n"
     _write_text(args.out, text)
     if args.svg:

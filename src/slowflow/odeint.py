@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,7 +42,6 @@ __all__ = [
     "flow_batch",
     "poincare_map",
     "variational_map",
-    "g_eps",
 ]
 
 BLOWUP_NORM = 1e8
@@ -94,9 +93,6 @@ class PeriodicField:
         if not (self.period > 0):
             raise ValueError("period must be positive")
 
-    def __call__(self, t, x, eps):
-        return self.evaluate(t, x, eps)
-
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -117,16 +113,6 @@ class IntegratorConfig:
             raise ValueError("step h must be positive")
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("tolerances must be positive")
-
-    def refined(self, factor: float = 2.0) -> "IntegratorConfig":
-        """Config at `factor` times the resolution (halved step / tightened tol)."""
-        if self.method == "rk4-fixed":
-            if self.h is None:
-                raise ValueError("refined() needs an explicit step h for rk4-fixed")
-            return replace(self, h=self.h / factor)
-        scale = factor ** 5
-        return replace(self, h=None, abs_tol=self.abs_tol / scale,
-                       rel_tol=self.rel_tol / scale)
 
 
 @dataclass
@@ -243,7 +229,8 @@ def _run_dopri(rhs, t0, t1, x0, atol, rtol, max_steps, record):
             if record:
                 ts.append(t)
                 xs.append(x.copy())
-        fac = 0.9 * enorm ** -0.2 if enorm > 0 else 5.0
+        # a NaN norm (non-finite stages) shrinks as a rejection does
+        fac = 0.9 * enorm ** -0.2 if enorm > 0 else 5.0 if enorm == 0 else 0.2
         h = h * min(5.0, max(0.2, fac))
         if h < hmin:
             raise StepLimitExceeded(f"step size underflow at t={t:.6g}")
@@ -333,16 +320,6 @@ def _run_dopri_members(rhs, t0, t1, x0, atol, rtol, max_steps):
 
 def _make_rhs(f: PeriodicField, eps: float):
     ev = f.evaluate
-    if eps == 0.0:
-        zero = None
-
-        def rhs0(t, x):
-            nonlocal zero
-            if zero is None or zero.shape != x.shape:
-                zero = np.zeros_like(x)
-            return zero
-
-        return rhs0
 
     def rhs(t, x):
         return eps * np.asarray(ev(t, x, eps), dtype=float)
@@ -459,16 +436,3 @@ def variational_map(f: PeriodicField, v, eps: float,
     y = _run(PeriodicField(k + k * k, f.period, evaluate), 0.0, f.period,
              np.concatenate([v, eye.ravel()]), eps, cfg, record=False)
     return y[:k], y[k:].reshape(k, k)
-
-
-def g_eps(f: PeriodicField, v, eps: float,
-          cfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
-    """Normalized displacement (x(T,v,eps) - v) / eps of the period map.
-
-    Along the numerical trajectory this equals the integral of
-    g(tau, x(tau,v,eps), eps) over one period.
-    """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    v = np.asarray(v, dtype=float)
-    return (poincare_map(f, v, eps, cfg) - v) / eps

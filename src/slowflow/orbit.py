@@ -101,6 +101,8 @@ def find_periodic(f: PeriodicField, v0_guess, eps: float,
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
+    if not np.all(np.isfinite(v0_guess)):
+        raise ValueError("v0_guess must be finite")
     ref = np.asarray(v0 if v0 is not None else v0_guess, dtype=float)
     # the start and the first trial of each iteration flow Phi along: an
     # accepted full step then brings its own DP, and only backtracked trials,
@@ -228,20 +230,21 @@ def measure_contraction(f: PeriodicField, v_star, eps: float,
     `norm_matrix` (P) is given, else Euclidean.  At eps = 0 the map is the
     identity and the factor is 1.
     """
+    if not radius > 0:
+        raise ValueError("radius must be positive")
+    if n_pairs < 1:
+        raise ValueError("n_pairs must be >= 1")
     v_star = np.asarray(v_star, dtype=float)
     rng = np.random.default_rng(seed)
     k = f.dim
     W = np.eye(k) if norm_matrix is None else smalllin.cholesky(np.asarray(norm_matrix)).T
     pairs = v_star + radius * _ball_batch(rng, 2 * n_pairs, k)
-    if eps == 0.0:
-        out = pairs
-    else:
-        out = flow_batch(f, 0.0, f.period, pairs, eps, cfg)
-    a_in, b_in = pairs[:n_pairs], pairs[n_pairs:]
-    a_out, b_out = out[:n_pairs], out[n_pairs:]
-    den = np.linalg.norm((a_in - b_in) @ W.T, axis=1)
-    num = np.linalg.norm((a_out - b_out) @ W.T, axis=1)
+    den = np.linalg.norm((pairs[:n_pairs] - pairs[n_pairs:]) @ W.T, axis=1)
     keep = den > 1e-12
+    if not keep.any():
+        raise ValueError("radius too small: no pair lies 1e-12 apart")
+    out = pairs if eps == 0.0 else flow_batch(f, 0.0, f.period, pairs, eps, cfg)
+    num = np.linalg.norm((out[:n_pairs] - out[n_pairs:]) @ W.T, axis=1)
     return float(np.max(num[keep] / den[keep]))
 
 
@@ -281,6 +284,8 @@ def basin_probe(f: PeriodicField, v_star, eps: float, radius: float,
     result does not depend on the rest of the batch, so dropping the settled
     starts changes nothing.
     """
+    if n_starts < 1:
+        raise ValueError("n_starts must be >= 1")
     v_star = np.asarray(v_star, dtype=float)
     rng = np.random.default_rng(seed)
     X = v_star + radius * _ball_batch(rng, n_starts, f.dim)

@@ -4,9 +4,7 @@ Sized for stability certificates of low-dimensional averaged systems.
 Solves, eigenvalues and Cholesky factors are LAPACK calls through
 ``numpy.linalg``, whose failures surface as ``Singular`` (``NoConvergence``
 for eigenvalues); 2x2 spectra use a closed form, so two-dimensional verdicts
-do not depend on the LAPACK build.  The Lyapunov equation A'P + PA = -I is
-one Kronecker-structured direct solve: at k^2 <= 256 unknowns that is trivial
-and leaves fewer algorithms to validate than Bartels-Stewart.
+do not depend on the LAPACK build.
 """
 
 from __future__ import annotations
@@ -16,18 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotHurwitz, Singular
+from .errors import NoConvergence, Singular
 
 __all__ = [
-    "Spectrum", "solve", "eigenvalues", "eig2x2",
-    "cholesky", "solve_lower", "lyapunov_solve",
+    "Spectrum", "solve", "eigenvalues", "eig2x2", "cholesky",
     "HURWITZ_MARGIN",
 ]
 
 # strict margin: max Re < -HURWITZ_MARGIN counts as Hurwitz, |Re| <= margin
 # is the degenerate band (the unforced oscillator sits exactly there)
 HURWITZ_MARGIN = 1e-9
-LYAPUNOV_RESIDUAL_TOL = 1e-8     # max |A'P + PA + I| that `lyapunov_solve` accepts
 
 
 def _as_square(A) -> np.ndarray:
@@ -110,36 +106,8 @@ def eigenvalues(A) -> Spectrum:
     return Spectrum(vals[np.lexsort((vals.imag, vals.real))])
 
 
-# --- symmetric factorizations & Lyapunov -------------------------------------
+# --- Cholesky ----------------------------------------------------------------
 
 def cholesky(P) -> np.ndarray:
     """Lower-triangular L with P = L L'; raises Singular if P is not SPD."""
     return _lapack(np.linalg.cholesky, _as_square(P))
-
-
-def solve_lower(L, B) -> np.ndarray:
-    return _lapack(np.linalg.solve, _as_square(L), np.asarray(B, dtype=float))
-
-
-def lyapunov_solve(A) -> np.ndarray:
-    """Symmetric positive-definite P with A'P + PA = -I, for Hurwitz A.
-
-    Assembled as the k^2 x k^2 linear system
-    (kron(A', I) + kron(I, A')) vec(P) = vec(-I) and solved directly.
-    """
-    A = _as_square(A)
-    n = A.shape[0]
-    spec = eigenvalues(A)
-    if not spec.is_hurwitz():
-        raise NotHurwitz(
-            f"max eigenvalue real part {spec.max_real:.3e} is not < -{HURWITZ_MARGIN:g}"
-        )
-    eye = np.eye(n)
-    M = np.kron(A.T, eye) + np.kron(eye, A.T)
-    P = solve(M, (-eye).reshape(-1)).reshape(n, n)
-    P = 0.5 * (P + P.T)
-    resid = float(np.max(np.abs(A.T @ P + P @ A + eye)))
-    if resid > LYAPUNOV_RESIDUAL_TOL:
-        raise NoConvergence(f"Lyapunov residual {resid:.3e} exceeds {LYAPUNOV_RESIDUAL_TOL:g}")
-    cholesky(P)    # certifies positive definiteness
-    return P

@@ -40,8 +40,7 @@ __all__ = [
     "averaged_closed_form", "averaged_jacobian_closed_form",
     "amplitude_equation", "amplitude_equation_derivative", "amplitude_roots",
     "stability_indicators", "recover_root", "resonance_point",
-    "resonance_curve_nonsmooth", "resonance_curve_classical",
-    "reconstruct_u", "UNFORCED_AMPLITUDE",
+    "resonance_curve", "UNFORCED_AMPLITUDE",
 ]
 
 log = logging.getLogger(__name__)
@@ -372,7 +371,10 @@ def resonance_point(model: str, a: float, lam: float, A: float) -> ResonancePoin
                           degenerate=degenerate)
 
 
-def _resonance_curve(model: str, lam: float, a_range, n: int) -> List[ResonancePoint]:
+def resonance_curve(model: str, lam: float, a_range, n: int) -> List[ResonancePoint]:
+    """Resonance curve of `model` ("nonsmooth" or "classical") over a detuning
+    grid of `n` points on `a_range`; a row whose root recovery fails is logged
+    and left out."""
     if n < 1:
         raise ValueError("n must be >= 1")
     a_lo, a_hi = float(a_range[0]), float(a_range[1])
@@ -387,18 +389,3 @@ def _resonance_curve(model: str, lam: float, a_range, n: int) -> List[ResonanceP
             except RootRecoveryFailed as exc:
                 log.warning("root recovery failed: %s", exc)
     return points
-
-
-def resonance_curve_nonsmooth(lam: float, a_range, n: int) -> List[ResonancePoint]:
-    """Resonance curve of the piecewise-linear oscillator over a detuning grid."""
-    return _resonance_curve("nonsmooth", lam, a_range, n)
-
-
-def resonance_curve_classical(lam: float, a_range, n: int) -> List[ResonancePoint]:
-    """Resonance curve of the classical cubic oscillator over a detuning grid."""
-    return _resonance_curve("classical", lam, a_range, n)
-
-
-def reconstruct_u(t, M, N):
-    """Oscillator displacement u(t) = M sin t + N cos t from slow coordinates."""
-    return M * np.sin(t) + N * np.cos(t)

@@ -99,7 +99,7 @@ def test_c04_degeneracy_identity():
 def test_c05_inequality_eigenvalue_equivalence():
     with criterion(5, "sign-based stability equals numeric Hurwitz on sweep",
                    budget=120.0):
-        pts = vdp.resonance_curve_nonsmooth(1.0, (-1.0, 1.0), 101)
+        pts = vdp.resonance_curve("nonsmooth", 1.0, (-1.0, 1.0), 101)
         assert len(pts) >= 101
         checked = disagreements = 0
         for p in pts:

@@ -269,6 +269,65 @@ def test_find_root_outside_basin_stalls_fast(guess, nodes):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_scan_roots_three_dimensional():
+    # decoupled components: x1 = 0.5, x2 = +-1, and x3 = 0, where the
+    # cos t term averages out; the widest shape the cell and minimum seeding
+    # takes (2^3 corner slices, minima along three axes)
+    f = field_from_spec(FieldSpec.from_strings(
+        3, TWO_PI, ["x1 - 0.5", "x2^2 - 1", "x3 + 0.25*cos(t)"]))
+    roots = scan_roots(f, np.array([[-2.0, 2.0]] * 3), grid_n=6)
+    assert len(roots) == 2
+    for r, want in zip(roots, ([0.5, -1.0, 0.0], [0.5, 1.0, 0.0])):
+        assert r.converged and not r.non_isolated
+        assert np.max(np.abs(r.v0 - want)) < 1e-10
+
+
+def _reference_seeds(f, box, grid_n, n_nodes):
+    # the per-cell and per-point loops that the sliced seeding replaced
+    k = f.dim
+    axes = [np.linspace(lo, hi, grid_n) for lo, hi in box]
+    shape = (grid_n,) * k
+    vals = np.empty(shape + (k,))
+    for idx in np.ndindex(shape):
+        vals[idx] = averaged_function(f, np.array([axes[d][idx[d]] for d in range(k)]), n_nodes)
+    norms = np.linalg.norm(vals, axis=-1)
+    seeds = []
+    for idx in np.ndindex((grid_n - 1,) * k):
+        cvals = np.array([vals[tuple(np.add(idx, c))] for c in np.ndindex((2,) * k)])
+        if np.any((cvals.min(axis=0) < 0) & (cvals.max(axis=0) > 0)):
+            seeds.append(np.array([0.5 * (axes[d][idx[d]] + axes[d][idx[d] + 1])
+                                   for d in range(k)]))
+    for idx in np.ndindex(shape):
+        nbrs = [idx[:d] + (idx[d] + o,) + idx[d + 1:] for d in range(k) for o in (-1, 1)
+                if 0 <= idx[d] + o < grid_n]
+        if not any(norms[n] < norms[idx] for n in nbrs):
+            seeds.append(np.array([axes[d][idx[d]] for d in range(k)]))
+    return seeds
+
+
+@pytest.mark.parametrize("f, box, grid_n", [
+    # at grid point (0, 0) the first component is rounding noise (1e-16)
+    (vdp.nonsmooth_vdp_field(vdp.ForcingParams(0.1, 1.0)), [[-3.0, 3.0]] * 2, 5),
+    (vdp.classical_vdp_field(vdp.ForcingParams(0.0, 0.5)), [[-3.0, 3.0]] * 2, 8),
+    (vdp.linear_test_field(), [[-3.0, 3.0]], 9),
+    (field_from_spec(FieldSpec.from_strings(
+        3, TWO_PI, ["x2 - abs(x1 - sin(t))", "x3 - x1", "x1^2 + x2^2 - 1"])),
+     [[-2.0, 2.0]] * 3, 5),
+], ids=["nonsmooth", "classical", "linear", "dsl3"])
+def test_scan_roots_seeds_match_reference_loop(monkeypatch, f, box, grid_n):
+    seeds = []
+
+    def record(f, seed, *args):
+        seeds.append(seed)
+        raise MaxIterations("seed recorded")
+
+    monkeypatch.setattr(averaging, "find_root", record)
+    assert scan_roots(f, np.array(box), grid_n=grid_n, n_nodes=256) == []
+    want = _reference_seeds(f, box, grid_n, 256)
+    assert len(seeds) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(seeds, want))
+
+
 def test_scan_roots_unforced_circle(unforced_nonsmooth):
     roots = scan_roots(unforced_nonsmooth, np.array([[-3.0, 3.0], [-3.0, 3.0]]),
                        grid_n=24)

@@ -9,7 +9,7 @@ from slowflow import averaging, certify, exprdsl, smalllin, vdp
 from slowflow.certify import (
     StabilityCertificate, build_contraction_certificate,
     certify_hurwitz, estimate_lipschitz, pnorm_operator,
-    pnorm_operator_sampled, sampled_contraction_check, theorem_report,
+    pnorm_operator_sampled, theorem_report,
     uniform_limit_diagnostic,
 )
 from slowflow.errors import NotHurwitz
@@ -192,14 +192,6 @@ def test_estimate_lipschitz_skips_nan_quotients():
     assert abs(est.l_hat - 1.0) <= 1e-12
     assert 100 < est.samples < 300
     assert estimate_lipschitz(f, np.zeros(1), 1e-14, n_samples=50).l_hat == 0.0
-
-
-def test_sampled_contraction_check_linear(linear_field):
-    cert = certify_hurwitz(linear_field, np.array([0.0]))
-    done = build_contraction_certificate(cert)
-    # the map v + alpha*avg(v) is linear here, so the sampled factor equals q
-    got = sampled_contraction_check(linear_field, done, 0.3, n_pairs=60, seed=3)
-    assert got <= done.q + 1e-6
 
 
 def test_theorem_report_linear_certified(linear_field):

@@ -335,7 +335,7 @@ def test_resonance_csv_has_no_negative_zero(model, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     fields = [x for ln in lines[1:] for x in ln.split(",")]
     assert "-0" not in fields
-    points = vdp.resonance_curve_classical(1.0, (-0.0, -0.0), 1)
+    points = vdp.resonance_curve("classical", 1.0, (-0.0, -0.0), 1)
     assert math.copysign(1.0, points[0].M) == -1.0      # M = -0.0 from a = -0.0
     assert "-0" not in cli.resonance_csv_lines(points)[1].split(",")
 

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import certified_forced_params, rk4
-from slowflow import certify, exprdsl, odeint, vdp
+from slowflow import certify, exprdsl, odeint, orbit, vdp
 from slowflow.errors import NonFiniteState, StepLimitExceeded
 from slowflow.odeint import (
-    IntegratorConfig, PeriodicField, flow, flow_batch, g_eps, integrate,
+    IntegratorConfig, PeriodicField, flow, flow_batch, integrate,
     poincare_map, variational_map,
 )
 
@@ -77,16 +77,16 @@ def test_poincare_linear_closed_form(linear_field):
     assert abs(got[0] - expected) < 1e-10
 
 
+def g_eps(f, v, eps, cfg=IntegratorConfig()):
+    # normalized displacement (P(v) - v) / eps of the period map
+    return (poincare_map(f, v, eps, cfg) - v) / eps
+
+
 def test_g_eps_linear_closed_form(linear_field):
     eps = 0.1
     x0 = linear_periodic_x0(eps)
     expected = ((0.0 - x0) * math.exp(-eps * TWO_PI) + x0) / eps
     assert abs(g_eps(linear_field, np.array([0.0]), eps)[0] - expected) < 1e-9
-
-
-def test_g_eps_requires_positive_eps(linear_field):
-    with pytest.raises(ValueError):
-        g_eps(linear_field, np.array([0.0]), 0.0)
 
 
 def test_g_eps_constant_field_exact():
@@ -223,6 +223,34 @@ def test_period_map_in_stiff_region_hits_step_limit():
     assert time.perf_counter() - t0 < 2.0
 
 
+def test_non_finite_flow_raises_within_bounded_field_calls():
+    # a NaN error norm (non-finite stages) must shrink the step as a
+    # rejection does, so the step underflows after about 20 rejections; a
+    # growing step would be rejected until max_steps per period ran out
+    base = vdp.nonsmooth_vdp_field(vdp.ForcingParams(0.1, 1.0))
+    calls = 0
+
+    def counted(fn):
+        def evaluate(t, x, eps):
+            nonlocal calls
+            calls += 1
+            return fn(t, x, eps)
+        return _field(2, TWO_PI, evaluate)
+
+    def turns_nan(t, x, eps):           # finite for 40 calls, NaN from then on
+        return np.where(calls > 40, np.nan, base.evaluate(t, x, eps))
+
+    for fn, x0 in ((base.evaluate, [np.nan, 1.0]), (turns_nan, [0.5, 1.2])):
+        calls = 0
+        with pytest.raises(StepLimitExceeded, match="underflow"):
+            flow(counted(fn), 0.0, 5 * TWO_PI, np.array(x0), 0.05)
+        assert calls <= 200
+    calls = 0
+    with pytest.raises(ValueError, match="v0_guess must be finite"):
+        orbit.find_periodic(counted(base.evaluate), np.array([np.nan, 1.0]), 0.05)
+    assert calls == 0
+
+
 def test_invalid_inputs(linear_field):
     with pytest.raises(ValueError):
         integrate(linear_field, 1.0, 0.0, np.array([0.0]), 0.1)
@@ -232,20 +260,6 @@ def test_invalid_inputs(linear_field):
         IntegratorConfig(method="euler")
     with pytest.raises(ValueError):
         IntegratorConfig(h=-1.0, method="rk4-fixed")
-
-
-def test_config_refined():
-    r = IntegratorConfig(method="rk4-fixed", h=0.01).refined()
-    assert r.h == 0.005
-    a = IntegratorConfig().refined()
-    assert a.method == "rk45-adaptive" and a.abs_tol < 1e-10
-
-
-def test_config_refined_rk4_needs_explicit_step():
-    # the default step T/2000 depends on the field: refining it would return
-    # the same step
-    with pytest.raises(ValueError, match="explicit step h"):
-        IntegratorConfig(method="rk4-fixed").refined()
 
 
 def test_flow_batch_matches_scalar(unforced_nonsmooth):
@@ -273,8 +287,8 @@ def test_paired_times_evaluate_row_by_row(f):
     rng = np.random.default_rng(31)
     T = rng.uniform(0.0, 7.0, 40)
     X = rng.uniform(-3.0, 3.0, (40, f.dim))
-    got = f(T, X, 0.05)
-    rows = np.array([f(float(T[i]), X[i], 0.05) for i in range(40)])
+    got = f.evaluate(T, X, 0.05)
+    rows = np.array([f.evaluate(float(T[i]), X[i], 0.05) for i in range(40)])
     assert got.shape == (40, f.dim)
     assert np.max(np.abs(got - rows)) <= 1e-15 * np.max(np.abs(rows))
 
@@ -289,8 +303,8 @@ def test_paired_eps_evaluate_row_by_row():
     T = rng.uniform(0.0, 7.0, 40)
     X = rng.uniform(-3.0, 3.0, (40, 2))
     E = rng.uniform(0.0, 1.0, 40)
-    got = f(T, X, E)
-    rows = np.array([f(float(T[i]), X[i], float(E[i])) for i in range(40)])
+    got = f.evaluate(T, X, E)
+    rows = np.array([f.evaluate(float(T[i]), X[i], float(E[i])) for i in range(40)])
     assert got.shape == (40, 2)
     assert np.max(np.abs(got - rows)) <= 1e-15 * np.max(np.abs(rows))
 

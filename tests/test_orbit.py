@@ -216,8 +216,9 @@ def test_residual_survives_finer_integration():
     f, root = _forced_field()
     cfg = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12)
     r = find_periodic(f, root, 0.02, cfg, v0=root)
-    re_res = np.linalg.norm(
-        poincare_map(f, r.v_star, 0.02, cfg.refined()) - r.v_star)
+    # the local error goes as h^5, so tolerances / 32 halve the steps
+    fine = IntegratorConfig(abs_tol=1e-12 / 32, rel_tol=1e-12 / 32)
+    re_res = np.linalg.norm(poincare_map(f, r.v_star, 0.02, fine) - r.v_star)
     assert re_res <= 1e-8
 
 
@@ -274,6 +275,23 @@ def test_measure_contraction_in_lyapunov_norm():
     got = measure_contraction(f, r.v_star, eps, 0.05, n_pairs=60,
                               norm_matrix=cert.lyapunov_P)
     assert got <= 1.0 - eps * cert.q_tilde / 2.0
+
+
+def test_measure_contraction_rejects_zero_radius(linear_field):
+    # a positive radius too small to separate any pair fails the same way
+    for radius in (0.0, 1e-14):
+        with pytest.raises(ValueError, match="radius"):
+            measure_contraction(linear_field, np.array([0.0]), 0.1, radius)
+
+
+def test_measure_contraction_rejects_zero_pairs(linear_field):
+    with pytest.raises(ValueError, match="n_pairs"):
+        measure_contraction(linear_field, np.array([0.0]), 0.1, 0.5, n_pairs=0)
+
+
+def test_basin_probe_rejects_zero_starts(linear_field):
+    with pytest.raises(ValueError, match="n_starts"):
+        basin_probe(linear_field, np.array([0.0]), 0.1, radius=0.5, n_starts=0)
 
 
 def test_basin_probe_linear_global(linear_field):

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
+from slowflow.certify import StabilityCertificate, build_contraction_certificate
 from slowflow.errors import NotHurwitz, Singular
-from slowflow.smalllin import (
-    cholesky, eig2x2, eigenvalues, lyapunov_solve, solve, solve_lower,
-)
+from slowflow.smalllin import cholesky, eig2x2, eigenvalues, solve
 
 
 def _sorted(vals):
@@ -130,6 +129,14 @@ def test_spectrum_flags():
     assert not eigenvalues(np.array([[-1.0, 0.0], [0.0, 1e-12]])).is_hurwitz()
 
 
+def lyapunov_solve(A):
+    # P of A'P + PA = -I, as the contraction certificate solves it
+    spec = eigenvalues(A)
+    cert = StabilityCertificate(v0=np.zeros(len(A)), jacobian=A, spectrum=spec,
+                                hurwitz=spec.is_hurwitz(), degenerate=False)
+    return build_contraction_certificate(cert).lyapunov_P
+
+
 def test_lyapunov_minus_identity():
     P = lyapunov_solve(-np.eye(3))
     assert np.allclose(P, 0.5 * np.eye(3), atol=1e-12)
@@ -171,10 +178,9 @@ def test_cholesky_triangular_solves():
     L = cholesky(P)
     assert np.allclose(L @ L.T, P, atol=1e-12)
     b = rng.standard_normal(4)
-    assert np.allclose(L @ solve_lower(L, b), b, atol=1e-12)
+    assert np.allclose(L @ np.linalg.solve(L, b), b, atol=1e-12)
 
 
 def test_cholesky_rejects_indefinite():
     with pytest.raises(Singular):
         cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
-

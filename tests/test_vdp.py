@@ -9,8 +9,8 @@ from slowflow.odeint import IntegratorConfig, integrate
 from slowflow.vdp import (
     ForcingParams, amplitude_equation, amplitude_roots, averaged_closed_form,
     averaged_jacobian_closed_form, classical_vdp_field, linear_test_field,
-    nonsmooth_vdp_field, reconstruct_u, recover_root, resonance_curve_classical,
-    resonance_curve_nonsmooth, resonance_point, stability_indicators,
+    nonsmooth_vdp_field, recover_root, resonance_curve, resonance_point,
+    stability_indicators,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -62,7 +62,7 @@ def test_slow_frame_reduction_is_exact(builder, damping):
     # u(0) = N, u'(0) = M under u = M sin t + N cos t
     u_direct = _rk4_direct_oscillator(damping, a, lam, eps,
                                       [N0, M0], TWO_PI, 200_000)
-    u_slow = reconstruct_u(TWO_PI, M1, N1)
+    u_slow = M1 * math.sin(TWO_PI) + N1 * math.cos(TWO_PI)
     du_slow = M1 * math.cos(TWO_PI) - N1 * math.sin(TWO_PI)
     assert abs(u_slow - u_direct[0]) < 1e-6
     assert abs(du_slow - u_direct[1]) < 1e-6
@@ -226,16 +226,16 @@ def test_resonance_point_fields():
 
 
 def test_resonance_curve_single_degenerate_row():
-    pts = resonance_curve_nonsmooth(0.0, (0.0, 0.0), 1)
+    pts = resonance_curve("nonsmooth", 0.0, (0.0, 0.0), 1)
     assert len(pts) == 1
     assert abs(pts[0].A - A0) < 1e-9
-    pts_c = resonance_curve_classical(0.0, (0.0, 0.0), 1)
+    pts_c = resonance_curve("classical", 0.0, (0.0, 0.0), 1)
     assert len(pts_c) == 1
     assert abs(pts_c[0].A - 2.0) < 1e-9
 
 
 def test_resonance_curve_classical_symmetric_in_detuning():
-    pts = resonance_curve_classical(0.7, (-0.5, 0.5), 5)
+    pts = resonance_curve("classical", 0.7, (-0.5, 0.5), 5)
     by_a = {}
     for p in pts:
         by_a.setdefault(round(p.a, 12), []).append(p.A)
@@ -249,21 +249,19 @@ def test_resonance_curve_classical_symmetric_in_detuning():
 
 
 def test_resonance_stability_matches_eigenvalues_small_sweep():
-    pts = resonance_curve_nonsmooth(1.0, (-1.0, 1.0), 21)
+    pts = resonance_curve("nonsmooth", 1.0, (-1.0, 1.0), 21)
     assert pts
     for p in pts:
         if abs(p.ineq6) > 1e-6 and abs(p.ineq7) > 1e-6:
             assert p.stable == p.hurwitz_numeric
 
 
-@pytest.mark.parametrize("curve,model", [
-    (resonance_curve_classical, "classical"),
-    (resonance_curve_nonsmooth, "nonsmooth"),
-])
-def test_resonance_curve_keeps_every_amplitude_root(curve, model):
+@pytest.mark.parametrize("model", ["classical", "nonsmooth"],
+                         ids=lambda m: f"resonance_curve_{m}-{m}")
+def test_resonance_curve_keeps_every_amplitude_root(model):
     # the classical middle branch at a = +-0.52 (A = 1.72348) was once lost
     # when no Newton start phase reached it
-    pts = curve(1.0, (-1.0, 1.0), 101)
+    pts = resonance_curve(model, 1.0, (-1.0, 1.0), 101)
     want = sum(len(amplitude_roots(model, float(a), 1.0))
                for a in np.linspace(-1.0, 1.0, 101))
     assert len(pts) == want
@@ -281,21 +279,20 @@ def test_resonance_curves_do_not_call_newton(monkeypatch):
         raise AssertionError("find_root called")
 
     monkeypatch.setattr(averaging, "find_root", refuse)
-    for curve, model, lam, a_range, n in (
-            (resonance_curve_nonsmooth, "nonsmooth", 1.0, (-1.0, 1.0), 21),
-            (resonance_curve_classical, "classical", 0.3, (-0.5, 0.5), 5)):
+    for model, lam, a_range, n in (("nonsmooth", 1.0, (-1.0, 1.0), 21),
+                                   ("classical", 0.3, (-0.5, 0.5), 5)):
         want = sum(len(amplitude_roots(model, float(a), lam))
                    for a in np.linspace(a_range[0], a_range[1], n))
-        assert len(curve(lam, a_range, n)) == want
+        assert len(resonance_curve(model, lam, a_range, n)) == want
 
 
 def test_resonance_validation():
     with pytest.raises(ValueError):
-        resonance_curve_nonsmooth(-0.5, (0.0, 1.0), 3)
+        resonance_curve("nonsmooth", -0.5, (0.0, 1.0), 3)
     with pytest.raises(ValueError):
-        resonance_curve_nonsmooth(0.5, (1.0, 0.0), 3)
+        resonance_curve("nonsmooth", 0.5, (1.0, 0.0), 3)
     with pytest.raises(ValueError):
-        resonance_curve_nonsmooth(0.5, (0.0, 1.0), 0)
+        resonance_curve("nonsmooth", 0.5, (0.0, 1.0), 0)
 
 
 def test_full_prediction_cycle_end_to_end():
@@ -319,20 +316,11 @@ def test_full_prediction_cycle_end_to_end():
         traj = integrate(f, 0.0, TWO_PI, r.v_star, eps)
         u_sim = traj.states[:, 0] * np.sin(traj.times) \
             + traj.states[:, 1] * np.cos(traj.times)
-        u_pred = reconstruct_u(traj.times, pt.M, pt.N)
+        u_pred = pt.M * np.sin(traj.times) + pt.N * np.cos(traj.times)
         sup_errs.append(float(np.max(np.abs(u_sim - u_pred))))
     assert dists[0] > dists[1] > dists[2]
     assert sup_errs[0] > sup_errs[1] > sup_errs[2]
     assert sup_errs[2] < 0.1
-
-
-def test_reconstruct_u_identities():
-    t = np.linspace(0.0, TWO_PI, 64)
-    M, N = 1.1, -0.8
-    u = reconstruct_u(t, M, N)
-    amp = math.hypot(M, N)
-    assert np.max(np.abs(u)) <= amp + 1e-12
-    assert abs(reconstruct_u(0.0, M, N) - N) < 1e-15
 
 
 def test_kink_metadata_matches_zero_crossings(unforced_nonsmooth):
@@ -342,4 +330,4 @@ def test_kink_metadata_matches_zero_crossings(unforced_nonsmooth):
         if np.hypot(*v) < 0.1:
             continue
         for tk in unforced_nonsmooth.kinks(v, 0.0):
-            assert abs(reconstruct_u(tk, v[0], v[1])) < 1e-10
+            assert abs(v[0] * math.sin(tk) + v[1] * math.cos(tk)) < 1e-10
