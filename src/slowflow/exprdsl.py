@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Dict, Optional, Sequence, Union
 
@@ -39,29 +39,70 @@ KINK_SCAN = 64           # t intervals per period scanned for switches
 KINK_MAX_ITER = 60       # Illinois steps per refinement (about 10 suffice)
 
 
-@dataclass(frozen=True)
-class Const:
+class _Node:
+    """Structural ``==``, ``hash`` and ``repr`` off an explicit stack: the
+    dataclass-generated ones recurse once per tree level, and a long sum is as
+    deep as it is long."""
+
+    def _items(self):
+        return [(f.name, getattr(self, f.name)) for f in fields(self)]
+
+    def _preorder(self):
+        # (class, leaf fields) of each node; with the arities, the tree
+        out, stack = [], [self]
+        while stack:
+            e = stack.pop()
+            items = e._items()
+            out.append((type(e), *[v for _, v in items if not isinstance(v, _Node)]))
+            stack += reversed([v for _, v in items if isinstance(v, _Node)])
+        return out
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._preorder() == other._preorder()
+
+    def __hash__(self):
+        return hash(tuple(self._preorder()))
+
+    def __repr__(self):
+        # the dataclass format, e.g. Unary(op='neg', arg=Var(name='x1'))
+        parts, stack = [], [self]
+        while stack:
+            e = stack.pop()
+            if isinstance(e, str):
+                parts.append(e)
+                continue
+            pieces = [f"{type(e).__qualname__}("]
+            for i, (name, v) in enumerate(e._items()):
+                pieces += [f"{', ' if i else ''}{name}=", v if isinstance(v, _Node) else repr(v)]
+            stack += reversed(pieces + [")"])
+        return "".join(parts)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Const(_Node):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False, repr=False)
+class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Param:
+@dataclass(frozen=True, eq=False, repr=False)
+class Param(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Unary:
+@dataclass(frozen=True, eq=False, repr=False)
+class Unary(_Node):
     op: str              # 'neg' or a function name
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class Binary:
+@dataclass(frozen=True, eq=False, repr=False)
+class Binary(_Node):
     op: str              # '+', '-', '*', '/', '^'
     left: "Expr"
     right: "Expr"

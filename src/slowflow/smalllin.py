@@ -16,14 +16,7 @@ import numpy as np
 
 from .errors import NoConvergence, Singular
 
-__all__ = [
-    "Spectrum", "solve", "eigenvalues", "eig2x2", "cholesky",
-    "HURWITZ_MARGIN",
-]
-
-# strict margin: max Re < -HURWITZ_MARGIN counts as Hurwitz, |Re| <= margin
-# is the degenerate band (the unforced oscillator sits exactly there)
-HURWITZ_MARGIN = 1e-9
+__all__ = ["Spectrum", "solve", "eigenvalues", "eig2x2", "cholesky"]
 
 
 def _as_square(A) -> np.ndarray:
@@ -44,9 +37,6 @@ class Spectrum:
     @property
     def max_real(self) -> float:
         return float(np.max(self.values.real))
-
-    def is_hurwitz(self) -> bool:
-        return self.max_real < -HURWITZ_MARGIN
 
 
 def _lapack(fn, *args, error=Singular):

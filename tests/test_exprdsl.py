@@ -396,6 +396,18 @@ def test_long_chain_compiles_evaluates_and_differentiates(op, value, slope):
     assert pretty(parse(source)) == f" {op} ".join(["x1"] * 5000)
 
 
+def test_long_chain_compares_hashes_and_reprs():
+    # ==, hash and repr walk the tree off a stack, as the compiler does
+    source = "+".join(["x1"] * 5000)
+    tree = parse(source)
+    assert tree == parse(source) and hash(tree) == hash(parse(source))
+    assert tree != parse("x2+" + source[3:])        # differs in the deepest leaf
+    assert repr(tree).count("Var(name='x1')") == 5000
+    assert repr(parse("-x1^2")) == (
+        "Unary(op='neg', arg=Binary(op='^', left=Var(name='x1'), "
+        "right=Const(value=2.0)))")
+
+
 @pytest.mark.parametrize("source", [
     "(" * 300 + "x1" + ")" * 300,
     "-" * 1000 + "x1",

@@ -459,6 +459,125 @@ def test_dopri_bit_identical_to_reference_loop(tol):
             assert traj.states.tobytes() == xs.tobytes()
 
 
+def _counted(rhs):
+    calls = [0]
+
+    def counted_rhs(t, x):
+        calls[0] += 1
+        return rhs(t, x)
+    return counted_rhs, calls
+
+
+def _variational_rhs(f, eps):
+    # the (x, vec Phi) field variational_map flows, written out again
+    k = f.dim
+
+    def evaluate(t, y, eps):
+        x = y[:k]
+        return np.concatenate((f.evaluate(t, x, eps),
+                               f.jacobian(t, x, eps) @ y[k:].reshape(k, k)), axis=None)
+    return odeint._make_rhs(PeriodicField(k + k * k, f.period, evaluate), eps)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+def test_float_loop_bit_identical_to_reference_loop(tol):
+    # one short state steps on Python floats; flow, integrate and
+    # variational_map give the reference loop's bits with its field calls
+    cfg = IntegratorConfig(abs_tol=tol, rel_tol=tol)
+    rng = np.random.default_rng(2025)
+    for f in _bit_check_fields():
+        assert f.dim + f.dim ** 2 <= odeint._FLOAT_LOOP_MAX
+        for eps in (0.05, 0.3):
+            x0 = rng.uniform(-3.0, 3.0, f.dim)
+            rhs, ref_calls = _counted(odeint._make_rhs(f, eps))
+            ts, xs = _ref_dopri(rhs, 0.0, f.period, x0, tol, tol)
+            calls = [0]
+
+            def evaluate(t, x, eps):
+                calls[0] += 1
+                return f.evaluate(t, x, eps)
+            g = PeriodicField(f.dim, f.period, evaluate, jacobian=f.jacobian)
+            assert flow(g, 0.0, f.period, x0, eps, cfg).tobytes() == xs[-1].tobytes()
+            assert calls[0] == ref_calls[0]
+            traj = integrate(f, 0.0, f.period, x0, eps, cfg)
+            assert traj.times.tobytes() == ts.tobytes()
+            assert traj.states.tobytes() == xs.tobytes()
+            y0 = np.concatenate([x0, np.eye(f.dim).ravel()])
+            rhs, ref_calls = _counted(_variational_rhs(f, eps))
+            y = _ref_dopri(rhs, 0.0, f.period, y0, tol, tol)[1][-1]
+            calls[0] = 0
+            P, DP = variational_map(g, x0, eps, cfg)
+            assert P.tobytes() == y[:f.dim].tobytes()
+            assert DP.tobytes() == y[f.dim:].tobytes()
+            assert calls[0] == ref_calls[0]
+
+
+def test_float_loop_cutoff(monkeypatch):
+    # a state of _FLOAT_LOOP_MAX components steps on floats, one more on
+    # numpy arrays; both match the reference loop
+    taken = []
+    for name in ("_run_dopri", "_run_dopri_floats"):
+        def spy(*args, _run=getattr(odeint, name), _name=name):
+            taken.append(_name)
+            return _run(*args)
+        monkeypatch.setattr(odeint, name, spy)
+
+    def evaluate(t, x, eps):
+        return np.cos(t + np.arange(x.shape[-1])) - x + 0.3 * np.roll(x, 1, axis=-1)
+    n = odeint._FLOAT_LOOP_MAX
+    for dim, loop in ((n, "_run_dopri_floats"), (n + 1, "_run_dopri")):
+        f = _field(dim, TWO_PI, evaluate)
+        x0 = np.linspace(-2.0, 2.0, dim)
+        got = flow(f, 0.0, TWO_PI, x0, 0.2)
+        assert taken.pop() == loop
+        ref = _ref_dopri(odeint._make_rhs(f, 0.2), 0.0, TWO_PI, x0, 1e-10, 1e-10)
+        assert got.tobytes() == ref[1][-1].tobytes()
+    flow_batch(f, 0.0, TWO_PI, np.ones((3, dim)), 0.2)
+    assert taken.pop() == "_run_dopri"
+
+
+def _failing_flows():
+    # (field, x0, t1, max_steps): each flow raises, for its own reason
+    base = vdp.nonsmooth_vdp_field(vdp.ForcingParams(0.1, 1.0))
+    calls = [0]
+
+    def turns(value):       # the second component turns bad after 40 calls
+        def evaluate(t, x, eps):
+            calls[0] += 1
+            g = base.evaluate(t, x, eps)
+            return g if calls[0] <= 40 else np.array([g[0], value])
+        return _field(2, TWO_PI, evaluate)
+
+    def nan_region(t, x, eps):      # reached step by step, until h underflows
+        return np.array([1.0, 0.0]) if x[0] <= 1.5 else np.array([1.0, np.nan])
+
+    return calls, [
+        (base, [np.nan, 1.0], 5 * TWO_PI, 10_000),           # NaN start
+        (turns(np.nan), [0.5, 1.2], 5 * TWO_PI, 10_000),     # NaN partway
+        (turns(np.inf), [0.5, 1.2], 5 * TWO_PI, 10_000),     # inf partway
+        (_field(1, 3.0, lambda t, x, eps: x * x), [2.0], 3.0, 10_000),  # blow-up
+        (_field(2, 1.0, nan_region), [1.0, 0.0], 3.0, 10_000),          # underflow
+        (base, [0.5, 1.2], TWO_PI, 25),                      # step limit
+    ]
+
+
+def test_float_loop_fails_as_the_numpy_loop():
+    # same exception, same message, after the same field calls; inf - inf
+    # warns in numpy arithmetic only
+    calls, cases = _failing_flows()
+    for f, x0, t1, max_steps in cases:
+        seen = []
+        for run in (odeint._run_dopri, odeint._run_dopri_floats):
+            calls[0] = 0
+            rhs, n = _counted(odeint._make_rhs(f, 0.5))
+            with pytest.raises((NonFiniteState, StepLimitExceeded)) as ei, \
+                    np.errstate(all="ignore"):
+                run(rhs, 0.0, t1, np.array(x0), 1e-10, 1e-10, max_steps, False)
+            seen.append((type(ei.value), str(ei.value), n[0]))
+        assert seen[0] == seen[1]
+        assert seen[0][2] <= 5000
+
+
 @pytest.mark.parametrize("cfg", [IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12),
                                  rk4(TWO_PI / 2000)])
 def test_variational_map_linear_both_steppers(cfg):
