@@ -179,14 +179,14 @@ def find_root(f: PeriodicField, guess, root_tol: float = 1e-10,
     if not np.all(np.isfinite(v)):
         raise ValueError("guess must be finite")
 
-    def steps(v, g):
+    def step(v, g):
         try:
-            return [smalllin.solve(averaged_jacobian(f, v, n_nodes), -g)]
+            return smalllin.solve(averaged_jacobian(f, v, n_nodes), -g)
         except Singular as exc:
             raise SingularJacobian(f"Newton Jacobian singular at {v}") from exc
 
     v, _, res, iters, stop = newton.solve(
-        lambda v: averaged_function(f, v, n_nodes), v, root_tol, steps)
+        lambda v: averaged_function(f, v, n_nodes), v, root_tol, step)
     if stop != "converged":
         raise MaxIterations(f"Newton {stop} at residual {res:.3e} (> tol "
                             f"{root_tol:g}) after {iters} iterations")

@@ -319,6 +319,9 @@ def _run_dopri_floats(rhs, t0, t1, x0, atol, rtol, max_steps, record):
     return np.array(x)
 
 
+# a field's inf or NaN goes to the error norm and blow-up tests of the loops,
+# not to a RuntimeWarning from the stage sums or the field's own arithmetic
+@np.errstate(over="ignore", invalid="ignore")
 def _run_dopri_members(rhs, t0, t1, x0, atol, rtol, max_steps):
     """Dormand-Prince with its own step size and error control per member.
 
@@ -410,6 +413,7 @@ def _step_cap(f, t0, t1, cfg):
     return cfg.max_steps * max(1, math.ceil((t1 - t0) / f.period))
 
 
+@np.errstate(over="ignore", invalid="ignore")      # as in _run_dopri_members
 def _run(f, t0, t1, x0, eps, cfg, record):
     rhs = _make_rhs(f, eps)
     cap = _step_cap(f, t0, t1, cfg)
@@ -485,13 +489,15 @@ def poincare_map(f: PeriodicField, v, eps: float,
 
 
 def variational_map(f: PeriodicField, v, eps: float,
-                    cfg: IntegratorConfig = IntegratorConfig()):
+                    cfg: IntegratorConfig = IntegratorConfig(),
+                    t1: Optional[float] = None):
     """The period map and its derivative, ``(P(v), DP(v))``: one flow of
-    (x, vec Phi) from (v, I), Phi' = eps*(dg/dx)*Phi, by the steppers of
-    `flow` with Phi inside the error norm.  The saltation matrix at each
-    transversal crossing of a continuous field's switching set is the
-    identity (Leine & Nijmeijer, *Dynamics and Bifurcations of Non-Smooth
-    Mechanical Systems*, 2004), so Phi(T) is DP(v).
+    (x, vec Phi) from (v, I) at t = 0 to `t1` (default the period T),
+    Phi' = eps*(dg/dx)*Phi, by the steppers of `flow` with Phi inside the
+    error norm.  The saltation matrix at each transversal crossing of a
+    continuous field's switching set is the identity (Leine & Nijmeijer,
+    *Dynamics and Bifurcations of Non-Smooth Mechanical Systems*, 2004), so
+    Phi(t1) is the derivative of x(t1; v).
 
     dg/dx is the field's ``jacobian``, or else central differences of
     ``evaluate`` with step ``FD_STEP_SCALE * (1 + |x|)``: one call on
@@ -514,6 +520,7 @@ def variational_map(f: PeriodicField, v, eps: float,
         return np.concatenate((ev(t, x, eps), jac(t, x, eps) @ y[k:].reshape(k, k)),
                               axis=None)
 
-    y = _run(PeriodicField(k + k * k, f.period, evaluate), 0.0, f.period,
-             np.concatenate([v, eye.ravel()]), eps, cfg, record=False)
+    y = _run(PeriodicField(k + k * k, f.period, evaluate), 0.0,
+             f.period if t1 is None else t1, np.concatenate([v, eye.ravel()]),
+             eps, cfg, record=False)
     return y[:k], y[k:].reshape(k, k)

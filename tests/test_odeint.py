@@ -578,6 +578,30 @@ def test_float_loop_fails_as_the_numpy_loop():
         assert seen[0][2] <= 5000
 
 
+def test_inf_field_fails_cleanly_without_errstate():
+    # no errstate here: under the suite's -W error, inf - inf in the numpy
+    # stage sums or in the field must not escape as a RuntimeWarning
+    base = vdp.nonsmooth_vdp_field(vdp.ForcingParams(0.1, 1.0))
+    calls = [0]
+
+    def evaluate(t, x, eps):        # the second component is inf from call 5
+        calls[0] += 1
+        g = np.array(base.evaluate(t, x, eps), dtype=float)
+        g[..., 1] = np.inf if calls[0] > 4 else g[..., 1]
+        return g
+
+    f = _field(2, TWO_PI, evaluate)
+    X = np.array([[0.5, 1.2], [1.0, 0.0]])
+    for run in (lambda: flow(f, 0.0, 5 * TWO_PI, X[0], 0.5),
+                lambda: flow_batch(f, 0.0, 5 * TWO_PI, X[:1], 0.5)):
+        calls[0] = 0
+        with pytest.raises(StepLimitExceeded, match="underflow"):
+            run()
+        assert calls[0] == 109
+    out = flow_batch(f, 0.0, 5 * TWO_PI, X, 0.5, shared_steps=False)
+    assert np.all(np.isnan(out))
+
+
 @pytest.mark.parametrize("cfg", [IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12),
                                  rk4(TWO_PI / 2000)])
 def test_variational_map_linear_both_steppers(cfg):

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import certified_forced_params
+from conftest import NONSMOOTH_DSL, certified_forced_params
 from slowflow import certify, smalllin, vdp
-from slowflow.odeint import IntegratorConfig, PeriodicField, poincare_map, variational_map
+from slowflow.exprdsl import FieldSpec, field_from_spec
+from slowflow.odeint import (IntegratorConfig, PeriodicField, flow, poincare_map,
+                             variational_map)
 from slowflow.orbit import (
-    _ORBIT_CFG, ORBITAL_NOTE, _truncated_step, basin_probe, eps_sweep, find_periodic,
-    measure_contraction,
+    _ORBIT_CFG, _commutes_with_rotation, _rotation, basin_probe, eps_sweep,
+    find_periodic, measure_contraction,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -44,14 +46,77 @@ def test_eps_must_be_positive(linear_field):
 def test_unforced_orbitally_stable(unforced_nonsmooth):
     r = find_periodic(unforced_nonsmooth, np.array([2.0, 0.8]), 0.05,
                       v0=np.array([A0, 0.0]))
-    assert r.note == ORBITAL_NOTE
-    assert not r.stable and not r.converged
+    assert r.orbitally_stable
+    assert not r.stable and r.converged and r.residual <= 1e-10
     mags = np.sort(np.abs(r.multipliers))
-    assert abs(mags[-1] - 1.0) <= 1e-4           # phase direction
+    assert abs(mags[-1] - 1.0) <= 1e-9           # phase direction
     assert mags[0] < 1.0 - 1e-4                  # contracting direction
-    assert r.residual < 1e-2
-    # the truncated step stalls on the circle instead of creeping along it
-    assert r.iterations <= 6
+
+
+def _unforced(model):
+    builder = vdp.nonsmooth_vdp_field if model == "nonsmooth" else vdp.classical_vdp_field
+    return builder(vdp.ForcingParams(0.0, 0.0))
+
+
+@pytest.mark.parametrize("model,eps,start", [
+    ("nonsmooth", 0.03, (A0, 0.0)), ("nonsmooth", 0.1, (2.0, 0.8)), ("nonsmooth", 0.3, (2.0, 0.8)),
+    ("classical", 0.1, (2.0, 0.8)), ("classical", 0.3, (2.0, 0.8))])
+def test_unforced_cycle_converges(model, eps, start):
+    # the 2*pi map has no fixed point here; the relative-orbit equations in
+    # (v, tau) do, and the phase multiplier of R(-tau)Phi is 1
+    f, calls = _counted(_unforced(model))
+    r = find_periodic(f, np.array(start), eps)
+    assert r.converged and r.residual <= 1e-10
+    assert r.orbitally_stable and not r.stable
+    phase = np.sort(np.abs(r.multipliers - 1.0))
+    assert phase[0] <= 1e-9 and phase[1] > 1e-3
+    # the cycle, rechecked on a finer flow: x(T + tau; v*) = R(tau)v*
+    x = flow(f, 0.0, r.period, r.v_star, eps, IntegratorConfig(abs_tol=1e-14, rel_tol=1e-14))
+    assert np.linalg.norm(x - _rotation(r.period - TWO_PI) @ r.v_star) <= 1e-10
+    if eps == 0.03:
+        assert calls[0] < 29_660        # the stalled solve took 29,660 calls
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.03, 0.05, 0.1, 0.2])
+def test_classical_period_matches_lindstedt_series(eps):
+    # u'' - eps(1 - u^2)u' + u = 0 has period 2*pi(1 + eps^2/16 - 5eps^4/3072 + O(eps^6))
+    r = find_periodic(_unforced("classical"), np.array([2.0, 0.8]), eps)
+    tau = r.period - TWO_PI
+    series = TWO_PI * (eps ** 2 / 16.0 - 5.0 * eps ** 4 / 3072.0)
+    assert abs(tau - series) <= 0.01 * eps ** 6
+
+
+@pytest.mark.parametrize("start", [(1.0, 0.5), (0.0, 0.0), (1e-3, 0.0)])
+def test_relative_equilibrium_at_the_origin(start):
+    # the damped unforced oscillator commutes with the rotation, but its
+    # orbit is the origin: no phase multiplier, a stable fixed point
+    f = field_from_spec(FieldSpec.from_strings(2, TWO_PI, [
+        "-(x1*cos(t)-x2*sin(t))*cos(t)", "(x1*cos(t)-x2*sin(t))*sin(t)"]))
+    assert _commutes_with_rotation(f, np.array(start), 0.1)
+    r = find_periodic(f, np.array(start), 0.1)
+    assert np.linalg.norm(r.v_star) <= 1e-12
+    assert r.stable and not r.orbitally_stable
+    assert np.all(np.abs(r.multipliers) < 0.8)
+
+
+def test_dsl_twin_reaches_the_builtin_cycle(unforced_nonsmooth):
+    spec = FieldSpec.from_strings(2, TWO_PI, NONSMOOTH_DSL, {"a": 0.0, "lam": 0.0})
+    twin = field_from_spec(spec)
+    start = np.array([2.0, 0.8])
+    r = find_periodic(unforced_nonsmooth, start, 0.1)
+    rt = find_periodic(twin, start, 0.1)
+    assert rt.orbitally_stable
+    assert np.max(np.abs(rt.v_star - r.v_star)) <= 1e-9
+    assert abs(rt.period - r.period) <= 1e-9
+
+
+def test_rotation_check_tells_forced_from_unforced(unforced_nonsmooth):
+    v = np.array([2.0, 0.8])
+    forced = vdp.nonsmooth_vdp_field(vdp.ForcingParams(0.1, 1.0))
+    assert _commutes_with_rotation(unforced_nonsmooth, v, 0.1)
+    assert _commutes_with_rotation(_unforced("classical"), v, 0.1)
+    assert not _commutes_with_rotation(forced, v, 0.1)
+    assert not _commutes_with_rotation(forced, _closed_form_root(0.1, 1.0), 0.05)
 
 
 def test_unforced_amplitude_approaches_prediction(unforced_nonsmooth):
@@ -84,29 +149,6 @@ def _closed_form_root(a, lam):
     k = math.pi - 4.0 * A / 3.0
     return np.linalg.solve(np.array([[k, -a * math.pi], [a * math.pi, k]]),
                            np.array([0.0, lam * math.pi]))
-
-
-def test_truncated_step_drops_directions_below_ratio():
-    # singular values 1, 0.011, 0.009 against the default 1e-2 cut: only the
-    # 0.009 direction is FD noise
-    rng = np.random.default_rng(41)
-    Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    J = Q @ np.diag([1.0, 0.011, 0.009]) @ Q.T
-    Fv = rng.standard_normal(3)
-    step, dropped = _truncated_step(J, Fv)
-    assert dropped
-    expected = Q @ np.diag([1.0, 1.0 / 0.011, 0.0]) @ Q.T @ (-Fv)
-    assert np.linalg.norm(step - expected) <= 1e-12 * np.linalg.norm(expected)
-
-
-def test_truncated_step_well_conditioned_is_newton_step():
-    rng = np.random.default_rng(43)
-    J = rng.standard_normal((3, 3)) + 4.0 * np.eye(3)
-    Fv = rng.standard_normal(3)
-    step, dropped = _truncated_step(J, Fv)
-    assert not dropped
-    expected = smalllin.solve(J, -Fv)
-    assert np.linalg.norm(step - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_forced_solve_evaluation_count():
@@ -171,15 +213,17 @@ def test_fd_field_multipliers_match_tight_variational_reference(builder):
 
 @pytest.mark.parametrize("case", ["forced", "unforced stall"])
 def test_multipliers_are_those_of_phi_at_the_returned_point(case):
-    # the stall returns the start, after rejected first trials whose own Phi
-    # must not be reported
+    # the Phi of a rejected trial must not be reported; an unforced cycle
+    # reports R(-tau)Phi over its period
     if case == "forced":
         root = _closed_form_root(0.1, 1.0)
         f, v0, eps = vdp.nonsmooth_vdp_field(vdp.ForcingParams(0.1, 1.0)), root, 0.07
     else:
         f, v0, eps = vdp.nonsmooth_vdp_field(), np.array([A0, 0.0]), 0.03
     r = find_periodic(f, v0, eps)
-    _, Phi = variational_map(f, r.v_star, eps, _ORBIT_CFG)
+    _, Phi = variational_map(f, r.v_star, eps, _ORBIT_CFG, r.period)
+    if case != "forced":
+        Phi = _rotation(TWO_PI - r.period) @ Phi
     assert np.array_equal(r.multipliers, smalllin.eigenvalues(Phi).values)
 
 
