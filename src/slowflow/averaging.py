@@ -27,9 +27,9 @@ integral by the same rule on the same segments; one without gets central
 differences of the averaged field at ``odeint.FD_STEP_SCALE * (1 + |v|)``.
 
 Zeros of the averaged field are the candidate initial points of periodic
-solutions of x' = eps*g; they are located by the damped Newton loop of
-``newton.solve`` (trust region, Armijo line search, no full-step fallback) on
-the quadrature values with that Jacobian.
+solutions of x' = eps*g; ``find_root`` hands the quadrature values and that
+Jacobian to the damped Newton loop of ``newton.solve`` (trust region, Armijo
+line search, no full-step fallback), which also raises its failures.
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from . import newton, smalllin
-from .errors import (MaxIterations, NonFiniteValue, Singular, SingularJacobian,
-                     SlowflowError)
+from . import newton
+from .errors import NonFiniteValue, SlowflowError
 from .odeint import FD_STEP_SCALE, PeriodicField
 
 __all__ = [
@@ -83,7 +82,15 @@ class RootResult:
     iterations: int
     converged: bool
     jacobian: Optional[np.ndarray] = None
-    non_isolated: bool = False     # near-singular Jacobian: continuum suspected
+
+    @property
+    def non_isolated(self) -> bool:
+        """sigma_min/sigma_max of the Jacobian below ``NON_ISOLATED_RATIO``
+        (the zero matrix included): a continuum of roots is suspected."""
+        if self.jacobian is None:
+            return False
+        s = np.linalg.svd(self.jacobian, compute_uv=False)
+        return bool(s[0] == 0.0 or s[-1] / s[0] < NON_ISOLATED_RATIO)
 
 
 def _gauss_integrals(fn: Callable, lo: np.ndarray, L: np.ndarray) -> tuple:
@@ -162,37 +169,21 @@ def averaged_jacobian(f: PeriodicField, v, n_nodes: int = DEFAULT_NODES) -> np.n
     return J
 
 
-def _singular_ratio(J: np.ndarray) -> float:
-    """sigma_min / sigma_max of J (0.0 for the zero matrix)."""
-    s = np.linalg.svd(J, compute_uv=False)
-    return float(s[-1] / s[0]) if s[0] > 0.0 else 0.0
-
-
 def find_root(f: PeriodicField, guess, root_tol: float = 1e-10,
               n_nodes: int = DEFAULT_NODES) -> RootResult:
     """Damped Newton (``newton.solve``) on the averaged field from `guess`.
 
-    Converged means the quadrature residual dropped to ``root_tol``; a stall
-    or the iteration cap raises ``MaxIterations`` naming the stop reason.
+    Converged means the quadrature residual dropped to ``root_tol``; a
+    singular step raises ``SingularJacobian``, a stall or the iteration cap
+    ``MaxIterations`` naming the stop reason.
     """
     v = np.asarray(guess, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("guess must be finite")
-
-    def step(v, g):
-        try:
-            return smalllin.solve(averaged_jacobian(f, v, n_nodes), -g)
-        except Singular as exc:
-            raise SingularJacobian(f"Newton Jacobian singular at {v}") from exc
-
-    v, _, res, iters, stop = newton.solve(
-        lambda v: averaged_function(f, v, n_nodes), v, root_tol, step)
-    if stop != "converged":
-        raise MaxIterations(f"Newton {stop} at residual {res:.3e} (> tol "
-                            f"{root_tol:g}) after {iters} iterations")
-    J = averaged_jacobian(f, v, n_nodes)
-    return RootResult(v, res, iters, True, J,
-                      _singular_ratio(J) < NON_ISOLATED_RATIO)
+    v, _, res, iters = newton.solve(lambda v: averaged_function(f, v, n_nodes),
+                                    lambda v: averaged_jacobian(f, v, n_nodes),
+                                    v, root_tol)
+    return RootResult(v, res, iters, True, averaged_jacobian(f, v, n_nodes))
 
 
 def scan_roots(f: PeriodicField, box, grid_n: int = 32,

@@ -8,7 +8,8 @@ certify     checkable stability conditions at a point -> JSON
 verify      fixed points of the period map over decreasing eps -> CSV + JSON
 resonance   amplitude/stability curve over a detuning range -> CSV (+ SVG)
 
-Exit codes: 0 ok, 2 config or usage error, 3 empty result, 4 numerical failure.
+Exit codes: 0 ok, 1 stdout closed early (a broken pipe), 2 config or usage
+error, 3 empty result, 4 numerical failure.
 All output is deterministic for a fixed config and seed; floats are printed
 with 17 significant digits so CSV re-runs are byte-identical.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -442,7 +444,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()          # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so that the flush at
+        # exit has nothing to fail on (Python docs, signal, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

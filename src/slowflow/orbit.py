@@ -5,10 +5,10 @@ P(v) - v where P is the Poincare (period) map.  Its Jacobian DP solves the
 variational equation Phi' = eps*(dg/dx)*Phi (``variational_map``): g is
 piecewise differentiable and continuous across switching sets that flows
 cross transversally, so P is C^1.  dg/dx is the field's ``jacobian``, or a
-central difference of ``evaluate`` for a field without one.  The start and
-the first trial of each Newton iteration flow Phi with the state;
-backtracked trials use the plain map.  The Floquet multipliers are the
-eigenvalues of Phi at the returned point.
+central difference of ``evaluate`` for a field without one.  Every trial
+flows Phi with the state, and the Newton Jacobian and the Floquet
+multipliers (the eigenvalues of Phi) are read off the flow of the last point
+tried, where ``newton.solve`` asks for them.
 
 Which ensemble flows share a step grid: ``measure_contraction`` does,
 because close pairs need correlated integration errors that cancel in their
@@ -33,9 +33,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import newton, smalllin
-from .errors import MaxIterations, Singular, SingularJacobian, SlowflowError
-from .odeint import (IntegratorConfig, PeriodicField, flow, flow_batch,
-                     poincare_map, variational_map)
+from .errors import SlowflowError
+from .odeint import IntegratorConfig, PeriodicField, flow_batch, variational_map
 
 __all__ = [
     "PeriodicOrbitResult", "SweepEntry", "SweepResult",
@@ -49,9 +48,10 @@ _S = np.array([[0.0, 1.0], [-1.0, 0.0]])       # R(s) = exp(s*S)
 _ROTATION_SAMPLES = np.array([[0.3, 0.7, 0.4, -0.2], [2.1, 2.6, -0.3, 0.5],
                               [4.4, 5.1, 0.1, 0.3]])
 
-# fixed-point residuals are driven to 1e-10, so the map itself is integrated
+# fixed-point residuals are driven to _TOL, so the map itself is integrated
 # well below that; the package-wide 1e-10 default would put integrator jitter
 # right at the Newton target
+_TOL = 1e-10
 _ORBIT_CFG = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12)
 
 
@@ -88,15 +88,14 @@ class SweepResult:
 
 
 def find_periodic(f: PeriodicField, v0_guess, eps: float,
-                  cfg: IntegratorConfig = _ORBIT_CFG,
-                  tol: float = 1e-10, v0=None) -> PeriodicOrbitResult:
+                  cfg: IntegratorConfig = _ORBIT_CFG, v0=None) -> PeriodicOrbitResult:
     """Damped Newton (``newton.solve``) on P(v) - v from `v0_guess`, eps > 0,
     or on the relative-orbit equations in (v, tau) for a field that commutes
     with the slow-frame rotation.
 
     `v0` (when given) is the averaged-field root used for the reported
-    distance; it defaults to the initial guess.  A stall or the iteration cap
-    raises ``MaxIterations``.
+    distance; it defaults to the initial guess.  ``newton.solve`` raises
+    ``SingularJacobian`` or ``MaxIterations`` when the solve fails.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -107,56 +106,34 @@ def find_periodic(f: PeriodicField, v0_guess, eps: float,
     k, T = f.dim, f.period
     rel = _commutes_with_rotation(f, guess, eps)
     phase_row = _S @ guess if rel else None
-    # the start and the first trial of each iteration flow Phi along: an
-    # accepted full step then brings its own DP, and only backtracked trials,
-    # cheaper on the scalar map, leave it to be flowed
-    fresh, at, xPhi = True, None, None
+    xPhi = None         # (x, Phi) flowed from the last point F saw
 
     def split(z):
         return (z[:k], z[k]) if rel else (z, 0.0)
 
-    def flowed(z):
-        nonlocal at, xPhi
-        if not np.array_equal(z, at):
-            v, tau = split(z)
-            at, xPhi = z.copy(), variational_map(f, v, eps, cfg, T + tau)
-        return xPhi
-
     def F(z):
-        nonlocal fresh
+        nonlocal xPhi
         v, tau = split(z)
-        if fresh:
-            fresh, x = False, flowed(z)[0]
-        else:
-            x = flow(f, 0.0, T + tau, v, eps, cfg) if rel else poincare_map(f, v, eps, cfg)
+        xPhi = variational_map(f, v, eps, cfg, T + tau)
         if not rel:
-            return x - v
-        return np.append(x - _rotation(tau) @ v, (v - guess) @ phase_row)
+            return xPhi[0] - v
+        return np.append(xPhi[0] - _rotation(tau) @ v, (v - guess) @ phase_row)
 
-    def step(z, Fz):
-        nonlocal fresh
-        (v, tau), (x, Phi) = split(z), flowed(z)
+    def jac(z):         # newton.solve calls it where F was last evaluated
+        (v, tau), (x, Phi) = split(z), xPhi
         J = Phi - (_rotation(tau) if rel else np.eye(k))
         if rel:     # the tau column: d/dtau of x(T + tau; v) - R(tau)v, R' = SR
             dtau = eps * np.asarray(f.evaluate(T + tau, x, eps)) - _S @ _rotation(tau) @ v
             J = np.block([[J, dtau[:, None]], [phase_row, 0.0]])
-        fresh = True
-        try:
-            return smalllin.solve(J, -Fz)
-        except Singular as exc:
-            raise SingularJacobian(f"period-map Jacobian singular at {v}") from exc
+        return J
 
-    z, _, res, iters, stop = newton.solve(
-        F, np.append(guess, 0.0) if rel else guess, tol, step)
-    if stop != "converged":
-        raise MaxIterations(f"Newton {stop} at residual {res:.3e} (> tol {tol:g}) "
-                            f"after {iters} iterations")
-    (v, tau), (_, Phi) = split(z), flowed(z)
+    z, _, res, iters = newton.solve(F, jac, np.append(guess, 0.0) if rel else guess, _TOL)
+    (v, tau), Phi = split(z), xPhi[1]
     mults = smalllin.eigenvalues(_rotation(-tau) @ Phi if rel else Phi).values
     inside = np.abs(mults) < 1.0 - STABLE_MARGIN
     # a cycle's phase direction, the multiplier nearest 1, is neutral; the
     # origin is a relative equilibrium with none
-    cycle = rel and float(np.linalg.norm(v)) > tol
+    cycle = rel and float(np.linalg.norm(v)) > _TOL
     if cycle:
         inside[np.argmin(np.abs(mults - 1.0))] = True
     return PeriodicOrbitResult(
@@ -190,8 +167,7 @@ def _commutes_with_rotation(f: PeriodicField, v, eps: float) -> bool:
 
 
 def eps_sweep(f: PeriodicField, v0, eps_list: Sequence[float],
-              cfg: IntegratorConfig = _ORBIT_CFG,
-              tol: float = 1e-10) -> SweepResult:
+              cfg: IntegratorConfig = _ORBIT_CFG) -> SweepResult:
     """Chain `find_periodic` over decreasing eps with warm starts.
 
     The fixed point at each eps seeds the next (staying on one solution
@@ -210,7 +186,7 @@ def eps_sweep(f: PeriodicField, v0, eps_list: Sequence[float],
     entries: List[SweepEntry] = []
     for eps in eps_list:
         try:
-            r = find_periodic(f, guess, eps, cfg, tol=tol, v0=v0)
+            r = find_periodic(f, guess, eps, cfg, v0=v0)
             entries.append(SweepEntry(eps, r))
             guess = r.v_star.copy()
         except SlowflowError as exc:

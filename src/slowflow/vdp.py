@@ -348,10 +348,8 @@ def recover_root(model: str, a: float, lam: float, A: float,
     if not (abs(math.hypot(M, N) - A) <= AMP_MATCH_TOL and res <= root_tol):
         raise RootRecoveryFailed(a, A, f"no averaged-field root with amplitude {A:.6g} "
                                  f"at a={a:.6g}: closed form {v}, residual {res:.3e}")
-    J = averaged_jacobian_closed_form(model, M, N, a)
-    return averaging.RootResult(
-        v, res, 0, True, J,
-        averaging._singular_ratio(J) < averaging.NON_ISOLATED_RATIO)
+    return averaging.RootResult(v, res, 0, True,
+                                averaged_jacobian_closed_form(model, M, N, a))
 
 
 def resonance_point(model: str, a: float, lam: float, A: float) -> ResonancePoint:

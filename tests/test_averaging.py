@@ -12,7 +12,7 @@ from slowflow.averaging import (
     averaged_function, averaged_jacobian, find_root, scan_roots,
 )
 from slowflow.certify import certify_hurwitz
-from slowflow.errors import DomainError, MaxIterations
+from slowflow.errors import DomainError, MaxIterations, SingularJacobian
 from slowflow.exprdsl import FieldSpec, eval_expr, field_from_spec, parse
 from slowflow.odeint import FD_STEP_SCALE, PeriodicField
 
@@ -267,6 +267,13 @@ def test_find_root_outside_basin_stalls_fast(guess, nodes):
     with pytest.raises(MaxIterations, match="stalled"):
         find_root(f, np.array(guess), n_nodes=nodes)
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_find_root_singular_jacobian_raises():
+    # a constant field has a zero averaged Jacobian: the first step is singular
+    f = field_from_spec(FieldSpec.from_strings(1, TWO_PI, ["1 + 0*x1"]))
+    with pytest.raises(SingularJacobian, match=r"Newton Jacobian singular at \[0\.\]"):
+        find_root(f, np.array([0.0]))
 
 
 def test_scan_roots_three_dimensional():

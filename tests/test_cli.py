@@ -203,6 +203,28 @@ def test_python_m_slowflow_runs_clean():
     ]
 
 
+@pytest.mark.parametrize("command", ["resonance", "verify"])
+def test_closed_stdout_pipe_exits_without_traceback(tmp_path, command):
+    # the reader end of the pipe is closed before the command writes a byte
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(slowflow.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    args = (["--model", "nonsmooth", "--lambda", "0", "--a", "0", "0", "--n", "1"]
+            if command == "resonance" else
+            ["--config", _write_cfg(tmp_path, {"system": "linear_test"}),
+             "--point", "0", "--eps", "0.1", "0.05", "0.02"])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "slowflow", command, *args],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert proc.returncode == 1
+
+
 def test_resonance_classical_row(capsys):
     rc = main(["resonance", "--model", "classical", "--lambda", "0",
                "--a", "0", "0", "--n", "1"])

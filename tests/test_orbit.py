@@ -6,9 +6,10 @@ import pytest
 
 from conftest import NONSMOOTH_DSL, certified_forced_params
 from slowflow import certify, smalllin, vdp
+from slowflow.errors import SingularJacobian
 from slowflow.exprdsl import FieldSpec, field_from_spec
-from slowflow.odeint import (IntegratorConfig, PeriodicField, flow, poincare_map,
-                             variational_map)
+from slowflow.odeint import (IntegratorConfig, PeriodicField, flow, integrate,
+                             poincare_map, variational_map)
 from slowflow.orbit import (
     _ORBIT_CFG, _commutes_with_rotation, _rotation, basin_probe, eps_sweep,
     find_periodic, measure_contraction,
@@ -84,6 +85,34 @@ def test_classical_period_matches_lindstedt_series(eps):
     tau = r.period - TWO_PI
     series = TWO_PI * (eps ** 2 / 16.0 - 5.0 * eps ** 4 / 3072.0)
     assert abs(tau - series) <= 0.01 * eps ** 6
+
+
+def _upward_zero(f, t0, y0, cfg):
+    """The zero of u = y[0] after the sample (t0, y0), by Newton on t with
+    u' = y[1], each iterate flowed from the sample."""
+    t, y = t0, y0
+    for _ in range(20):
+        dt = -y[0] / y[1]
+        t += dt
+        y = flow(f, t0, t, y0, 1.0, cfg)
+        if abs(dt) <= 1e-13:
+            return t
+    raise AssertionError("crossing not refined")
+
+
+@pytest.mark.parametrize("eps", [0.03, 0.1, 0.3])
+def test_nonsmooth_period_matches_direct_simulation(eps):
+    # u'' + eps(|u| - 1)u' + u = 0 from (u, u') = (N*, M*) lies on the cycle,
+    # so two upward zero crossings of u lie the cycle's period T + tau apart
+    r = find_periodic(_unforced("nonsmooth"), np.array([2.0, 0.8]), eps)
+    f = PeriodicField(2, TWO_PI, lambda t, y, e: np.array(
+        [y[1], -y[0] - eps * (abs(y[0]) - 1.0) * y[1]]))
+    cfg = IntegratorConfig(abs_tol=1e-13, rel_tol=1e-13)
+    path = integrate(f, 0.0, 2.2 * r.period, r.v_star[::-1], 1.0, cfg)
+    u = path.states[:, 0]
+    up = np.flatnonzero((u[:-1] < 0.0) & (u[1:] >= 0.0))
+    t1, t2 = (_upward_zero(f, path.times[i], path.states[i], cfg) for i in up[:2])
+    assert abs((t2 - t1) - r.period) <= 1e-8
 
 
 @pytest.mark.parametrize("start", [(1.0, 0.5), (0.0, 0.0), (1e-3, 0.0)])
@@ -211,13 +240,16 @@ def test_fd_field_multipliers_match_tight_variational_reference(builder):
         assert np.max(np.abs(np.sort_complex(r.multipliers) - want)) <= 1e-8
 
 
-@pytest.mark.parametrize("case", ["forced", "unforced stall"])
+@pytest.mark.parametrize("case", ["forced", "forced far start", "unforced stall"])
 def test_multipliers_are_those_of_phi_at_the_returned_point(case):
     # the Phi of a rejected trial must not be reported; an unforced cycle
     # reports R(-tau)Phi over its period
     if case == "forced":
         root = _closed_form_root(0.1, 1.0)
         f, v0, eps = vdp.nonsmooth_vdp_field(vdp.ForcingParams(0.1, 1.0)), root, 0.07
+    elif case == "forced far start":     # its line search backtracks
+        f, v0 = vdp.classical_vdp_field(vdp.ForcingParams(0.1, 1.0)), np.array([1.0, -1.5])
+        eps = 0.1
     else:
         f, v0, eps = vdp.nonsmooth_vdp_field(), np.array([A0, 0.0]), 0.03
     r = find_periodic(f, v0, eps)
@@ -225,6 +257,13 @@ def test_multipliers_are_those_of_phi_at_the_returned_point(case):
     if case != "forced":
         Phi = _rotation(TWO_PI - r.period) @ Phi
     assert np.array_equal(r.multipliers, smalllin.eigenvalues(Phi).values)
+
+
+def test_singular_period_map_jacobian_raises():
+    # x' = eps: P(v) = v + 2*pi*eps, and DP - I = 0 is singular everywhere
+    f = field_from_spec(FieldSpec.from_strings(1, TWO_PI, ["1 + 0*x1"]))
+    with pytest.raises(SingularJacobian, match=r"Newton Jacobian singular at \[0\.\]"):
+        find_periodic(f, np.array([0.0]), 0.1)
 
 
 def test_jacobian_field_runs_no_fd_batch():
