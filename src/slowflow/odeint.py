@@ -22,13 +22,16 @@ far more than its arithmetic.  Against the numpy loop, a flow of a field that
 costs one numpy call ran 1.9-2.8x as fast at k = 2, 1.5-1.7x at 12, 1.2x at
 20, even at 24-30 and 0.35x at 110 (2-core VM).  The cutoff of 20 keeps the
 variational flow of a field with k <= 4 (k + k^2 components) on floats.
-Ensembles and longer states take the numpy loop, `_run_dopri`.
+Ensembles and longer states take the numpy loop, `_run_dopri`.  A field's
+``floats`` is called there on lists, any other field on an ndarray.
 
 In both loops the Dormand-Prince stages are written out and must stay
 bit-identical to the left-to-right sums a_i1*k1 + a_i2*k2 + ... of the
 reference loop in the tests (no BLAS dot, no FMA), so both give the same
 bits, field calls and steps for one state: whether Newton on a nonsmooth
-period map meets its residual target can depend on the last bits.
+period map meets its residual target can depend on the last bits.  Only
+``variational_map`` on ``floats`` differs: its J*Phi float sums may round
+otherwise than numpy's ``@`` (an FMA), so Phi moves in its last bits.
 """
 
 from __future__ import annotations
@@ -88,6 +91,11 @@ class PeriodicField:
     its Newton steps and Floquet multipliers from the variational flow.  A
     jump at fixed times (a DSL ``sign`` of t, eps and parameters) does not
     move with x, so ``jacobian`` and the variational flow stay exact there.
+
+    ``floats``, when given, maps float ``t`` and a list of k floats to g as
+    a new list, and ``floats(t, x, eps, True)`` to ``(g, J)``, J as k rows:
+    the bits of ``evaluate`` and ``jacobian``, which one-state flows and
+    ``variational_map`` then never call.  Fields without it are unchanged.
     """
 
     dim: int
@@ -96,6 +104,7 @@ class PeriodicField:
     kinks: Optional[Callable] = None
     name: str = "field"
     jacobian: Optional[Callable] = None
+    floats: Optional[Callable] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -252,13 +261,12 @@ def _run_dopri(rhs, t0, t1, x0, atol, rtol, max_steps, record):
     return x
 
 
-def _run_dopri_floats(rhs, t0, t1, x0, atol, rtol, max_steps, record):
+def _run_dopri_floats(rhs, t0, t1, x0, atol, rtol, max_steps, record, f=None):
     """`_run_dopri` for one state of at most ``_FLOAT_LOOP_MAX`` components,
     held as Python float lists: the same sums in the same order, so the same
-    bits, field calls and steps, without a numpy call per stage term.  The
-    field still gets an ndarray."""
-    def f(t, x):
-        return rhs(t, np.array(x)).tolist()
+    bits, field calls and steps, without a numpy call per stage term.  `f`
+    maps (t, list) to a list; by default it is `rhs` on an ndarray."""
+    f = f or (lambda t, x: rhs(t, np.array(x)).tolist())
 
     t = t0
     x = np.asarray(x0, dtype=float).tolist()
@@ -415,14 +423,17 @@ def _step_cap(f, t0, t1, cfg):
 
 @np.errstate(over="ignore", invalid="ignore")      # as in _run_dopri_members
 def _run(f, t0, t1, x0, eps, cfg, record):
+    t0, t1 = float(t0), float(t1)       # numpy times would make numpy stages
     rhs = _make_rhs(f, eps)
     cap = _step_cap(f, t0, t1, cfg)
     if cfg.method == "rk4-fixed":
         h = cfg.h if cfg.h is not None else f.period / 2000.0
         return _run_rk4(rhs, t0, t1, x0, h, cap, record)
-    run = (_run_dopri_floats if x0.ndim == 1 and len(x0) <= _FLOAT_LOOP_MAX
-           else _run_dopri)
-    return run(rhs, t0, t1, x0, cfg.abs_tol, cfg.rel_tol, cap, record)
+    fl = f.floats
+    if x0.ndim == 1 and len(x0) <= _FLOAT_LOOP_MAX:
+        return _run_dopri_floats(rhs, t0, t1, x0, cfg.abs_tol, cfg.rel_tol, cap, record,
+                                 fl and (lambda t, x: [eps * g for g in fl(t, x, eps)]))
+    return _run_dopri(rhs, t0, t1, x0, cfg.abs_tol, cfg.rel_tol, cap, record)
 
 
 def integrate(f: PeriodicField, t0: float, t1: float, x0, eps: float,
@@ -503,12 +514,15 @@ def variational_map(f: PeriodicField, v, eps: float,
     ``evaluate`` with step ``FD_STEP_SCALE * (1 + |x|)``: one call on
     the 2k states x +- h*e_j at scalar t.  Across a corner the difference
     ramps oddly about the crossing, so its error in Phi is second order in h.
+    With ``floats`` and ``jacobian``, (x, vec Phi) flows on Python floats,
+    J*Phi summed left to right.
     """
     v = np.asarray(v, dtype=float)
     k = f.dim
     if eps == 0.0:
         return v.copy(), np.eye(k)
-    ev, jac, eye = f.evaluate, f.jacobian, np.eye(k)
+    ev, jac, eye, tail = f.evaluate, f.jacobian, np.eye(k), range(1, k)
+    fl = jac and f.floats       # floats(..., True) stands in for a jacobian only
     if jac is None:
         def jac(t, x, eps):
             h = FD_STEP_SCALE * (1.0 + float(np.linalg.norm(x)))
@@ -520,7 +534,18 @@ def variational_map(f: PeriodicField, v, eps: float,
         return np.concatenate((ev(t, x, eps), jac(t, x, eps) @ y[k:].reshape(k, k)),
                               axis=None)
 
-    y = _run(PeriodicField(k + k * k, f.period, evaluate), 0.0,
+    def floats(t, y, eps):
+        g, J = fl(t, y[:k], eps, True)
+        cols = [y[k + j::k] for j in range(k)]
+        for row in J:
+            for col in cols:
+                s = row[0] * col[0]
+                for i in tail:
+                    s += row[i] * col[i]
+                g.append(s)
+        return g
+
+    y = _run(PeriodicField(k + k * k, f.period, evaluate, floats=fl and floats), 0.0,
              f.period if t1 is None else t1, np.concatenate([v, eye.ravel()]),
              eps, cfg, record=False)
     return y[:k], y[k:].reshape(k, k)

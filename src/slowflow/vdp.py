@@ -95,14 +95,24 @@ def _slow_field(damping_scalar, damping_array, slope_scalar, slope_array,
                 p: ForcingParams, kinks, name):
     a, lam = p.a, p.lam
 
+    def floats(t, x, eps, jac=False):
+        # dF/dM and dF/dN through u and u', with slope = d'(u)
+        M, N = x
+        s, c = math.sin(t), math.cos(t)
+        u, du = M * s + N * c, M * c - N * s
+        d = damping_scalar(u)
+        F = -d * du - a * u + lam * s
+        if not jac:
+            return [F * c, -F * s]
+        dd = slope_scalar(u)
+        FM = -dd * s * du - d * c - a * s
+        FN = -dd * c * du + d * s - a * c
+        return [F * c, -F * s], [[FM * c, FN * c], [-FM * s, -FN * s]]
+
     def evaluate(t, x, eps):
         x = np.asarray(x, dtype=float)
         if isinstance(t, float) and x.ndim == 1:
-            s, c = math.sin(t), math.cos(t)
-            u = x[0] * s + x[1] * c
-            du = x[0] * c - x[1] * s
-            F = -damping_scalar(u) * du - a * u + lam * s
-            return np.array([F * c, -F * s])
+            return np.array(floats(t, x.tolist(), eps))
         s, c = np.sin(t), np.cos(t)
         x0, x1 = x[..., 0], x[..., 1]
         u = x0 * s + x1 * c
@@ -114,17 +124,14 @@ def _slow_field(damping_scalar, damping_array, slope_scalar, slope_array,
         return out
 
     def jacobian(t, x, eps):
-        # dF/dM and dF/dN through u and u', with slope = d'(u)
-        M, N, scalar = float(x[0]), float(x[1]), isinstance(t, float)
-        sin, cos, damping, slope = ((math.sin, math.cos, damping_scalar, slope_scalar)
-                                    if scalar else (np.sin, np.cos, damping_array, slope_array))
-        s, c = sin(t), cos(t)
+        M, N = float(x[0]), float(x[1])
+        if isinstance(t, float):
+            return np.array(floats(t, [M, N], eps, True)[1])
+        s, c = np.sin(t), np.cos(t)
         u, du = M * s + N * c, M * c - N * s
-        d, dd = damping(u), slope(u)
+        d, dd = damping_array(u), slope_array(u)
         FM = -dd * s * du - d * c - a * s
         FN = -dd * c * du + d * s - a * c
-        if scalar:
-            return np.array([[FM * c, FN * c], [-FM * s, -FN * s]])
         out = np.empty(np.shape(t) + (2, 2))
         np.multiply(FM, c, out=out[..., 0, 0])
         np.multiply(FN, c, out=out[..., 0, 1])
@@ -132,8 +139,8 @@ def _slow_field(damping_scalar, damping_array, slope_scalar, slope_array,
         np.multiply(-FN, s, out=out[..., 1, 1])
         return out
 
-    return PeriodicField(dim=2, period=TWO_PI, evaluate=evaluate,
-                         kinks=kinks, name=name, jacobian=jacobian)
+    return PeriodicField(dim=2, period=TWO_PI, evaluate=evaluate, kinks=kinks,
+                         name=name, jacobian=jacobian, floats=floats)
 
 
 def nonsmooth_vdp_field(p: ForcingParams = ForcingParams()) -> PeriodicField:
@@ -170,15 +177,20 @@ def linear_test_field() -> PeriodicField:
     contracts by exp(-2*pi*eps); averaged field -2*pi*v with root 0.
     """
 
+    def floats(t, x, eps, jac=False):
+        g = [math.cos(t) - x[0]]
+        return (g, [[-1.0]]) if jac else g
+
     def evaluate(t, x, eps):
         x = np.asarray(x, dtype=float)
         if isinstance(t, float) and x.ndim == 1:
-            return np.array([math.cos(t) - x[0]])
+            return np.array(floats(t, x.tolist(), eps))
         return (np.cos(t) - x[..., 0])[..., None]
 
     return PeriodicField(dim=1, period=TWO_PI, evaluate=evaluate,
                          name="linear_test",
-                         jacobian=lambda t, x, eps: np.full(np.shape(t) + (1, 1), -1.0))
+                         jacobian=lambda t, x, eps: np.full(np.shape(t) + (1, 1), -1.0),
+                         floats=floats)
 
 
 # --- closed-form averaged data (test oracles and fast paths) -------------------

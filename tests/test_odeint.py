@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -534,6 +535,93 @@ def test_float_loop_cutoff(monkeypatch):
         assert got.tobytes() == ref[1][-1].tobytes()
     flow_batch(f, 0.0, TWO_PI, np.ones((3, dim)), 0.2)
     assert taken.pop() == "_run_dopri"
+
+
+def _float_variational_rhs(f, eps):
+    # the (x, vec Phi) field variational_map flows for a field with
+    # `floats`, written out again: J*Phi summed left to right
+    k = f.dim
+
+    def rhs(t, y):
+        g, J = f.floats(t, y[:k].tolist(), eps, True)
+        P = y[k:].tolist()
+        for row in J:
+            for j in range(k):
+                s = row[0] * P[j]
+                for i in range(1, k):
+                    s += row[i] * P[i * k + j]
+                g.append(s)
+        return eps * np.array(g)
+    return rhs
+
+
+def _counting_twins(f):
+    # f with evaluate, jacobian and floats calls counted, and its twin
+    # without floats (same counters)
+    calls = dict.fromkeys(("evaluate", "jacobian", "floats"), 0)
+
+    def counted(name):
+        fn = getattr(f, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    g = dataclasses.replace(f, **{name: counted(name) for name in calls})
+    return g, dataclasses.replace(g, floats=None), calls
+
+
+@pytest.mark.parametrize("f", _bit_check_fields()[:3], ids=lambda f: f.name)
+def test_builtin_flows_take_the_floats_path(f):
+    # plain and variational flows of a built-in call only `floats`, as often
+    # as the reference loop calls its field; plain flows keep the bits and
+    # field calls of the ndarray path
+    cfg = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12)
+    x0, eps = np.array([0.5, 1.2][:f.dim]), 0.05
+    g, twin, calls = _counting_twins(f)
+    runs = {
+        "flow": lambda h: flow(h, 0.0, f.period, x0, eps, cfg),
+        "integrate": lambda h: integrate(h, 0.3, 0.3 + 2.0 * f.period, x0, eps, cfg).states,
+        "poincare_map": lambda h: poincare_map(h, x0, eps, cfg),
+    }
+    for name, run in runs.items():
+        calls.update(dict.fromkeys(calls, 0))
+        got = run(g)
+        fast = dict(calls)
+        calls.update(dict.fromkeys(calls, 0))
+        assert got.tobytes() == run(twin).tobytes(), name
+        assert fast == {"evaluate": 0, "jacobian": 0, "floats": calls["evaluate"]}, name
+    rhs, ref_calls = _counted(odeint._make_rhs(f, eps))
+    ref = _ref_dopri(rhs, 0.0, f.period, x0, 1e-12, 1e-12)[1][-1]
+    calls.update(dict.fromkeys(calls, 0))
+    assert flow(g, 0.0, f.period, x0, eps, cfg).tobytes() == ref.tobytes()
+    assert calls["floats"] == ref_calls[0]
+    # the variational flow is the reference loop on the float (x, vec Phi) field
+    rhs, ref_calls = _counted(_float_variational_rhs(f, eps))
+    y0 = np.concatenate([x0, np.eye(f.dim).ravel()])
+    y = _ref_dopri(rhs, 0.0, f.period, y0, 1e-12, 1e-12)[1][-1]
+    calls.update(dict.fromkeys(calls, 0))
+    P, DP = variational_map(g, x0, eps, cfg)
+    assert np.concatenate([P, DP.ravel()]).tobytes() == y.tobytes()
+    assert calls == {"evaluate": 0, "jacobian": 0, "floats": ref_calls[0]}
+    # and stays within rounding of the ndarray path's numpy J @ Phi
+    P0, DP0 = variational_map(twin, x0, eps, cfg)
+    assert np.max(np.abs(P - P0)) <= 1e-13
+    assert np.max(np.abs(DP - DP0)) <= 1e-9
+
+
+def test_float_path_coerces_numpy_end_times():
+    # find_periodic flows to T + tau with tau an np.float64; on the float path
+    # numpy step times made the nonsmooth slope (u > 0) - (u < 0) subtract
+    # numpy bools
+    f = vdp.nonsmooth_vdp_field(vdp.ForcingParams(0.1, 1.0))
+    x0, t1 = np.array([0.5, 1.2]), TWO_PI + 0.01
+    want = flow(f, 0.0, t1, x0, 0.05)
+    assert flow(f, np.float64(0.0), np.float64(t1), x0, 0.05).tobytes() == want.tobytes()
+    P, DP = variational_map(f, x0, 0.05, t1=np.float64(t1))
+    Q, DQ = variational_map(f, x0, 0.05, t1=t1)
+    assert P.tobytes() == Q.tobytes() and DP.tobytes() == DQ.tobytes()
 
 
 def _failing_flows():

@@ -160,22 +160,26 @@ def test_unforced_amplitude_approaches_prediction(unforced_nonsmooth):
 
 
 def _counted(f):
-    """f with its evaluate calls counted in the returned one-item list."""
+    """f with its evaluate and floats calls counted in the returned one-item list."""
     calls = [0]
-    ev = f.evaluate
+    ev, fl = f.evaluate, f.floats
 
     def evaluate(t, x, eps):
         calls[0] += 1
         return ev(t, x, eps)
 
-    return dataclasses.replace(f, evaluate=evaluate), calls
+    def floats(*args):
+        calls[0] += 1
+        return fl(*args)
+
+    return dataclasses.replace(f, evaluate=evaluate, floats=fl and floats), calls
 
 
-def _closed_form_root(a, lam):
+def _closed_form_root(a, lam, model="nonsmooth"):
     # amplitude from the resonance equation, then (M, N) from the 2x2 system
-    # [[k, -a pi], [a pi, k]] (M, N) = (0, lam pi), k = pi - 4A/3
-    (A,) = vdp.amplitude_roots("nonsmooth", a, lam)
-    k = math.pi - 4.0 * A / 3.0
+    # [[k, -a pi], [a pi, k]] (M, N) = (0, lam pi), k = pi - 4A/3 or pi(1 - A^2/4)
+    (A,) = vdp.amplitude_roots(model, a, lam)
+    k = math.pi - 4.0 * A / 3.0 if model == "nonsmooth" else math.pi * (1.0 - A * A / 4.0)
     return np.linalg.solve(np.array([[k, -a * math.pi], [a * math.pi, k]]),
                            np.array([0.0, lam * math.pi]))
 
@@ -200,6 +204,18 @@ def test_forced_solve_does_not_stall_at_the_noise_floor(start, index):
     eps = float(np.linspace(0.01, 0.1, 200)[index])
     r = find_periodic(vdp.nonsmooth_vdp_field(vdp.ForcingParams(a, lam)), root, eps, v0=root)
     assert r.converged and r.residual <= 1e-10 and r.iterations <= 3
+
+
+@pytest.mark.parametrize("model", ["nonsmooth", "classical"])
+def test_forced_solves_reach_the_target_on_the_eps_grid(model):
+    # every 4th eps of 0.01 + 0.0025 n: the float J*Phi sums moved Phi in its
+    # last bits, and each solve from the closed-form root still converges
+    a, lam = 0.1, 1.0
+    builder = vdp.nonsmooth_vdp_field if model == "nonsmooth" else vdp.classical_vdp_field
+    f, root = builder(vdp.ForcingParams(a, lam)), _closed_form_root(a, lam, model)
+    for eps in np.round(0.01 + 0.0025 * np.arange(0, 37, 4), 4):
+        r = find_periodic(f, root, float(eps), v0=root)
+        assert r.converged and r.residual <= 1e-10, eps
 
 
 @pytest.mark.parametrize("builder", [vdp.nonsmooth_vdp_field, vdp.classical_vdp_field])

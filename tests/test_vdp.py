@@ -102,6 +102,30 @@ def test_builtin_jacobian_rows_at_an_array_of_times(field):
     assert np.max(np.abs(J - rows)) <= 1e-13
 
 
+@pytest.mark.parametrize("field", [
+    nonsmooth_vdp_field(ForcingParams(0.1, 1.0)),
+    classical_vdp_field(ForcingParams(0.3, 0.7)),
+    linear_test_field(),
+])
+def test_floats_match_evaluate_and_jacobian_bit_for_bit(field):
+    # random (t, x); x = (cos t, -sin t), on the switching set u = 0 exactly;
+    # and the same points at an np.float64 t
+    rng = np.random.default_rng(13)
+    k, points = field.dim, []
+    for t in rng.uniform(0.0, TWO_PI, 40):
+        points.append((float(t), rng.uniform(-3.0, 3.0, k)))
+        if k == 2:
+            x = np.array([math.cos(t), -math.sin(t)])
+            assert x[0] * math.sin(t) + x[1] * math.cos(t) == 0.0
+            points.append((float(t), x))
+    for t, x in points + [(np.float64(t), x) for t, x in points]:
+        g, J = field.floats(t, x.tolist(), 0.05, True)
+        assert field.floats(t, x.tolist(), 0.05) == g
+        assert all(type(v) is float for v in g + sum(J, []))
+        assert np.array(g).tobytes() == field.evaluate(t, x, 0.05).tobytes()
+        assert np.array(J).tobytes() == field.jacobian(t, x, 0.05).tobytes()
+
+
 def test_eps_zero_freezes_slow_flow(unforced_nonsmooth):
     v = np.array([1.2, 0.7])
     out = odeint.poincare_map(unforced_nonsmooth, v, 0.0)
