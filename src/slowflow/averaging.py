@@ -12,8 +12,11 @@ One field call takes ``GL_ORDER`` nodes on every segment and as many on each
 of its halves (at most 216 per period for the built-ins): the halves give the
 value, their difference from the whole the error estimate.  Segments whose
 estimate exceeds ``GL_TOL * length * (1 + max |g|)`` are bisected while the
-budget of ``n_nodes`` per period lasts; the first pass always runs, and a
-spent budget returns the finer value with a ``WARNING`` naming the estimate.
+budget of ``n_nodes`` per period lasts and the estimates summed over all
+segments exceed ``GL_SUM_TOL * T * (1 + max |g|)`` (at a corner that is not
+published the per-length test never passes).  The first pass always runs,
+and a spent budget returns the finer value with a ``WARNING`` naming the
+estimate.
 Nodes are interior, so none sits on a corner or a jump.  An unpublished
 corner is found only if the first pass sees it: a dip narrower than about
 1/25 of its segment can fall between all the nodes.
@@ -56,6 +59,7 @@ log = logging.getLogger(__name__)
 DEFAULT_NODES = 4096              # node budget per period
 GL_ORDER = 24                     # Gauss-Legendre nodes per segment and per half
 GL_TOL = 1e-12                    # bisect where |whole - halves| > this * length * (1 + max|g|)
+GL_SUM_TOL = 1e-15                # ... until the estimates sum to this * T * (1 + max|g|)
 NON_ISOLATED_RATIO = 1e-6         # sigma_min/sigma_max below this flags a continuum
 DEDUP_TOL = 1e-6                  # `scan_roots` merges roots closer than this
 
@@ -114,14 +118,14 @@ def _integrate(fn: Callable, f: PeriodicField, v, n_nodes: int) -> np.ndarray:
     S, gmax = _gauss_integrals(fn, np.concatenate([lo, lo, lo + half]),
                                np.concatenate([L, half, half]))
     whole, left, right = S[:n], S[n:2 * n], S[2 * n:]
-    used, total = 3 * GL_ORDER * n, 0.0
+    used, total, done = 3 * GL_ORDER * n, 0.0, 0.0
     while True:
         fine = left + right
         err = np.abs(whole - fine).max(axis=1)
         over = err > GL_TOL * (1.0 + gmax) * L         # NaN is not: the caller checks
-        if not over.any():
+        if not over.any() or done + err.sum() <= GL_SUM_TOL * (1.0 + gmax) * T:
             return total + fine.sum(axis=0)
-        total = total + fine[~over].sum(axis=0)
+        total, done = total + fine[~over].sum(axis=0), done + err[~over].sum()
         lo, L, left, right, fine, err = (x[over] for x in (lo, L, left, right, fine, err))
         n = len(lo)
         if used + 4 * GL_ORDER * n > n_nodes:

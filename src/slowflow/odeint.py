@@ -18,12 +18,22 @@ member; see its docstring for which suits what.
 
 One state (``x0`` of shape (k,)) with k <= ``_FLOAT_LOOP_MAX`` steps in
 `_run_dopri_floats`, on Python float lists: at these sizes a numpy call costs
-far more than its arithmetic.  Against the numpy loop, a flow of a field that
-costs one numpy call ran 1.9-2.8x as fast at k = 2, 1.5-1.7x at 12, 1.2x at
-20, even at 24-30 and 0.35x at 110 (2-core VM).  The cutoff of 20 keeps the
-variational flow of a field with k <= 4 (k + k^2 components) on floats.
-Ensembles and longer states take the numpy loop, `_run_dopri`.  A field's
-``floats`` is called there on lists, any other field on an ndarray.
+far more than its arithmetic (a flow of a field costing one numpy call ran
+about even with the numpy loop at 30 components, 2-core VM).  The cutoff of
+20 keeps the variational flow of a field with k <= 4 (k + k^2 components) on
+floats.  Ensembles and longer states take the numpy loop, `_run_dopri`.  A
+field's ``floats`` is called there on lists, any other field on an ndarray.
+
+Both loops are one generated kernel, `_dopri_kernel`: straight-line source
+per state length (each stage one list display, ``x[i] + h * (_A61 * k1[i] +
+... + _A65 * k5[i])`` per component) or one array form, compiled once and
+cached; `_float_rhs` writes out ``e * g`` from a field's ``floats``, and the
+(x, vec Phi) products of ``variational_map`` (source transformation:
+Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 6).  No outside
+text reaches ``exec``: the source holds integer indices and this module's
+tableau names only, and the field's callable and eps are closure values.
+`_compile` registers it with ``linecache`` as ``<slowflow dopri n=6>`` and
+the like, so tracebacks, cProfile and ``inspect.getsource`` show its lines.
 
 In both loops the Dormand-Prince stages are written out and must stay
 bit-identical to the left-to-right sums a_i1*k1 + a_i2*k2 + ... of the
@@ -37,6 +47,7 @@ otherwise than numpy's ``@`` (an FMA), so Phi moves in its last bits.
 from __future__ import annotations
 
 import functools
+import linecache
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -158,28 +169,9 @@ _A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
 _A71, _A73, _A74, _A75, _A76 = (35 / 384, 500 / 1113, 125 / 192,
                                 -2187 / 6784, 11 / 84)
 _C_STAGES = np.array([[_C2], [_C3], [_C4], [_C5], [1.0]])
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    35 / 384 - 5179 / 57600,
-    500 / 1113 - 7571 / 16695,
-    125 / 192 - 393 / 640,
-    -2187 / 6784 + 92097 / 339200,
-    11 / 84 - 187 / 2100,
-    -1 / 40,
-)
-
-
-def _check_finite(abs_x, t):
-    # NaN fails the comparison as well as inf and blow-up
-    if not np.max(abs_x) <= BLOWUP_NORM:
-        raise NonFiniteState(f"state blew up near t={t:.6g}")
-
-
-def _rk4_step(rhs, t, x, h):
-    k1 = rhs(t, x)
-    k2 = rhs(t + 0.5 * h, x + 0.5 * h * k1)
-    k3 = rhs(t + 0.5 * h, x + 0.5 * h * k2)
-    k4 = rhs(t + h, x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+_E1, _E3, _E4, _E5, _E6, _E7 = (35 / 384 - 5179 / 57600, 500 / 1113 - 7571 / 16695,
+                                125 / 192 - 393 / 640, -2187 / 6784 + 92097 / 339200,
+                                11 / 84 - 187 / 2100, -1 / 40)
 
 
 def _run_rk4(rhs, t0, t1, x0, h, max_steps, record):
@@ -192,8 +184,13 @@ def _run_rk4(rhs, t0, t1, x0, h, max_steps, record):
     for i in range(n):
         t = t0 + i * h
         step = min(h, t1 - t)
-        x = _rk4_step(rhs, t, x, step)
-        _check_finite(np.abs(x), t + step)
+        k1 = rhs(t, x)
+        k2 = rhs(t + 0.5 * step, x + 0.5 * step * k1)
+        k3 = rhs(t + 0.5 * step, x + 0.5 * step * k2)
+        k4 = rhs(t + step, x + step * k3)
+        x = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.max(np.abs(x)) <= BLOWUP_NORM:      # NaN fails it as well
+            raise NonFiniteState(f"state blew up near t={t + step:.6g}")
         if record:
             ts.append(min(t + step, t1))
             xs.append(x)
@@ -211,54 +208,8 @@ def _run_dopri(rhs, t0, t1, x0, atol, rtol, max_steps, record):
     batched states the norm reduces over the whole ensemble, keeping every
     member on a shared, accepted step sequence.
     """
-    t = t0
-    x = np.asarray(x0, dtype=float)
-    span = t1 - t0
-    h = span / 50.0
-    hmin = span * 1e-14
-    k1 = rhs(t, x)
-    abs_x = np.abs(x)
-    ts = [t0] if record else None
-    xs = [x.copy()] if record else None
-    steps = 0
-    while t < t1:
-        if steps >= max_steps:
-            raise StepLimitExceeded(f"max_steps={max_steps} reached at t={t:.6g}")
-        steps += 1
-        h = min(h, t1 - t)
-        k2 = rhs(t + _C2 * h, x + h * (_A21 * k1))
-        k3 = rhs(t + _C3 * h, x + h * (_A31 * k1 + _A32 * k2))
-        k4 = rhs(t + _C4 * h, x + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-        k5 = rhs(t + _C5 * h, x + h * (_A51 * k1 + _A52 * k2 + _A53 * k3
-                                       + _A54 * k4))
-        k6 = rhs(t + h, x + h * (_A61 * k1 + _A62 * k2 + _A63 * k3
-                                 + _A64 * k4 + _A65 * k5))
-        x5 = x + h * (_A71 * k1 + _A73 * k3 + _A74 * k4 + _A75 * k5
-                      + _A76 * k6)
-        k7 = rhs(t + h, x5)
-        err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6
-                   + _E7 * k7)
-        abs_x5 = np.abs(x5)
-        scale = atol + rtol * np.maximum(abs_x, abs_x5)
-        enorm = float(np.max(np.abs(err) / scale))
-        if enorm <= 1.0:
-            t = t + h
-            x = x5
-            abs_x = abs_x5
-            k1 = k7
-            _check_finite(abs_x, t)
-            if record:
-                ts.append(t)
-                xs.append(x.copy())
-        # a NaN norm (non-finite stages) shrinks as a rejection does
-        fac = 0.9 * enorm ** -0.2 if enorm > 0 else 5.0 if enorm == 0 else 0.2
-        h = h * min(5.0, max(0.2, fac))
-        if h < hmin:
-            raise StepLimitExceeded(f"step size underflow at t={t:.6g}")
-    if record:
-        ts[-1] = t1
-        return np.asarray(ts), np.asarray(xs)
-    return x
+    return _dopri_kernel(None)(rhs, t0, t1, np.array(x0, dtype=float), atol, rtol,
+                               max_steps, record)
 
 
 def _run_dopri_floats(rhs, t0, t1, x0, atol, rtol, max_steps, record, f=None):
@@ -267,64 +218,8 @@ def _run_dopri_floats(rhs, t0, t1, x0, atol, rtol, max_steps, record, f=None):
     bits, field calls and steps, without a numpy call per stage term.  `f`
     maps (t, list) to a list; by default it is `rhs` on an ndarray."""
     f = f or (lambda t, x: rhs(t, np.array(x)).tolist())
-
-    t = t0
     x = np.asarray(x0, dtype=float).tolist()
-    span = t1 - t0
-    h = span / 50.0
-    hmin = span * 1e-14
-    k1 = f(t, x)
-    ax = [abs(a) for a in x]
-    ts = [t0] if record else None
-    xs = [x] if record else None
-    steps = 0
-    while t < t1:
-        if steps >= max_steps:
-            raise StepLimitExceeded(f"max_steps={max_steps} reached at t={t:.6g}")
-        steps += 1
-        h = min(h, t1 - t)
-        k2 = f(t + _C2 * h, [a + h * (_A21 * b1) for a, b1 in zip(x, k1)])
-        k3 = f(t + _C3 * h, [a + h * (_A31 * b1 + _A32 * b2)
-                             for a, b1, b2 in zip(x, k1, k2)])
-        k4 = f(t + _C4 * h, [a + h * (_A41 * b1 + _A42 * b2 + _A43 * b3)
-                             for a, b1, b2, b3 in zip(x, k1, k2, k3)])
-        k5 = f(t + _C5 * h, [a + h * (_A51 * b1 + _A52 * b2 + _A53 * b3
-                                      + _A54 * b4)
-                             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)])
-        k6 = f(t + h, [a + h * (_A61 * b1 + _A62 * b2 + _A63 * b3 + _A64 * b4
-                                + _A65 * b5)
-                       for a, b1, b2, b3, b4, b5 in zip(x, k1, k2, k3, k4, k5)])
-        x5 = [a + h * (_A71 * b1 + _A73 * b3 + _A74 * b4 + _A75 * b5 + _A76 * b6)
-              for a, b1, b3, b4, b5, b6 in zip(x, k1, k3, k4, k5, k6)]
-        k7 = f(t + h, x5)
-        ax5 = [abs(a) for a in x5]
-        # `p if p > p5 else p5` is np.maximum here: a NaN |x_i| makes x5_i NaN
-        q = [abs(h * (_E1 * b1 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6
-                      + _E7 * b7)) / (atol + rtol * (p if p > p5 else p5))
-             for p, p5, b1, b3, b4, b5, b6, b7
-             in zip(ax, ax5, k1, k3, k4, k5, k6, k7)]
-        enorm = max(q)
-        if math.isnan(sum(q)):      # np.max propagates NaN, Python's max does not
-            enorm = math.nan
-        if enorm <= 1.0:
-            t = t + h
-            x = x5
-            ax = ax5
-            k1 = k7
-            # a NaN in x5 made its q NaN and the step rejected, so max sees none
-            if not max(ax) <= BLOWUP_NORM:
-                raise NonFiniteState(f"state blew up near t={t:.6g}")
-            if record:
-                ts.append(t)
-                xs.append(x)
-        fac = 0.9 * enorm ** -0.2 if enorm > 0 else 5.0 if enorm == 0 else 0.2
-        h = h * min(5.0, max(0.2, fac))
-        if h < hmin:
-            raise StepLimitExceeded(f"step size underflow at t={t:.6g}")
-    if record:
-        ts[-1] = t1
-        return np.asarray(ts), np.asarray(xs)
-    return np.array(x)
+    return _dopri_kernel(len(x))(f, t0, t1, x, atol, rtol, max_steps, record)
 
 
 # a field's inf or NaN goes to the error norm and blow-up tests of the loops,
@@ -408,6 +303,115 @@ def _run_dopri_members(rhs, t0, t1, x0, atol, rtol, max_steps):
     return x
 
 
+# --- generated kernels -------------------------------------------------------
+
+
+def _compile(name, src):
+    """The function `src` defines, compiled as ``<slowflow name>`` and
+    registered with linecache; its globals are this module's."""
+    filename = f"<slowflow {name}>"
+    linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
+    scope = {}
+    exec(compile(src, filename, "exec"), globals(), scope)
+    return scope.popitem()[1]
+
+
+def _display(entries):
+    """A list display, one entry per line (in a statement indented 8)."""
+    return "[\n" + "".join(f"            {e},\n" for e in entries) + "        ]"
+
+
+def _stage(row, stages):
+    """h * (row_j1 * kj1[{i}] + ...), summed left to right."""
+    return "h * (" + " + ".join(f"_{row}{j} * k{j}[{{i}}]" for j in stages) + ")"
+
+
+_DOPRI = '''\
+def dopri(f, t, t1, x, atol, rtol, max_steps, record):
+    span = t1 - t
+    h = span / 50.0
+    hmin = span * 1e-14
+    k1 = f(t, x)
+    ax = %(ax0)s
+    ts = [t] if record else None
+    xs = [x] if record else None
+    steps = 0
+    while t < t1:
+        if steps >= max_steps:
+            raise StepLimitExceeded(f"max_steps={max_steps} reached at t={t:.6g}")
+        steps += 1
+        h = min(h, t1 - t)
+        k2 = f(t + _C2 * h, %(k2)s)
+        k3 = f(t + _C3 * h, %(k3)s)
+        k4 = f(t + _C4 * h, %(k4)s)
+        k5 = f(t + _C5 * h, %(k5)s)
+        k6 = f(t + h, %(k6)s)
+        x5 = %(x5)s
+        k7 = f(t + h, x5)
+        ax5 = %(ax5)s
+        q = %(q)s
+        enorm = %(enorm)s
+        if enorm <= 1.0:
+            t = t + h
+            x = x5
+            ax = ax5
+            k1 = k7
+            # a NaN in x5 made its q NaN and the step rejected, so max sees none
+            if not %(max)s(ax) <= BLOWUP_NORM:
+                raise NonFiniteState(f"state blew up near t={t:.6g}")
+            if record:
+                ts.append(t)
+                xs.append(x)
+        # a NaN norm (non-finite stages) shrinks as a rejection does
+        fac = 0.9 * enorm ** -0.2 if enorm > 0 else 5.0 if enorm == 0 else 0.2
+        h = h * min(5.0, max(0.2, fac))
+        if h < hmin:
+            raise StepLimitExceeded(f"step size underflow at t={t:.6g}")
+    if record:
+        ts[-1] = t1
+        return np.asarray(ts), np.asarray(xs)
+    return np.array(x)
+'''
+
+
+@functools.lru_cache(maxsize=None)
+def _dopri_kernel(n):
+    """The Dormand-Prince loop on ndarrays (n None) or on lists of n floats,
+    where np.maximum is `p if p > p5 else p5` (a NaN |x_i| makes x5_i NaN)
+    and a NaN in q goes to the norm by hand, as Python's max drops it."""
+    def vec(expr):      # the array form drops the [{i}] subscripts
+        if n is None:
+            return expr.replace("[{i}]", "")
+        return _display(expr.format(i=i) for i in range(n))
+
+    fn = "np.abs" if n is None else "abs"
+    parts = {f"k{s}": vec(f"x[{{i}}] + {_stage(f'A{s}', range(1, s))}") for s in range(2, 7)}
+    parts["x5"] = vec(f"x[{{i}}] + {_stage('A7', (1, 3, 4, 5, 6))}")
+    parts["ax0"] = "np.abs(x)" if n is None else "[abs(a) for a in x]"
+    parts["ax5"] = vec(f"{fn}(x5[{{i}}])")
+    big = "np.maximum(ax, ax5)" if n is None else "(ax[{i}] if ax[{i}] > ax5[{i}] else ax5[{i}])"
+    parts["q"] = vec(f"{fn}({_stage('E', (1, 3, 4, 5, 6, 7))}) / (atol + rtol * {big})")
+    parts["enorm"], parts["max"] = (("float(np.max(q))", "np.max") if n is None else
+                                    ("math.nan if math.isnan(sum(q)) else max(q)", "max"))
+    return _compile(f"dopri n={n}", _DOPRI % parts)
+
+
+@functools.lru_cache(maxsize=None)
+def _float_rhs(k, variational):
+    """``make(fl, e)``: the list right-hand side ``e * g`` from ``floats``
+    `fl` on k components, or that of (x, vec Phi) with `variational`."""
+    if variational:
+        call = f"g, ({', '.join(f'J{i}' for i in range(k))},) = fl(t, y[:{k}], e, True)"
+        jphi = [" + ".join(f"J{r}[{i}] * y[{k + i * k + j}]" for i in range(k))
+                for r in range(k) for j in range(k)]
+    else:
+        call, jphi = "g = fl(t, y, e)", []
+    out = [f"e * g[{i}]" for i in range(k)] + [f"e * ({s})" for s in jphi]
+    src = (f"def make(fl, e):\n    def rhs(t, y):\n        {call}\n"
+           f"        return {_display(out)}\n    return rhs\n")
+    return _compile(f"rhs k={k}{' variational' if variational else ''}", src)
+
+
 def _make_rhs(f: PeriodicField, eps: float):
     ev = f.evaluate
 
@@ -422,17 +426,17 @@ def _step_cap(f, t0, t1, cfg):
 
 
 @np.errstate(over="ignore", invalid="ignore")      # as in _run_dopri_members
-def _run(f, t0, t1, x0, eps, cfg, record):
+def _run(f, t0, t1, x0, eps, cfg, record, fl=None):
+    # fl: the float loop's list right-hand side, if not from f.floats
     t0, t1 = float(t0), float(t1)       # numpy times would make numpy stages
     rhs = _make_rhs(f, eps)
     cap = _step_cap(f, t0, t1, cfg)
     if cfg.method == "rk4-fixed":
         h = cfg.h if cfg.h is not None else f.period / 2000.0
         return _run_rk4(rhs, t0, t1, x0, h, cap, record)
-    fl = f.floats
     if x0.ndim == 1 and len(x0) <= _FLOAT_LOOP_MAX:
-        return _run_dopri_floats(rhs, t0, t1, x0, cfg.abs_tol, cfg.rel_tol, cap, record,
-                                 fl and (lambda t, x: [eps * g for g in fl(t, x, eps)]))
+        fl = fl or f.floats and _float_rhs(f.dim, False)(f.floats, eps)
+        return _run_dopri_floats(rhs, t0, t1, x0, cfg.abs_tol, cfg.rel_tol, cap, record, fl)
     return _run_dopri(rhs, t0, t1, x0, cfg.abs_tol, cfg.rel_tol, cap, record)
 
 
@@ -514,15 +518,17 @@ def variational_map(f: PeriodicField, v, eps: float,
     ``evaluate`` with step ``FD_STEP_SCALE * (1 + |x|)``: one call on
     the 2k states x +- h*e_j at scalar t.  Across a corner the difference
     ramps oddly about the crossing, so its error in Phi is second order in h.
-    With ``floats`` and ``jacobian``, (x, vec Phi) flows on Python floats,
-    J*Phi summed left to right.
+    With ``floats`` and ``jacobian``, (x, vec Phi) flows on Python floats
+    through `_float_rhs`: one ``floats(t, x, eps, True)`` call per stage and
+    eps*(J_i0*Phi_0j + J_i1*Phi_1j + ...) summed left to right.
     """
     v = np.asarray(v, dtype=float)
     k = f.dim
     if eps == 0.0:
         return v.copy(), np.eye(k)
-    ev, jac, eye, tail = f.evaluate, f.jacobian, np.eye(k), range(1, k)
-    fl = jac and f.floats       # floats(..., True) stands in for a jacobian only
+    ev, jac, eye = f.evaluate, f.jacobian, np.eye(k)
+    # floats(..., True) stands in for a jacobian only
+    fl = jac and f.floats and k + k * k <= _FLOAT_LOOP_MAX and _float_rhs(k, True)(f.floats, eps)
     if jac is None:
         def jac(t, x, eps):
             h = FD_STEP_SCALE * (1.0 + float(np.linalg.norm(x)))
@@ -534,18 +540,7 @@ def variational_map(f: PeriodicField, v, eps: float,
         return np.concatenate((ev(t, x, eps), jac(t, x, eps) @ y[k:].reshape(k, k)),
                               axis=None)
 
-    def floats(t, y, eps):
-        g, J = fl(t, y[:k], eps, True)
-        cols = [y[k + j::k] for j in range(k)]
-        for row in J:
-            for col in cols:
-                s = row[0] * col[0]
-                for i in tail:
-                    s += row[i] * col[i]
-                g.append(s)
-        return g
-
-    y = _run(PeriodicField(k + k * k, f.period, evaluate, floats=fl and floats), 0.0,
+    y = _run(PeriodicField(k + k * k, f.period, evaluate), 0.0,
              f.period if t1 is None else t1, np.concatenate([v, eye.ravel()]),
-             eps, cfg, record=False)
+             eps, cfg, record=False, fl=fl)
     return y[:k], y[k:].reshape(k, k)

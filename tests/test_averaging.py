@@ -172,6 +172,27 @@ def test_spent_budget_returns_the_value_and_warns(caplog):
     assert not caplog.records
 
 
+def test_unpublished_corners_stop_on_the_summed_estimate(caplog):
+    # |sin t - c| without kinks: the per-length test alone never passes at
+    # the two corners, and it spent the budget (3,912 nodes) with a WARNING
+    # in 47 of these 50 calls.  The summed estimate ends the bisection first
+    nodes, errs = [], []
+    with caplog.at_level("WARNING", logger="slowflow.averaging"):
+        for c in np.linspace(0.5, 0.99, 50):
+            f, exact = _dip(c)
+            n = [0]
+
+            def evaluate(t, x, eps, ev=f.evaluate):
+                n[0] += np.size(t)
+                return ev(t, x, eps)
+            errs.append(abs(averaged_function(dataclasses.replace(f, evaluate=evaluate),
+                                              [0.0])[0] - exact))
+            nodes.append(n[0])
+    assert not caplog.records
+    assert sum(nodes) <= 176_016 and nodes.count(3912) <= 1     # 192,912 and 47 before
+    assert np.median(errs) <= 1e-14 and max(errs) <= 2e-11
+
+
 def test_quadrature_jacobian_calls_no_evaluate():
     base = vdp.classical_vdp_field(vdp.ForcingParams(0.2, 0.4))    # no kinks: one panel
     calls = {"evaluate": 0, "jacobian": 0}

@@ -1,6 +1,9 @@
 import dataclasses
+import inspect
 import math
+import re
 import time
+import traceback
 
 import numpy as np
 import pytest
@@ -535,6 +538,96 @@ def test_float_loop_cutoff(monkeypatch):
         assert got.tobytes() == ref[1][-1].tobytes()
     flow_batch(f, 0.0, TWO_PI, np.ones((3, dim)), 0.2)
     assert taken.pop() == "_run_dopri"
+
+
+def _coupled_field(n):
+    # n components, each pulled by its neighbour, in + - * only, so that the
+    # list `floats` and the ndarray `evaluate` give the same bits
+    def evaluate(t, x, eps):
+        x = np.asarray(x, dtype=float)
+        return 0.3 * np.roll(x, 1, axis=-1) - x + (1.0 - 0.2 * t) * np.arange(1.0, n + 1.0)
+
+    def floats(t, x, eps, jac=False):
+        return [0.3 * x[i - 1] - x[i] + (1.0 - 0.2 * t) * (i + 1.0) for i in range(n)]
+
+    return PeriodicField(n, TWO_PI, evaluate, floats=floats)
+
+
+@pytest.mark.parametrize("n", range(1, odeint._FLOAT_LOOP_MAX + 1))
+def test_every_kernel_size_matches_the_reference_loop(n):
+    # the generated loop of each state length gives the reference loop's
+    # bits, samples and field calls, on an ndarray field and on `floats`
+    f = _coupled_field(n)
+    g, twin, calls = _counting_twins(f)
+    x0 = np.linspace(-2.0, 2.0, n)
+    rhs, ref_calls = _counted(odeint._make_rhs(f, 0.2))
+    ts, xs = _ref_dopri(rhs, 0.0, TWO_PI, x0, 1e-10, 1e-10)
+    assert flow(twin, 0.0, TWO_PI, x0, 0.2).tobytes() == xs[-1].tobytes()
+    assert calls == {"evaluate": ref_calls[0], "jacobian": 0, "floats": 0}
+    calls.update(dict.fromkeys(calls, 0))
+    traj = integrate(g, 0.0, TWO_PI, x0, 0.2)
+    assert traj.times.tobytes() == ts.tobytes() and traj.states.tobytes() == xs.tobytes()
+    assert calls == {"evaluate": 0, "jacobian": 0, "floats": ref_calls[0]}
+
+
+def _corner_field(k):
+    # k components with an |x| corner at x_{i-1} = 0.3, publishing `floats`
+    # and `jacobian`
+    def floats(t, x, eps, jac=False):
+        s = [math.sin(t + i) for i in range(k)]
+        g = [-x[i] + 0.5 * abs(x[i - 1] - 0.3) + 0.2 * s[i] * x[(i + 1) % k]
+             for i in range(k)]
+        if not jac:
+            return g
+        J = [[0.0] * k for _ in range(k)]
+        for i in range(k):
+            J[i][i] -= 1.0
+            J[i][i - 1] += 0.5 if x[i - 1] > 0.3 else -0.5
+            J[i][(i + 1) % k] += 0.2 * s[i]
+        return g, J
+
+    return PeriodicField(
+        k, TWO_PI, lambda t, x, eps: np.array(floats(t, list(x), eps)),
+        jacobian=lambda t, x, eps: np.array(floats(t, list(x), eps, True)[1]),
+        floats=floats)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_generated_variational_rhs_for_larger_states(k):
+    # k + k^2 = 12 and 20 components, the last at the cutoff: the generated
+    # J*Phi gives the bits and `floats` calls of the sums written out here
+    f = _corner_field(k)
+    assert k + k * k <= odeint._FLOAT_LOOP_MAX
+    g, _, calls = _counting_twins(f)
+    x0, eps = np.linspace(0.0, 0.6, k), 0.3
+    rhs, ref_calls = _counted(_float_variational_rhs(f, eps))
+    y0 = np.concatenate([x0, np.eye(k).ravel()])
+    ts, ys = _ref_dopri(rhs, 0.0, TWO_PI, y0, 1e-10, 1e-10)
+    P, DP = variational_map(g, x0, eps)
+    assert np.concatenate([P, DP.ravel()]).tobytes() == ys[-1].tobytes()
+    assert calls == {"evaluate": 0, "jacobian": 0, "floats": ref_calls[0]}
+    # a corner is crossed, so the |x| branch switches along the flow
+    assert any(len({bool(y[i] > 0.3) for y in ys[:, :k]}) == 2 for i in range(k))
+
+
+def test_kernel_source_shows_in_tracebacks():
+    # a field that raises mid-flow: the traceback names the kernel's
+    # pseudo-file and shows the stage line that called the field
+    calls = [0]
+
+    def floats(t, x, eps, jac=False):
+        calls[0] += 1
+        if calls[0] == 30:
+            raise ZeroDivisionError("field failed")
+        return [-x[1], x[0]]
+
+    f = PeriodicField(2, TWO_PI, lambda t, x, eps: np.array([-x[1], x[0]]), floats=floats)
+    with pytest.raises(ZeroDivisionError) as ei:
+        flow(f, 0.0, TWO_PI, [1.0, 0.0], 0.5)
+    frames = [fr for fr in traceback.extract_tb(ei.tb) if fr.filename == "<slowflow dopri n=2>"]
+    assert len(frames) == 1 and re.fullmatch(r"k\d = f\(t \+ .*", frames[0].line)
+    assert "k2 = f(t + _C2 * h, [" in inspect.getsource(odeint._dopri_kernel(2))
+    assert "[\n            e * g[0],\n" in inspect.getsource(odeint._float_rhs(2, False))
 
 
 def _float_variational_rhs(f, eps):
