@@ -21,6 +21,13 @@ Nodes are interior, so none sits on a corner or a jump.  An unpublished
 corner is found only if the first pass sees it: a dip narrower than about
 1/25 of its segment can fall between all the nodes.
 
+The quadrature runs on stacks of frozen states, each with its own segments:
+the first passes of the states with as many segments share one call of the
+field with paired times (``evaluate`` or ``jacobian``), in chunks of at most
+``STACK_NODES`` nodes, so memory stays flat however many states there are,
+and only a state whose first pass fails the test is bisected, alone.  Every
+state gets the bits it gets alone; a single average is a stack of one.
+
 Its Jacobian (g0)'(v) is the average of dg/dx: g is continuous in x, and
 differentiable off a switching set of measure zero with a bounded
 derivative, so dominated convergence moves the derivative under the
@@ -31,8 +38,10 @@ differences of the averaged field at ``odeint.FD_STEP_SCALE * (1 + |v|)``.
 
 Zeros of the averaged field are the candidate initial points of periodic
 solutions of x' = eps*g; ``find_root`` hands the quadrature values and that
-Jacobian to the damped Newton loop of ``newton.solve`` (trust region, Armijo
-line search, no full-step fallback), which also raises its failures.
+Jacobian to the damped Newton loop of ``newton.iterate`` (trust region,
+Armijo line search, no full-step fallback), which also raises its failures.
+``scan_roots`` averages its grid as one stack and runs all its seeds through
+that loop in lockstep, one stacked average and one stacked Jacobian a round.
 """
 
 from __future__ import annotations
@@ -57,6 +66,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 DEFAULT_NODES = 4096              # node budget per period
+STACK_NODES = 1 << 13             # first-pass nodes per stacked field call
 GL_ORDER = 24                     # Gauss-Legendre nodes per segment and per half
 GL_TOL = 1e-12                    # bisect where |whole - halves| > this * length * (1 + max|g|)
 GL_SUM_TOL = 1e-15                # ... until the estimates sum to this * T * (1 + max|g|)
@@ -99,25 +109,71 @@ class RootResult:
 
 def _gauss_integrals(fn: Callable, lo: np.ndarray, L: np.ndarray) -> tuple:
     """The ``GL_ORDER``-point integrals of `fn` over each [lo, lo + L], from
-    one call of `fn` on all their nodes: shape (len(lo), values), and max |fn|."""
+    one call of `fn` on all their nodes: shape (len(lo), values), and the
+    values at the nodes, shape (len(lo), GL_ORDER, values)."""
     vals = np.asarray(fn((lo[:, None] + L[:, None] * _X).ravel()), dtype=float)
     vals = vals.reshape(len(lo), GL_ORDER, -1)
-    return L[:, None] * (_W @ vals), max(vals.max(), -vals.min())
+    return L[:, None] * (_W @ vals), vals
 
 
-def _integrate(fn: Callable, f: PeriodicField, v, n_nodes: int) -> np.ndarray:
-    """Integral over one period, flattened, of `fn`: times -> ``(len(t), ...)``
-    values at frozen v, by the rule of the module docstring on f's segments."""
+def _integrate(fn: Callable, f: PeriodicField, V: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Integrals over one period, flattened, of `fn` at every row v of V by
+    the rule of the module docstring, shape (len(V), values).  ``fn(t, X)``
+    maps paired times (N,) and states (N, k), or times and one frozen state
+    (k,), to ``(N, ...)`` values; a row whose first pass fails goes on alone.
+    A stack of one takes its state frozen, as a single average always did."""
     if n_nodes < 16 or n_nodes % 2:
         raise ValueError("n_nodes must be even and >= 16")
     T = f.period
-    cuts = {float(s) % T for s in (f.kinks(v, 0.0) if f.kinks else ())}
-    edges = np.array([0.0, *sorted(s for s in cuts if 1e-12 * T < s < T * (1 - 1e-12)), T])
-    lo, L = edges[:-1], np.diff(edges)
-    n, half = len(lo), 0.5 * L
-    S, gmax = _gauss_integrals(fn, np.concatenate([lo, lo, lo + half]),
-                               np.concatenate([L, half, half]))
-    whole, left, right = S[:n], S[n:2 * n], S[2 * n:]
+    cuts = [[]] * len(V)
+    for i, v in enumerate(V if f.kinks else ()):
+        c = {float(s) % T for s in f.kinks(v, 0.0)}
+        cuts[i] = sorted(s for s in c if 1e-12 * T < s < T * (1 - 1e-12))
+    if len(V) == 1:                 # one state: its own arrays, no stack bookkeeping
+        one = lambda t: fn(t, V[0])
+        e = np.array([0.0, *cuts[0], T])
+        lo, L, n = e[:-1], e[1:] - e[:-1], len(cuts[0]) + 1
+        half = 0.5 * L
+        S, vals = _gauss_integrals(one, np.concatenate([lo, lo, lo + half]),
+                                   np.concatenate([L, half, half]))
+        return _bisect(one, T, lo, L, S[:n], S[n:2 * n], S[2 * n:], np.abs(vals).max(),
+                       n_nodes)[None]
+    counts = [len(c) for c in cuts]
+    out = None
+    for n in sorted(set(counts)):
+        rows = [i for i, c in enumerate(counts) if c == n]
+        step = max(1, STACK_NODES // (3 * GL_ORDER * (n + 1)))
+        for a in range(0, len(rows), step):
+            run = rows[a:a + step]
+            e = np.array([[0.0, *cuts[i], T] for i in run])
+            lo, L = e[:, :-1], e[:, 1:] - e[:, :-1]
+            half = 0.5 * L
+            X = np.repeat(V[run], 3 * GL_ORDER * (n + 1), axis=0)
+            # per row: its segments, their left halves, their right halves
+            S, vals = _gauss_integrals(lambda t: fn(t, X),
+                                       np.concatenate([lo, lo, lo + half], axis=1).ravel(),
+                                       np.concatenate([L, half, half], axis=1).ravel())
+            S = S.reshape(len(run), 3, n + 1, -1)
+            whole, left, right = S[:, 0], S[:, 1], S[:, 2]
+            gmax = np.abs(vals.reshape(len(run), -1)).max(axis=1)
+            fine = left + right
+            err = np.abs(whole - fine).max(axis=2)
+            over = (err > GL_TOL * (1.0 + gmax[:, None]) * L).any(axis=1)
+            sums = 0.0 + fine.sum(axis=1)
+            for r in over.nonzero()[0]:
+                sums[r] = _bisect(lambda t, v=V[run[r]]: fn(t, v), T, lo[r], L[r],
+                                  whole[r], left[r], right[r], gmax[r], n_nodes)
+            if out is None:
+                out = np.empty((len(V), sums.shape[1]))
+            out[run] = sums
+    return out
+
+
+def _bisect(fn: Callable, T: float, lo, L, whole, left, right, gmax, n_nodes: int):
+    """One row's integral from its first pass on (`fn` maps times to values
+    at its frozen state): bisect the segments whose estimate fails the test
+    while the budget lasts and the summed estimates exceed theirs."""
+    n = len(lo)
     used, total, done = 3 * GL_ORDER * n, 0.0, 0.0
     while True:
         fine = left + right
@@ -135,17 +191,34 @@ def _integrate(fn: Callable, f: PeriodicField, v, n_nodes: int) -> np.ndarray:
         # bisect: the halves become segments, and their halves, the quarters,
         # come from one call
         q = 0.25 * L
-        Q, h = _gauss_integrals(fn, (lo + np.arange(4.0)[:, None] * q).ravel(), np.tile(q, 4))
-        used, gmax = used + 4 * GL_ORDER * n, max(gmax, h)
+        Q, vals = _gauss_integrals(fn, (lo + np.arange(4.0)[:, None] * q).ravel(), np.tile(q, 4))
+        used, gmax = used + 4 * GL_ORDER * n, max(gmax, np.abs(vals).max())
         lo, L = np.concatenate([lo, lo + 2.0 * q]), np.tile(2.0 * q, 2)
         whole = np.concatenate([left, right])
         left, right = Q.reshape(2, 2, n, -1).swapaxes(0, 1).reshape(2, 2 * n, -1)
 
 
+def _averages(f: PeriodicField, V: np.ndarray, n_nodes: int) -> np.ndarray:
+    """`averaged_function` at every row of V; a row may be non-finite."""
+    return _integrate(lambda t, X: f.evaluate(t, X, 0.0), f, V, n_nodes)
+
+
+def _jacobians(f: PeriodicField, V: np.ndarray, n_nodes: int) -> np.ndarray:
+    """`averaged_jacobian` at every row of V; a row may be non-finite."""
+    k = f.dim
+    if f.jacobian is not None:
+        return _integrate(lambda t, X: f.jacobian(t, X, 0.0), f, V, n_nodes).reshape(-1, k, k)
+    h = FD_STEP_SCALE * (1.0 + np.array([float(np.linalg.norm(v)) for v in V]))[:, None, None]
+    steps = h * np.eye(k)                       # steps[i, j] = h_i e_j
+    A = _averages(f, np.concatenate([V[:, None] + steps, V[:, None] - steps]).reshape(-1, k),
+                  n_nodes).reshape(2, len(V), k, k)
+    return ((A[0] - A[1]) / (2.0 * h)).swapaxes(1, 2)
+
+
 def averaged_function(f: PeriodicField, v, n_nodes: int = DEFAULT_NODES) -> np.ndarray:
     """Integral of g(., v, 0) over one period (not divided by T)."""
     v = np.asarray(v, dtype=float)
-    total = _integrate(lambda t: f.evaluate(t, v, 0.0), f, v, n_nodes)
+    total = _averages(f, v[None], n_nodes)[0]
     if not np.all(np.isfinite(total)):
         raise NonFiniteValue(f"averaged field not finite at v={v}")
     return total
@@ -157,25 +230,46 @@ def averaged_jacobian(f: PeriodicField, v, n_nodes: int = DEFAULT_NODES) -> np.n
     For a field that publishes ``jacobian`` it is the integral of dg/dx by the
     rule of `averaged_function`: one quadrature.  For a field without one it
     is the central difference of the averaged field with step ``FD_STEP_SCALE
-    * (1 + |v|)``: 2k quadratures, and the derivative of the average, which is
-    smooth near simple roots even when g is only Lipschitz.
+    * (1 + |v|)``: 2k quadratures, in one stack, and the derivative of the
+    average, which is smooth near simple roots even when g is only Lipschitz.
     """
     v = np.asarray(v, dtype=float)
-    if f.jacobian is not None:
-        J = _integrate(lambda t: f.jacobian(t, v, 0.0), f, v, n_nodes).reshape(f.dim, f.dim)
-    else:
-        h = FD_STEP_SCALE * (1.0 + float(np.linalg.norm(v)))
-        J = np.column_stack([(averaged_function(f, v + h * e, n_nodes)
-                              - averaged_function(f, v - h * e, n_nodes)) / (2.0 * h)
-                             for e in np.eye(f.dim)])
+    J = _jacobians(f, v[None], n_nodes)[0]
     if not np.all(np.isfinite(J)):
         raise NonFiniteValue(f"averaged Jacobian not finite at v={v}")
     return J
 
 
+def _each_row(f: PeriodicField, stacked: Callable, single: Callable, V: np.ndarray,
+              n_nodes: int) -> list:
+    """The rows of ``stacked(f, V, n_nodes)``; where that raises
+    ``SlowflowError`` or gives a non-finite row, ``single(f, v, n_nodes)`` of
+    each row alone, its value or its ``SlowflowError``."""
+    try:
+        A = stacked(f, V, n_nodes)
+        if np.isfinite(A).all():
+            return list(A)
+    except SlowflowError:
+        pass
+    out = []
+    for v in V:
+        try:
+            out.append(single(f, v, n_nodes))
+        except SlowflowError as exc:
+            out.append(exc)
+    return out
+
+
+def _root_steps(guess, root_tol: float):
+    """`find_root` as a generator of ``newton.iterate``: the solve, then the
+    Jacobian at the root."""
+    v, _, res, iters = yield from newton.iterate(guess, root_tol)
+    return RootResult(v, res, iters, True, (yield "J", v))
+
+
 def find_root(f: PeriodicField, guess, root_tol: float = 1e-10,
               n_nodes: int = DEFAULT_NODES) -> RootResult:
-    """Damped Newton (``newton.solve``) on the averaged field from `guess`.
+    """Damped Newton (``newton.iterate``) on the averaged field from `guess`.
 
     Converged means the quadrature residual dropped to ``root_tol``; a
     singular step raises ``SingularJacobian``, a stall or the iteration cap
@@ -184,10 +278,37 @@ def find_root(f: PeriodicField, guess, root_tol: float = 1e-10,
     v = np.asarray(guess, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("guess must be finite")
-    v, _, res, iters = newton.solve(lambda v: averaged_function(f, v, n_nodes),
-                                    lambda v: averaged_jacobian(f, v, n_nodes),
-                                    v, root_tol)
-    return RootResult(v, res, iters, True, averaged_jacobian(f, v, n_nodes))
+    return newton.run(_root_steps(v, root_tol), lambda v: averaged_function(f, v, n_nodes),
+                      lambda v: averaged_jacobian(f, v, n_nodes))
+
+
+def _find_roots(f: PeriodicField, seeds, root_tol: float, n_nodes: int) -> list:
+    """`find_root` from every seed in lockstep: a round answers all rows that
+    ask for F with one stacked average, then all that ask for J with one
+    stacked Jacobian.  A row whose solve raises ``SlowflowError`` gives None."""
+    steps = [_root_steps(s, root_tol) for s in seeds]
+    out, asks = [None] * len(steps), {}
+
+    def answer(i, val):
+        try:
+            asks[i] = steps[i].throw(val) if isinstance(val, SlowflowError) else steps[i].send(val)
+        except StopIteration as done:
+            out[i] = done.value
+            asks.pop(i, None)
+        except SlowflowError:       # e.g. a DSL domain error off the box
+            asks.pop(i, None)
+
+    for i in range(len(steps)):
+        answer(i, None)
+    while asks:
+        for what, stacked, single in (("F", _averages, averaged_function),
+                                      ("J", _jacobians, averaged_jacobian)):
+            rows = [i for i, (w, _) in asks.items() if w == what]
+            if rows:
+                vals = _each_row(f, stacked, single, np.array([asks[i][1] for i in rows]), n_nodes)
+                for i, val in zip(rows, vals):
+                    answer(i, val)
+    return out
 
 
 def scan_roots(f: PeriodicField, box, grid_n: int = 32,
@@ -197,6 +318,13 @@ def scan_roots(f: PeriodicField, box, grid_n: int = 32,
     Newton is launched from every cell whose corner values change sign in some
     component and from every grid-local minimum of the residual norm; results
     closer than ``DEDUP_TOL`` are merged.  Scanning is supported for k <= 3.
+
+    The grid is averaged as one stack, and the seeds' solves run in lockstep
+    (`_find_roots`): a round costs one stacked average and one stacked
+    Jacobian for all live seeds, in chunks of ``STACK_NODES`` nodes.  A grid
+    point whose average raises ``SlowflowError`` is missing: it makes no sign
+    change and is no minimum.  A seed whose solve raises is dropped; neither
+    touches the rest.
     """
     box = np.asarray(box, dtype=float)
     if box.shape != (f.dim, 2):
@@ -211,18 +339,20 @@ def scan_roots(f: PeriodicField, box, grid_n: int = 32,
     k = f.dim
     axes = [np.linspace(lo, hi, grid_n) for lo, hi in box]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    vals = np.array([averaged_function(f, p, n_nodes)
-                     for p in pts.reshape(-1, k)]).reshape(pts.shape)
+    vals = np.array([np.full(k, np.nan) if isinstance(a, SlowflowError) else a
+                     for a in _each_row(f, _averages, averaged_function,
+                                        pts.reshape(-1, k), n_nodes)]).reshape(pts.shape)
     norms = np.linalg.norm(vals, axis=-1)
 
-    # a cell's corner values are its 2^k slices, shifted by 0 or 1 per axis
+    # a cell's corner values are its 2^k slices, shifted by 0 or 1 per axis;
+    # fmin and fmax pass over a missing (NaN) corner
     corners = [vals[tuple(slice(c, grid_n - 1 + c) for c in cs)]
                for cs in np.ndindex((2,) * k)]
-    cmin, cmax = np.minimum.reduce(corners), np.maximum.reduce(corners)
+    cmin, cmax = np.fmin.reduce(corners), np.fmax.reduce(corners)
     mids = [0.5 * (ax[:-1] + ax[1:]) for ax in axes]
     centers = np.stack(np.meshgrid(*mids, indexing="ij"), axis=-1)
     # a grid minimum: no neighbour along any axis is strictly smaller
-    is_min = np.ones(norms.shape, dtype=bool)
+    is_min = np.isfinite(norms)
     for d in range(k):
         n, m = np.moveaxis(norms, d, 0), np.moveaxis(is_min, d, 0)
         m[:-1] &= ~(n[1:] < n[:-1])
@@ -230,10 +360,8 @@ def scan_roots(f: PeriodicField, box, grid_n: int = 32,
     seeds = [*centers[((cmin < 0) & (cmax > 0)).any(axis=-1)], *pts[is_min]]
 
     roots: List[RootResult] = []
-    for seed in seeds:
-        try:
-            r = find_root(f, seed, root_tol, n_nodes)
-        except SlowflowError:      # e.g. a DSL domain error off the box
+    for r in _find_roots(f, seeds, root_tol, n_nodes):
+        if r is None:
             continue
         if np.any(r.v0 < box[:, 0] - 0.5) or np.any(r.v0 > box[:, 1] + 0.5):
             continue

@@ -111,15 +111,16 @@ def certify_hurwitz(f: PeriodicField, v0,
                                 hurwitz=hurwitz, degenerate=degenerate)
 
 
-def pnorm_operator(M, P) -> float:
+def pnorm_operator(M, P, L=None) -> float:
     """Operator norm of M induced by |x|_P = sqrt(x'Px).
 
     Equals the largest generalized eigenvalue of (M'PM, P), computed through
-    the Cholesky reduction L^-1 (M'PM) L^-T with P = LL'.
+    the Cholesky reduction L^-1 (M'PM) L^-T with P = LL'; a caller that
+    evaluates many M against one P passes its factor L.
     """
     M = np.asarray(M, dtype=float)
     P = np.asarray(P, dtype=float)
-    L = smalllin.cholesky(P)
+    L = smalllin.cholesky(P) if L is None else L
     K = M.T @ P @ M
     C = np.linalg.solve(L, np.linalg.solve(L, K).T)
     lam = smalllin.eigenvalues(0.5 * (C + C.T)).values.real
@@ -174,8 +175,10 @@ def build_contraction_certificate(cert: StabilityCertificate) -> StabilityCertif
     if resid > LYAPUNOV_RESIDUAL_TOL:
         raise NoConvergence(f"Lyapunov residual {resid:.3e} exceeds {LYAPUNOV_RESIDUAL_TOL:g}")
 
+    L = smalllin.cholesky(P)        # once for every mu(alpha)
+
     def mu(alpha: float) -> float:
-        return pnorm_operator(eye + alpha * A, P)
+        return pnorm_operator(eye + alpha * A, P, L)
 
     base = 1.0 / (2.0 * abs(float(np.trace(A))))
     alphas = sorted({

@@ -367,10 +367,12 @@ class _Tape:
         """d(outputs)/dx at x of shape (k,), in forward mode: one k-tangent per
         slot, None for slots that do not depend on x.  A scalar t gives (k, k);
         an array of n times runs as a column, so a slot that depends on t holds
-        (n, 1) values and (n, k) tangents, and gives (n, k, k)."""
+        (n, 1) values and (n, k) tangents, and gives (n, k, k).  Paired states
+        x of shape (n, k) run as columns too."""
         x = np.asarray(x, dtype=float)
         rows = np.shape(t)
-        regs = self.run(np.asarray(t, dtype=float)[:, None] if rows else t, x, eps)
+        regs = self.run(np.asarray(t, dtype=float)[:, None] if rows else t,
+                        x[:, None] if x.ndim == 2 else x, eps)
         dot = [None] * len(self.values)
         dot[2:2 + self.k] = np.eye(self.k)
         with np.errstate(all="ignore"):

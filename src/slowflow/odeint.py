@@ -91,9 +91,11 @@ class PeriodicField:
     Quadratures cut their segments there; they never affect values.
 
     ``jacobian``, when given, maps scalar ``t`` and a state of shape ``(k,)``
-    to the ``(k, k)`` matrix dg/dx, and an array of times with frozen ``x`` of
-    shape ``(k,)`` to ``(len(t), k, k)`` (the quadrature of
-    ``averaging.averaged_jacobian``).  Off the switching set it must be exact;
+    to the ``(k, k)`` matrix dg/dx, an array of times with frozen ``x`` of
+    shape ``(k,)`` to ``(len(t), k, k)``, and paired times ``t`` of shape
+    ``(m,)`` with an ensemble ``(m, k)`` to ``(m, k, k)``, row i at ``(t[i],
+    x[i])`` with the bits of the frozen call (the stacked quadratures of
+    ``averaging``).  Off the switching set it must be exact;
     on it, any one-sided value will do; without it ``variational_map`` takes
     central differences of ``evaluate``, and ``averaged_jacobian`` of the
     averaged field.  The field must be continuous across a switching set that

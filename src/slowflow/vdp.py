@@ -124,9 +124,10 @@ def _slow_field(damping_scalar, damping_array, slope_scalar, slope_array,
         return out
 
     def jacobian(t, x, eps):
-        M, N = float(x[0]), float(x[1])
-        if isinstance(t, float):
-            return np.array(floats(t, [M, N], eps, True)[1])
+        x = np.asarray(x, dtype=float)
+        if isinstance(t, float) and x.ndim == 1:
+            return np.array(floats(t, x.tolist(), eps, True)[1])
+        M, N = x[..., 0], x[..., 1]
         s, c = np.sin(t), np.cos(t)
         u, du = M * s + N * c, M * c - N * s
         d, dd = damping_array(u), slope_array(u)

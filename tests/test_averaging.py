@@ -12,7 +12,7 @@ from slowflow.averaging import (
     averaged_function, averaged_jacobian, find_root, scan_roots,
 )
 from slowflow.certify import certify_hurwitz
-from slowflow.errors import DomainError, MaxIterations, SingularJacobian
+from slowflow.errors import DomainError, MaxIterations, SingularJacobian, SlowflowError
 from slowflow.exprdsl import FieldSpec, eval_expr, field_from_spec, parse
 from slowflow.odeint import FD_STEP_SCALE, PeriodicField
 
@@ -345,11 +345,11 @@ def _reference_seeds(f, box, grid_n, n_nodes):
 def test_scan_roots_seeds_match_reference_loop(monkeypatch, f, box, grid_n):
     seeds = []
 
-    def record(f, seed, *args):
-        seeds.append(seed)
-        raise MaxIterations("seed recorded")
+    def record(f, scan_seeds, *args):
+        seeds.extend(scan_seeds)
+        return [None] * len(scan_seeds)         # every solve failed
 
-    monkeypatch.setattr(averaging, "find_root", record)
+    monkeypatch.setattr(averaging, "_find_roots", record)
     assert scan_roots(f, np.array(box), grid_n=grid_n, n_nodes=256) == []
     want = _reference_seeds(f, box, grid_n, 256)
     assert len(seeds) == len(want)
@@ -419,3 +419,195 @@ def test_averaged_report_of_a_jacobian_field_takes_no_fd_step(unforced_nonsmooth
     assert not np.array_equal(J, fd)
     want = vdp.averaged_jacobian_closed_form("nonsmooth", 1.0, 0.5, 0.0)
     assert np.max(np.abs(J - want)) <= 1e-10
+
+
+# --- stacked quadrature and the lockstep scan ----------------------------------------
+
+def _reference_average(fn, f, v, n_nodes):
+    # the one-state quadrature that the stacks replaced: `fn` maps times to
+    # values at frozen v
+    T = f.period
+    cuts = {float(s) % T for s in (f.kinks(v, 0.0) if f.kinks else ())}
+    edges = np.array([0.0, *sorted(s for s in cuts if 1e-12 * T < s < T * (1 - 1e-12)), T])
+    lo, L = edges[:-1], np.diff(edges)
+    n, half = len(lo), 0.5 * L
+
+    def integrals(lo, L):
+        vals = np.asarray(fn((lo[:, None] + L[:, None] * averaging._X).ravel()), dtype=float)
+        vals = vals.reshape(len(lo), averaging.GL_ORDER, -1)
+        return L[:, None] * (averaging._W @ vals), max(vals.max(), -vals.min())
+
+    S, gmax = integrals(np.concatenate([lo, lo, lo + half]), np.concatenate([L, half, half]))
+    whole, left, right = S[:n], S[n:2 * n], S[2 * n:]
+    used, total, done = 3 * averaging.GL_ORDER * n, 0.0, 0.0
+    while True:
+        fine = left + right
+        err = np.abs(whole - fine).max(axis=1)
+        over = err > averaging.GL_TOL * (1.0 + gmax) * L
+        if not over.any() or done + err.sum() <= averaging.GL_SUM_TOL * (1.0 + gmax) * T:
+            return total + fine.sum(axis=0)
+        total, done = total + fine[~over].sum(axis=0), done + err[~over].sum()
+        lo, L, left, right, fine, err = (x[over] for x in (lo, L, left, right, fine, err))
+        n = len(lo)
+        if used + 4 * averaging.GL_ORDER * n > n_nodes:
+            return total + fine.sum(axis=0)
+        q = 0.25 * L
+        Q, h = integrals((lo + np.arange(4.0)[:, None] * q).ravel(), np.tile(q, 4))
+        used, gmax = used + 4 * averaging.GL_ORDER * n, max(gmax, h)
+        lo, L = np.concatenate([lo, lo + 2.0 * q]), np.tile(2.0 * q, 2)
+        whole = np.concatenate([left, right])
+        left, right = Q.reshape(2, 2, n, -1).swapaxes(0, 1).reshape(2, 2 * n, -1)
+
+
+def _reference_jacobian(f, v, n_nodes):
+    if f.jacobian is not None:
+        return _reference_average(lambda t: f.jacobian(t, v, 0.0), f, v,
+                                  n_nodes).reshape(f.dim, f.dim)
+    h = FD_STEP_SCALE * (1.0 + float(np.linalg.norm(v)))
+    avg = lambda w: _reference_average(lambda t: f.evaluate(t, w, 0.0), f, w, n_nodes)
+    return np.column_stack([(avg(v + h * e) - avg(v - h * e)) / (2.0 * h) for e in np.eye(f.dim)])
+
+
+def _stack_fields():
+    forced = vdp.ForcingParams(0.1, 1.0)
+    dip, _ = _dip(0.8)                     # no kinks published: its corners bisect
+    return {
+        "nonsmooth": vdp.nonsmooth_vdp_field(forced),
+        "classical": vdp.classical_vdp_field(vdp.ForcingParams(0.2, 0.4)),
+        "linear": vdp.linear_test_field(),
+        "dsl": field_from_spec(FieldSpec.from_strings(2, TWO_PI, NONSMOOTH_DSL,
+                                                      {"a": 0.1, "lam": 1.0})),
+        "no_jacobian": dataclasses.replace(vdp.nonsmooth_vdp_field(forced), jacobian=None),
+        "dip": _field(1, TWO_PI, lambda t, x, eps: _stack(
+            [np.abs(np.sin(t) - 0.8) * (1.0 + np.asarray(x)[..., 0])], t, x)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_stack_fields()))
+@pytest.mark.parametrize("n_nodes", [256, 4096])
+def test_stacked_quadrature_matches_one_state_bit_for_bit(name, n_nodes, monkeypatch):
+    f = _stack_fields()[name]
+    rng = np.random.default_rng(41)
+    V = rng.uniform(-3.0, 3.0, (40, f.dim))
+    V[0], V[1, -1] = 0.0, 0.0           # the origin (no kinks) and a kink on t = 0
+    # chunks of a few rows, so that a stack spans several calls
+    monkeypatch.setattr(averaging, "STACK_NODES", 1000)
+    A, J = averaging._averages(f, V, n_nodes), averaging._jacobians(f, V, n_nodes)
+    for v, a, j in zip(V, A, J):
+        want = _reference_average(lambda t: f.evaluate(t, v, 0.0), f, v, n_nodes)
+        assert np.array_equal(a, want) and np.array_equal(averaged_function(f, v, n_nodes), want)
+        want = _reference_jacobian(f, v, n_nodes)
+        assert np.array_equal(j, want) and np.array_equal(averaged_jacobian(f, v, n_nodes), want)
+
+
+@pytest.mark.parametrize("f", [
+    vdp.nonsmooth_vdp_field(vdp.ForcingParams(0.1, 1.0)),
+    vdp.classical_vdp_field(vdp.ForcingParams(0.2, 0.4)),
+    vdp.linear_test_field(),
+    field_from_spec(FieldSpec.from_strings(2, TWO_PI, NONSMOOTH_DSL, {"a": 0.1, "lam": 1.0})),
+    field_from_spec(FieldSpec.from_strings(3, TWO_PI, [
+        "sqrt(x1^2 + 1) * sin(t) - x2/(2 + cos(t))", "abs(x3 - cos(t)) * x1",
+        "x2^3 - sin(x1*x3) + 0.5"])),
+], ids=["nonsmooth", "classical", "linear", "dsl", "dsl3"])
+def test_paired_jacobian_rows_match_frozen_calls(f):
+    rng = np.random.default_rng(43)
+    t, X = rng.uniform(0.0, TWO_PI, 50), rng.uniform(-2.0, 2.0, (50, f.dim))
+    J = f.jacobian(t, X, 0.0)
+    assert J.shape == (50, f.dim, f.dim)
+    for i in range(50):
+        assert np.array_equal(J[i], f.jacobian(t[i:i + 1], X[i], 0.0)[0])
+
+
+def _lockstep_and_per_seed(monkeypatch, f, box, grid_n, n_nodes):
+    # every seed of the scan, what the lockstep solve gave it, and what
+    # find_root gives it alone
+    seeds, got = [], []
+
+    def record(f, scan_seeds, *args):
+        seeds.extend(scan_seeds)
+        got.extend(lockstep(f, scan_seeds, *args))
+        return got
+
+    lockstep = averaging._find_roots
+    monkeypatch.setattr(averaging, "_find_roots", record)
+    scan_roots(f, np.array(box), grid_n=grid_n, n_nodes=n_nodes)
+    want = []
+    for s in seeds:
+        try:
+            want.append(find_root(f, s, 1e-10, n_nodes))
+        except SlowflowError:
+            want.append(None)
+    return got, want
+
+
+@pytest.mark.parametrize("f, box, grid_n, n_nodes, failed", [
+    (vdp.nonsmooth_vdp_field(vdp.ForcingParams(0.1, 1.0)), [[-3.0, 3.0]] * 2, 5, 256, 7),
+    (vdp.classical_vdp_field(vdp.ForcingParams(0.0, 0.5)), [[-3.0, 3.0]] * 2, 8, 256, 0),
+    (vdp.linear_test_field(), [[-3.0, 3.0]], 9, 256, 0),
+    (field_from_spec(FieldSpec.from_strings(
+        3, TWO_PI, ["x2 - abs(x1 - sin(t))", "x3 - x1", "x1^2 + x2^2 - 1"])),
+     [[-2.0, 2.0]] * 3, 5, 256, 5),
+    (vdp.nonsmooth_vdp_field(), [[-3.0, 3.0]] * 2, 24, averaging.DEFAULT_NODES, 0),
+    (field_from_spec(FieldSpec.from_strings(1, TWO_PI, ["sqrt(x1 + 1) - 1.2 + 0.3*cos(2*x1)"])),
+     [[-0.9, 4.0]], 12, 256, 2),
+], ids=["nonsmooth", "classical", "linear", "dsl3", "circle", "dsl_domain_error"])
+def test_lockstep_scan_matches_find_root_per_seed(monkeypatch, f, box, grid_n, n_nodes, failed):
+    got, want = _lockstep_and_per_seed(monkeypatch, f, box, grid_n, n_nodes)
+    assert len(got) == len(want)
+    assert sum(w is None for w in want) == failed     # seeds whose solve raises
+    for r, w in zip(got, want):
+        assert (r is None) == (w is None)
+        if w is not None:
+            assert (np.array_equal(r.v0, w.v0) and r.residual == w.residual
+                    and r.iterations == w.iterations and r.converged == w.converged
+                    and np.array_equal(r.jacobian, w.jacobian))
+
+
+def test_lockstep_scan_field_call_count(monkeypatch):
+    # one stacked evaluate a round, and every live seed takes one F a round:
+    # the seeds cost as many evaluate calls as the longest per-seed run of F,
+    # the grid one per segment count and chunk (here 2 + 1 + 1, the line
+    # N = 0 having its kink at t = 0).  Per seed, 479 evaluate and 199
+    # jacobian calls before
+    base = vdp.nonsmooth_vdp_field(vdp.ForcingParams(0.1, 1.0))
+    calls = {"evaluate": 0, "jacobian": 0}
+
+    def counted(name):
+        fn = getattr(base, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    f = dataclasses.replace(base, evaluate=counted("evaluate"), jacobian=counted("jacobian"))
+    box = np.array([[-3.0, 3.0]] * 2)
+    roots = scan_roots(f, box, grid_n=7)
+    assert len(roots) == 1
+    scan = dict(calls)
+    seeds = []
+    monkeypatch.setattr(averaging, "_find_roots", lambda f, s, *args: seeds.extend(s) or [])
+    scan_roots(base, box, grid_n=7)
+    longest = {"evaluate": 0, "jacobian": 0}
+    for s in seeds:
+        calls.update(evaluate=0, jacobian=0)
+        try:
+            find_root(f, s)
+        except SlowflowError:
+            pass
+        longest = {k: max(v, calls[k]) for k, v in longest.items()}
+    assert len(seeds) == 28 and longest == {"evaluate": 66, "jacobian": 14}
+    assert scan["evaluate"] == 4 + longest["evaluate"]
+    assert scan == {"evaluate": 70, "jacobian": 29}
+
+
+def test_scan_roots_skips_grid_points_whose_average_raises():
+    # left of x = -1 the square root is undefined: those grid points are
+    # missing, and the root right of them is still found
+    f = field_from_spec(FieldSpec.from_strings(1, TWO_PI, ["sqrt(x1 + 1) - 1.2 + 0.3*cos(2*x1)"]))
+    with pytest.raises(DomainError):
+        averaged_function(f, [-2.0])
+    roots = scan_roots(f, np.array([[-2.0, 4.0]]), grid_n=12, n_nodes=256)
+    assert len(roots) == 1
+    x = float(roots[0].v0[0])
+    assert abs(math.sqrt(x + 1.0) - 1.2 + 0.3 * math.cos(2.0 * x)) < 1e-10

@@ -91,6 +91,24 @@ def test_contraction_certificate_oscillatory():
     assert pnorm_operator(np.eye(2) + done.alpha * A, done.lyapunov_P) <= done.q + 1e-12
 
 
+def test_contraction_certificate_factors_P_once(monkeypatch):
+    # every mu(alpha) reuses one Cholesky factor of P, with the bits of
+    # pnorm_operator(M, P) factoring P itself
+    A = np.array([[-0.3, 2.0, 0.1], [-2.0, -0.4, 0.0], [0.5, 0.2, -1.1]])
+    factors = []
+
+    def cholesky(P):
+        factors.append(P)
+        return smalllin._lapack(np.linalg.cholesky, P)
+
+    monkeypatch.setattr(smalllin, "cholesky", cholesky)
+    done = build_contraction_certificate(_cert_for(A))
+    assert len(factors) == 1
+    M = np.eye(3) + done.alpha * A
+    L = np.linalg.cholesky(done.lyapunov_P)
+    assert pnorm_operator(M, done.lyapunov_P, L) == pnorm_operator(M, done.lyapunov_P) == done.q
+
+
 def test_contraction_requires_hurwitz():
     with pytest.raises(NotHurwitz):
         build_contraction_certificate(_cert_for(np.array([[0.0, 1.0], [-1.0, 0.0]])))

@@ -136,6 +136,16 @@ def test_roots_csv_and_empty_exit(tmp_path, capsys):
     assert rc2 == 3
 
 
+def test_roots_survives_grid_points_outside_the_domain(tmp_path, capsys):
+    # the square root is undefined left of x1 = -1, where a third of the grid lies
+    cfg = _write_cfg(tmp_path, {"system": {
+        "dim": 1, "period": 2 * math.pi,
+        "components": ["sqrt(x1 + 1) - 1.2 + 0.3*cos(2*x1)"]}})
+    assert main(["roots", "--config", cfg, "--box", "-2", "4", "--grid", "12"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == cli.CSV_ROOTS_HEADER and len(lines) == 2
+
+
 def test_certify_json_schema(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, {"system": "linear_test"})
     rc = main(["certify", "--config", cfg, "--point", "0.0"])
