@@ -37,11 +37,11 @@ integral by the same rule on the same segments; one without gets central
 differences of the averaged field at ``odeint.FD_STEP_SCALE * (1 + |v|)``.
 
 Zeros of the averaged field are the candidate initial points of periodic
-solutions of x' = eps*g; ``find_root`` hands the quadrature values and that
-Jacobian to the damped Newton loop of ``newton.iterate`` (trust region,
-Armijo line search, no full-step fallback), which also raises its failures.
-``scan_roots`` averages its grid as one stack and runs all its seeds through
-that loop in lockstep, one stacked average and one stacked Jacobian a round.
+solutions of x' = eps*g.  ``find_root`` (one seed) and ``scan_roots`` (its
+grid's seeds in lockstep) solve for them with the one Newton driver,
+``newton.run`` (trust region, Armijo line search, no full-step fallback),
+answered with stacked averages and Jacobians; a stack that raises, or has a
+row that is not finite, is answered row by row (``errors.each_row``).
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import newton
-from .errors import NonFiniteValue, SlowflowError
+from .errors import NonFiniteValue, SlowflowError, each_row
 from .odeint import FD_STEP_SCALE, PeriodicField
 
 __all__ = [
@@ -215,13 +215,20 @@ def _jacobians(f: PeriodicField, V: np.ndarray, n_nodes: int) -> np.ndarray:
     return ((A[0] - A[1]) / (2.0 * h)).swapaxes(1, 2)
 
 
+def _stacked(f: PeriodicField, what: str, V: np.ndarray, n_nodes: int) -> np.ndarray:
+    """The averaged field ("F") or its Jacobian ("J") at every row of V;
+    ``NonFiniteValue`` names the first row where it is not finite."""
+    A = _averages(f, V, n_nodes) if what == "F" else _jacobians(f, V, n_nodes)
+    if not np.isfinite(A).all():
+        bad = np.isfinite(A.reshape(len(V), -1)).all(axis=1).argmin()
+        name = "field" if what == "F" else "Jacobian"
+        raise NonFiniteValue(f"averaged {name} not finite at v={V[bad]}")
+    return A
+
+
 def averaged_function(f: PeriodicField, v, n_nodes: int = DEFAULT_NODES) -> np.ndarray:
     """Integral of g(., v, 0) over one period (not divided by T)."""
-    v = np.asarray(v, dtype=float)
-    total = _averages(f, v[None], n_nodes)[0]
-    if not np.all(np.isfinite(total)):
-        raise NonFiniteValue(f"averaged field not finite at v={v}")
-    return total
+    return _stacked(f, "F", np.asarray(v, dtype=float)[None], n_nodes)[0]
 
 
 def averaged_jacobian(f: PeriodicField, v, n_nodes: int = DEFAULT_NODES) -> np.ndarray:
@@ -233,31 +240,7 @@ def averaged_jacobian(f: PeriodicField, v, n_nodes: int = DEFAULT_NODES) -> np.n
     * (1 + |v|)``: 2k quadratures, in one stack, and the derivative of the
     average, which is smooth near simple roots even when g is only Lipschitz.
     """
-    v = np.asarray(v, dtype=float)
-    J = _jacobians(f, v[None], n_nodes)[0]
-    if not np.all(np.isfinite(J)):
-        raise NonFiniteValue(f"averaged Jacobian not finite at v={v}")
-    return J
-
-
-def _each_row(f: PeriodicField, stacked: Callable, single: Callable, V: np.ndarray,
-              n_nodes: int) -> list:
-    """The rows of ``stacked(f, V, n_nodes)``; where that raises
-    ``SlowflowError`` or gives a non-finite row, ``single(f, v, n_nodes)`` of
-    each row alone, its value or its ``SlowflowError``."""
-    try:
-        A = stacked(f, V, n_nodes)
-        if np.isfinite(A).all():
-            return list(A)
-    except SlowflowError:
-        pass
-    out = []
-    for v in V:
-        try:
-            out.append(single(f, v, n_nodes))
-        except SlowflowError as exc:
-            out.append(exc)
-    return out
+    return _stacked(f, "J", np.asarray(v, dtype=float)[None], n_nodes)[0]
 
 
 def _root_steps(guess, root_tol: float):
@@ -265,6 +248,13 @@ def _root_steps(guess, root_tol: float):
     Jacobian at the root."""
     v, _, res, iters = yield from newton.iterate(guess, root_tol)
     return RootResult(v, res, iters, True, (yield "J", v))
+
+
+def _solve_roots(f: PeriodicField, seeds, root_tol: float, n_nodes: int) -> list:
+    """`find_root` from every seed in lockstep (``newton.run``): a root, or
+    the ``SlowflowError`` that ended the solve, per seed."""
+    return newton.run([_root_steps(s, root_tol) for s in seeds],
+                      lambda what, X: _stacked(f, what, X, n_nodes))
 
 
 def find_root(f: PeriodicField, guess, root_tol: float = 1e-10,
@@ -278,37 +268,17 @@ def find_root(f: PeriodicField, guess, root_tol: float = 1e-10,
     v = np.asarray(guess, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("guess must be finite")
-    return newton.run(_root_steps(v, root_tol), lambda v: averaged_function(f, v, n_nodes),
-                      lambda v: averaged_jacobian(f, v, n_nodes))
+    root, = _solve_roots(f, [v], root_tol, n_nodes)
+    if isinstance(root, SlowflowError):
+        raise root
+    return root
 
 
 def _find_roots(f: PeriodicField, seeds, root_tol: float, n_nodes: int) -> list:
-    """`find_root` from every seed in lockstep: a round answers all rows that
-    ask for F with one stacked average, then all that ask for J with one
-    stacked Jacobian.  A row whose solve raises ``SlowflowError`` gives None."""
-    steps = [_root_steps(s, root_tol) for s in seeds]
-    out, asks = [None] * len(steps), {}
-
-    def answer(i, val):
-        try:
-            asks[i] = steps[i].throw(val) if isinstance(val, SlowflowError) else steps[i].send(val)
-        except StopIteration as done:
-            out[i] = done.value
-            asks.pop(i, None)
-        except SlowflowError:       # e.g. a DSL domain error off the box
-            asks.pop(i, None)
-
-    for i in range(len(steps)):
-        answer(i, None)
-    while asks:
-        for what, stacked, single in (("F", _averages, averaged_function),
-                                      ("J", _jacobians, averaged_jacobian)):
-            rows = [i for i, (w, _) in asks.items() if w == what]
-            if rows:
-                vals = _each_row(f, stacked, single, np.array([asks[i][1] for i in rows]), n_nodes)
-                for i, val in zip(rows, vals):
-                    answer(i, val)
-    return out
+    """`find_root` from every seed in lockstep; None for a seed whose solve
+    raised ``SlowflowError`` (e.g. a DSL domain error off the box)."""
+    return [None if isinstance(r, SlowflowError) else r
+            for r in _solve_roots(f, seeds, root_tol, n_nodes)]
 
 
 def scan_roots(f: PeriodicField, box, grid_n: int = 32,
@@ -340,8 +310,8 @@ def scan_roots(f: PeriodicField, box, grid_n: int = 32,
     axes = [np.linspace(lo, hi, grid_n) for lo, hi in box]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     vals = np.array([np.full(k, np.nan) if isinstance(a, SlowflowError) else a
-                     for a in _each_row(f, _averages, averaged_function,
-                                        pts.reshape(-1, k), n_nodes)]).reshape(pts.shape)
+                     for a in each_row(lambda X: _stacked(f, "F", X, n_nodes),
+                                       pts.reshape(-1, k))]).reshape(pts.shape)
     norms = np.linalg.norm(vals, axis=-1)
 
     # a cell's corner values are its 2^k slices, shifted by 0 or 1 per axis;

@@ -17,7 +17,6 @@ with 17 significant digits so CSV re-runs are byte-identical.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import re
@@ -145,6 +144,8 @@ def load_config(path: Optional[str], overrides: Optional[dict] = None) -> RunCon
         raise ConfigError("quadrature_nodes must be even and >= 16")
     if not cfg.root_tol > 0:
         raise ConfigError("root_tol must be positive")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
     return cfg
 
 
@@ -188,16 +189,6 @@ def _given(**kwargs) -> dict:
     return {k: v for k, v in kwargs.items() if v is not None}
 
 
-@contextlib.contextmanager
-def _checked_arguments():
-    """The library checks its arguments up front with ValueError; those are
-    usage errors here."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def cmd_avg(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     f = cfg.build_field()
@@ -224,10 +215,9 @@ def cmd_roots(args) -> int:
     box = np.asarray(args.box, dtype=float).reshape(f.dim, 2)
     if not np.all(np.isfinite(box)):
         raise ConfigError("--box bounds must be finite")
-    with _checked_arguments():
-        roots = averaging.scan_roots(f, box, grid_n=args.grid,
-                                     root_tol=cfg.root_tol,
-                                     **_given(n_nodes=cfg.quadrature_nodes))
+    roots = averaging.scan_roots(f, box, grid_n=args.grid,
+                                 root_tol=cfg.root_tol,
+                                 **_given(n_nodes=cfg.quadrature_nodes))
     lines = [CSV_ROOTS_HEADER]
     for i, r in enumerate(roots):
         vtxt = ";".join(format_float(x) for x in r.v0)
@@ -256,8 +246,7 @@ def cmd_verify(args) -> int:
     f = cfg.build_field()
     point = _parse_point(args.point, f.dim)
     eps_list = [float(e) for e in args.eps]
-    with _checked_arguments():
-        sweep = orbit.eps_sweep(f, point, eps_list, **_given(cfg=cfg.integrator))
+    sweep = orbit.eps_sweep(f, point, eps_list, **_given(cfg=cfg.integrator))
     lines = [CSV_VERIFY_HEADER]
     for entry in sweep.entries:
         r = entry.result
@@ -452,7 +441,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         # exit has nothing to fail on (Python docs, signal, "Note on SIGPIPE")
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
+        # the library checks its arguments up front with ValueError: here
+        # those are usage errors
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SlowflowError as exc:

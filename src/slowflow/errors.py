@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all slowflow modules."""
+"""Exception hierarchy shared by all slowflow modules, and ``each_row``, the
+package's one rule for a stacked call that raises."""
 
 
 class SlowflowError(Exception):
@@ -102,3 +103,15 @@ class RootRecoveryFailed(SlowflowError):
 
 class ConfigError(SlowflowError):
     """Invalid run configuration (CLI exit code 2)."""
+
+
+def each_row(call, X) -> list:
+    """The rows of ``call(X)``; if that raises ``SlowflowError``, each row x
+    of X alone, ``call(x[None])[0]``, gives its value or its error.  A stack
+    of one row gets its error without a second call."""
+    try:
+        return list(call(X))
+    except SlowflowError as exc:
+        if len(X) == 1:
+            return [exc]
+    return [each_row(call, x[None])[0] for x in X]

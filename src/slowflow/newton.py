@@ -1,7 +1,7 @@
-"""The one damped Newton loop, behind ``averaging.find_root``,
-``averaging.scan_roots`` and ``orbit.find_periodic``: the caller passes the
-residual F and its Jacobian, and the loop solves each step J p = -F itself
-(``smalllin.solve``).
+"""The one damped Newton loop and its one driver, behind
+``averaging.find_root``, ``averaging.scan_roots`` and ``orbit.find_periodic``:
+the caller answers for the residual F and its Jacobian, and the loop solves
+each step J p = -F itself (``smalllin.solve``).
 
 A step longer than the trust radius 1 + |v| is cut to that length (Dennis &
 Schnabel, *Numerical Methods for Unconstrained Optimization*, ch. 6).  The
@@ -12,17 +12,21 @@ return a stop reason: ``SingularJacobian`` for a singular step,
 ``MaxIterations`` when no trial is accepted ("stalled": there is no
 full-step fallback) or at the iteration cap ("max_iter").
 
-``iterate`` is the loop as a generator that asks for each value it needs:
-``run`` answers one point at a time, ``averaging.scan_roots`` many solves at
-once with stacked calls, and either way a solve does the same arithmetic.
+``iterate`` is the loop as a generator that asks for each value it needs.
+``run`` drives many in lockstep, one stacked call a round for the asks for F
+and one for the asks for J, and answers a row of a stack that raises alone
+(``errors.each_row``), so a solve does the same arithmetic alone as in a
+crowd.  ``solve`` is ``run`` on one solve.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from . import smalllin
-from .errors import MaxIterations, Singular, SingularJacobian, SlowflowError
+from .errors import MaxIterations, Singular, SingularJacobian, SlowflowError, each_row
 
 __all__ = ["solve", "iterate", "run", "MAX_ITER"]
 
@@ -73,23 +77,44 @@ def iterate(v, tol: float):
                         f"after {it} iterations")
 
 
-def run(steps, F, jac):
-    """What the generator `steps` returns (``iterate`` or one that yields from
-    it), answered with ``F(x)`` and ``jac(x)``; their errors are thrown in."""
-    try:
-        what, x = next(steps)
-        while True:
-            try:
-                out = (F if what == "F" else jac)(x)
-            except SlowflowError as exc:
-                out = exc
-            what, x = steps.throw(out) if isinstance(out, SlowflowError) else steps.send(out)
-    except StopIteration as done:
-        return done.value
+def run(solves, answer) -> list:
+    """Drive the generators `solves` (``iterate``, or ones that yield from it)
+    in lockstep; returns what each returns, or the ``SlowflowError`` that
+    ended it.  A round answers every solve that asks for F with one
+    ``answer("F", X)``, X the stack of the points they ask at, then every
+    solve that asks for J with one ``answer("J", X)``; a row's error
+    (``each_row``) is thrown into its solve."""
+    solves = list(solves)
+    out, asks = [None] * len(solves), {}
+
+    def resume(i, val):
+        try:
+            asks[i] = solves[i].throw(val) if isinstance(val, SlowflowError) else solves[i].send(val)
+            return
+        except StopIteration as done:
+            out[i] = done.value
+        except SlowflowError as exc:
+            out[i] = exc
+        asks.pop(i, None)
+
+    for i in range(len(solves)):
+        resume(i, None)
+    while asks:
+        for what in "FJ":
+            rows = [i for i, (w, _) in asks.items() if w == what]
+            if rows:
+                X = np.array([asks[i][1] for i in rows])
+                for i, val in zip(rows, each_row(partial(answer, what), X)):
+                    resume(i, val)
+    return out
 
 
 def solve(F, jac, v, tol: float):
     """Damped Newton on F from v; returns ``(v, Fv, res, iterations)`` once
-    res = |F(v)| <= tol.  ``jac(v)`` is called once per iteration, always at
-    the point where F was last evaluated, so it may read work F cached."""
-    return run(iterate(v, tol), F, jac)
+    res = |F(v)| <= tol, or raises what ended the solve.  ``jac(v)`` is called
+    once per iteration, always at the point where F was last evaluated, so it
+    may read work F cached."""
+    out, = run([iterate(v, tol)], lambda what, X: [(F if what == "F" else jac)(X[0])])
+    if isinstance(out, SlowflowError):
+        raise out
+    return out

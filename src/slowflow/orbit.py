@@ -1,20 +1,22 @@
 """Dynamic verification: periodic solutions as fixed points of the period map.
 
-``find_periodic`` runs the damped Newton loop of ``newton.solve`` on
-P(v) - v where P is the Poincare (period) map.  Its Jacobian DP solves the
-variational equation Phi' = eps*(dg/dx)*Phi (``variational_map``): g is
-piecewise differentiable and continuous across switching sets that flows
-cross transversally, so P is C^1.  dg/dx is the field's ``jacobian``, or a
-central difference of ``evaluate`` for a field without one.  Every trial
-flows Phi with the state, and the Newton Jacobian and the Floquet
-multipliers (the eigenvalues of Phi) are read off the flow of the last point
-tried, where ``newton.solve`` asks for them.
+``find_periodic`` runs the package's one damped Newton loop and driver, as
+the one-row ``newton.solve``, on P(v) - v where P is the Poincare (period)
+map.  Its Jacobian DP solves the variational equation Phi' = eps*(dg/dx)*Phi
+(``variational_map``): g is piecewise differentiable and continuous across
+switching sets that flows cross transversally, so P is C^1.  dg/dx is the
+field's ``jacobian``, or a central difference of ``evaluate`` for a field
+without one.  Every trial flows Phi with the state, and the Newton Jacobian
+and the Floquet multipliers (the eigenvalues of Phi) are read off the flow of
+the last point tried, where ``newton.solve`` asks for them.
 
 Which ensemble flows share a step grid: ``measure_contraction`` does,
 because close pairs need correlated integration errors that cancel in their
 differences.  ``basin_probe`` does not: its starts are independent, a shared
 grid would have to resolve the corners of every one of them, and with its
-own step sizes each start costs only the steps it needs.
+own step sizes each start costs only the steps it needs.  A batch whose flow
+raises is flowed row by row by the package's one rule for stacks
+(``errors.each_row``), so one start's failure touches no other.
 
 An unforced self-oscillator has no fixed point of the 2*pi map (its period
 differs from 2*pi at order eps^2), but its field commutes with the rotation
@@ -33,7 +35,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import newton, smalllin
-from .errors import SlowflowError
+from .errors import SlowflowError, each_row
 from .odeint import IntegratorConfig, PeriodicField, flow_batch, variational_map
 
 __all__ = [
@@ -239,15 +241,6 @@ def _ball_batch(rng, n, k):
     return x / norms * r
 
 
-def _flow_or_nan(f: PeriodicField, X, eps: float, cfg: IntegratorConfig):
-    """One period of every row of X; if that raises, each row is flowed alone."""
-    try:
-        return flow_batch(f, 0.0, f.period, X, eps, cfg, shared_steps=False)
-    except SlowflowError:
-        return (np.full_like(X, np.nan) if len(X) == 1 else
-                np.vstack([_flow_or_nan(f, x[None], eps, cfg) for x in X]))
-
-
 def basin_probe(f: PeriodicField, v_star, eps: float, radius: float,
                 n_starts: int = 100, n_periods: int = 500,
                 capture_radius: float = 1e-6, seed: int = 0,
@@ -284,7 +277,9 @@ def basin_probe(f: PeriodicField, v_star, eps: float, radius: float,
     for _ in range(n_periods):
         if live.size == 0:
             break
-        Y = _flow_or_nan(f, X[live], eps, cfg)
+        Y = np.array([np.full(f.dim, np.nan) if isinstance(y, SlowflowError) else y
+                      for y in each_row(lambda S: flow_batch(f, 0.0, f.period, S, eps, cfg,
+                                                             shared_steps=False), X[live])])
         entered[live] = dist(Y) <= capture_radius     # NaN rows compare False
         X[live] = Y
         live = live[~entered[live] & ~np.isnan(Y[:, 0])]

@@ -12,7 +12,8 @@ from slowflow.averaging import (
     averaged_function, averaged_jacobian, find_root, scan_roots,
 )
 from slowflow.certify import certify_hurwitz
-from slowflow.errors import DomainError, MaxIterations, SingularJacobian, SlowflowError
+from slowflow.errors import (DomainError, MaxIterations, NonFiniteValue, SingularJacobian,
+                             SlowflowError)
 from slowflow.exprdsl import FieldSpec, eval_expr, field_from_spec, parse
 from slowflow.odeint import FD_STEP_SCALE, PeriodicField
 
@@ -611,3 +612,38 @@ def test_scan_roots_skips_grid_points_whose_average_raises():
     assert len(roots) == 1
     x = float(roots[0].v0[0])
     assert abs(math.sqrt(x + 1.0) - 1.2 + 0.3 * math.cos(2.0 * x)) < 1e-10
+
+
+def _inf_right_of_one():
+    # g = (x1 - 1/2, x2 + sin(t)/10), infinite where x1 > 1; root (1/2, 0)
+    def evaluate(t, x, eps):
+        x = np.asarray(x, dtype=float)
+        g = np.stack([x[..., 0] - 0.5 + 0.0 * np.asarray(t), x[..., 1] + 0.1 * np.sin(t)], axis=-1)
+        return np.where(x[..., :1] > 1.0, np.inf, g)
+    return _field(2, TWO_PI, evaluate)
+
+
+def test_non_finite_average_raises_non_finite_value():
+    f = _inf_right_of_one()
+    with np.errstate(invalid="ignore"):         # inf - inf in the error estimates
+        with pytest.raises(NonFiniteValue) as exc:
+            averaged_function(f, [2.0, 0.0])
+        assert str(exc.value) == "averaged field not finite at v=[2. 0.]"
+        with pytest.raises(NonFiniteValue) as exc:
+            averaged_jacobian(f, [2.0, 0.0])
+        assert str(exc.value) == "averaged Jacobian not finite at v=[2. 0.]"
+        with pytest.raises(NonFiniteValue, match="averaged field not finite"):
+            find_root(f, [2.0, 0.0])
+
+
+def test_scan_roots_drops_grid_points_whose_average_is_not_finite(monkeypatch):
+    f, box = _inf_right_of_one(), np.array([[-3.0, 3.0]] * 2)
+    with np.errstate(invalid="ignore"):
+        roots = scan_roots(f, box, grid_n=9, n_nodes=256)
+        seeds = []
+        monkeypatch.setattr(averaging, "_find_roots", lambda f, s, *args: seeds.extend(s) or [])
+        scan_roots(f, box, grid_n=9, n_nodes=256)
+    assert len(roots) == 1 and np.allclose(roots[0].v0, [0.5, 0.0], atol=1e-10)
+    # grid points lie at x1 = ..., 0.75, 1.5, ...: a cell with a finite corner
+    # (centre 1.125) can still seed, a cell right of x1 = 1.5 cannot
+    assert max(s[0] for s in seeds) == 1.125

@@ -406,3 +406,39 @@ def test_roots_csv_coordinate_round_trips_into_certify(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["point"] == [float(x) for x in v]
     assert rep["verdict"] == "certified"
+
+
+@pytest.mark.parametrize("payload, argv, message", [
+    # the library refuses more than 16 components with ValueError
+    ({"system": {"dim": 17, "period": 1.0, "components": [f"-x{i}" for i in range(1, 18)]}},
+     ["--point", *["0"] * 17], "eigenvalues() is limited to k <= 16"),
+    ({"system": "linear_test"}, ["--point", "0", "--seed", "-1"], "seed must be >= 0"),
+    ({"system": "linear_test", "seed": -1}, ["--point", "0"], "seed must be >= 0"),
+], ids=["17_components", "seed_flag", "seed_config"])
+def test_certify_usage_errors_exit_2_without_traceback(tmp_path, capsys, payload, argv, message):
+    assert main(["certify", "--config", _write_cfg(tmp_path, payload), *argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"config error: {message}\n"
+
+
+def test_verify_with_every_entry_failed_exits_4(tmp_path, capsys):
+    # one step per period is never enough: every eps fails on its own
+    cfg = _write_cfg(tmp_path, {"system": "linear_test", "integrator": {"max_steps": 1}})
+    out_json = tmp_path / "summary.json"
+    rc = main(["verify", "--config", cfg, "--point", "0.0", "--eps", "0.1", "0.05", "0.025",
+               "--summary", str(out_json)])
+    assert rc == 4
+    assert capsys.readouterr().out.splitlines() == [
+        cli.CSV_VERIFY_HEADER, *[f"{format_float(e)},,,,,false,false," for e in (0.1, 0.05, 0.025)]]
+    summary = json.loads(out_json.read_text())
+    validate_schema(summary, _schema("verify_summary.schema.json"))
+    assert summary["converged"] == [False] * 3 and summary["fitted_order"] is None
+    assert all(e.startswith("max_steps=1 reached") for e in summary["errors"])
+
+
+def test_certify_not_hurwitz_verdict(capsys):
+    # the origin of the unforced oscillator is a root whose Jacobian is pi*I
+    assert main(["certify", "--point", "0", "0"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    validate_schema(rep, _schema("theorem_report.schema.json"))
+    assert rep["verdict"] == "failed(not Hurwitz: max Re eigenvalue 3.142e+00)"

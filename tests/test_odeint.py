@@ -215,6 +215,13 @@ def test_step_limit_counts_per_period(linear_field):
              IntegratorConfig(method="rk4-fixed", max_steps=1999))
 
 
+def test_step_limit_of_the_per_member_loop(unforced_nonsmooth):
+    X = np.array([[1.0, 0.5], [2.0, -1.0]])
+    with pytest.raises(StepLimitExceeded, match="max_steps=1 reached"):
+        flow_batch(unforced_nonsmooth, 0.0, TWO_PI, X, 0.1, IntegratorConfig(max_steps=1),
+                   shared_steps=False)
+
+
 def test_period_map_in_stiff_region_hits_step_limit():
     # a trial point the undamped period-map Newton once reached from
     # (30, 30): there explicit Dormand-Prince crawls, and the default cap
