@@ -625,24 +625,22 @@ def _inf_right_of_one():
 
 def test_non_finite_average_raises_non_finite_value():
     f = _inf_right_of_one()
-    with np.errstate(invalid="ignore"):         # inf - inf in the error estimates
-        with pytest.raises(NonFiniteValue) as exc:
-            averaged_function(f, [2.0, 0.0])
-        assert str(exc.value) == "averaged field not finite at v=[2. 0.]"
-        with pytest.raises(NonFiniteValue) as exc:
-            averaged_jacobian(f, [2.0, 0.0])
-        assert str(exc.value) == "averaged Jacobian not finite at v=[2. 0.]"
-        with pytest.raises(NonFiniteValue, match="averaged field not finite"):
-            find_root(f, [2.0, 0.0])
+    with pytest.raises(NonFiniteValue) as exc:
+        averaged_function(f, [2.0, 0.0])
+    assert str(exc.value) == "averaged field not finite at v=[2. 0.]"
+    with pytest.raises(NonFiniteValue) as exc:
+        averaged_jacobian(f, [2.0, 0.0])
+    assert str(exc.value) == "averaged Jacobian not finite at v=[2. 0.]"
+    with pytest.raises(NonFiniteValue, match="averaged field not finite"):
+        find_root(f, [2.0, 0.0])
 
 
 def test_scan_roots_drops_grid_points_whose_average_is_not_finite(monkeypatch):
     f, box = _inf_right_of_one(), np.array([[-3.0, 3.0]] * 2)
-    with np.errstate(invalid="ignore"):
-        roots = scan_roots(f, box, grid_n=9, n_nodes=256)
-        seeds = []
-        monkeypatch.setattr(averaging, "_find_roots", lambda f, s, *args: seeds.extend(s) or [])
-        scan_roots(f, box, grid_n=9, n_nodes=256)
+    roots = scan_roots(f, box, grid_n=9, n_nodes=256)
+    seeds = []
+    monkeypatch.setattr(averaging, "_find_roots", lambda f, s, *args: seeds.extend(s) or [])
+    scan_roots(f, box, grid_n=9, n_nodes=256)
     assert len(roots) == 1 and np.allclose(roots[0].v0, [0.5, 0.0], atol=1e-10)
     # grid points lie at x1 = ..., 0.75, 1.5, ...: a cell with a finite corner
     # (centre 1.125) can still seed, a cell right of x1 = 1.5 cannot
