@@ -262,6 +262,67 @@ def _ref_eval(e, t, x, eps, params):
     raise UnknownIdentifier(e.op)
 
 
+# partial derivatives of each op's result in its arguments: (a, b, out) ->
+# (d out/da, d out/db)
+_REF_PARTIALS = {
+    "neg": lambda a, b, out: (-1.0, None),
+    "sin": lambda a, b, out: (np.cos(a), None),
+    "cos": lambda a, b, out: (-np.sin(a), None),
+    "abs": lambda a, b, out: (np.sign(a), None),
+    "sign": lambda a, b, out: (0.0, None),
+    "sqrt": lambda a, b, out: (0.5 / out, None),
+    "+": lambda a, b, out: (1.0, 1.0),
+    "-": lambda a, b, out: (1.0, -1.0),
+    "*": lambda a, b, out: (b, a),
+    "/": lambda a, b, out: (1.0 / b, -out / b),
+    "^": lambda a, b, out: (b * a ** (b - 1.0), out * np.log(a)),
+}
+
+
+def _ref_tangent(e, t, x, eps, params):
+    """(value, d value/dx) by a forward-mode walk, the tangent None where e
+    does not depend on x; a side without a tangent is left out of d = pa*da +
+    pb*db, and a checked op whose tangent is not finite raises DomainError."""
+    if isinstance(e, Var) and e.name not in ("t", "eps"):
+        return _ref_eval(e, t, x, eps, params), np.eye(x.shape[-1])[int(e.name[1:]) - 1]
+    if not isinstance(e, (Unary, Binary)):
+        return _ref_eval(e, t, x, eps, params), None
+    kids = [e.arg] if isinstance(e, Unary) else [e.left, e.right]
+    (a, da), (b, db) = [_ref_tangent(c, t, x, eps, params) for c in kids] + [(None, None)] * (2 - len(kids))
+    out = _ref_eval(e, t, x, eps, params)
+    if da is None and db is None:
+        return out, None
+    pa, pb = _REF_PARTIALS[e.op](a, b, out)
+    d = pb * db if da is None else pa * da if db is None else pa * da + pb * db
+    if e.op in ("sqrt", "/", "^") and not np.all(np.isfinite(d)):
+        raise DomainError(pretty(e), "non-finite derivative")
+    return out, d
+
+
+def _ref_jacobian(components, k, params):
+    """The tape's ``jacobian`` over the reference walk: every value first, so a
+    domain error anywhere comes before a non-finite derivative."""
+
+    def jacobian(t, x, eps):
+        x = np.asarray(x, dtype=float)
+        rows = np.shape(t)
+        t = np.asarray(t, dtype=float)[:, None] if rows else t
+        x = x[:, None] if x.ndim == 2 else x
+        with np.errstate(all="ignore"):
+            for c in components:
+                _ref_eval(c, t, x, eps, params)
+            dots = [_ref_tangent(c, t, x, eps, params)[1] for c in components]
+        if not rows:
+            return np.array([np.zeros(k) if d is None else d for d in dots])
+        J = np.zeros(rows + (len(dots), k))
+        for r, d in enumerate(dots):
+            if d is not None:
+                J[:, r] = d
+        return J
+
+    return jacobian
+
+
 def _sign_of_state(e, under_sign=False):
     """Whether some ``sign`` in e takes an argument that names x1..xk."""
     if isinstance(e, Var):
@@ -346,6 +407,28 @@ def test_tape_bit_identical_to_tree_walk():
         for t, x, eps in _SHAPES:
             want = _outcome(_ref_field(comps, 3, params), t, x, eps)
             assert _same(_outcome(f.evaluate, t, x, eps), want), list(map(pretty, comps))
+
+
+def test_jacobian_bit_identical_to_forward_mode_tree_walk():
+    rng = np.random.default_rng(2024)
+    names = ("lam", "mu")
+    params = {"lam": 0.7, "mu": -1.3}
+    trees = [_random_tree(rng, int(rng.integers(1, 7)), names) for _ in range(300)]
+    raised = checked = 0
+    # each tree alone, then three trees as the components of one field
+    zero = Const(0.0)
+    groups = [(tree, zero, zero) for tree in trees] + [tuple(trees[i:i + 3]) for i in range(0, 300, 3)]
+    for comps in groups:
+        if any(map(_sign_of_state, comps)):
+            continue
+        f = field_from_spec(FieldSpec(3, TWO_PI, comps, tuple(params.items())))
+        for t, x, eps in (_SHAPES[0], _SHAPES[1], _SHAPES[3]):    # the jacobian shapes
+            want = _outcome(_ref_jacobian(comps, 3, params), t, x, eps)
+            got = _outcome(f.jacobian, t, x, eps)
+            assert _same(got, want), list(map(pretty, comps))
+            raised += got[1] is not None
+            checked += 1
+    assert checked > 900 and raised > 0
 
 
 @pytest.mark.parametrize("source,error,subexpr", [
