@@ -215,9 +215,7 @@ def _jacobians(f: PeriodicField, V: np.ndarray, n_nodes: int) -> np.ndarray:
     return ((A[0] - A[1]) / (2.0 * h)).swapaxes(1, 2)
 
 
-# a field's inf goes to NonFiniteValue, not to a RuntimeWarning from inf - inf
-# in the error estimates (the idiom of odeint's loops)
-@np.errstate(invalid="ignore")
+@np.errstate(invalid="ignore")     # a field's inf - inf in the error estimates: no warning
 def _stacked(f: PeriodicField, what: str, V: np.ndarray, n_nodes: int) -> np.ndarray:
     """The averaged field ("F") or its Jacobian ("J") at every row of V;
     ``NonFiniteValue`` names the first row where it is not finite."""

@@ -11,24 +11,23 @@ unary minus; factors nest at most ``MAX_DEPTH`` deep)::
 Recognized functions: ``sin cos abs sqrt sign``.  Free names must be ``t``,
 ``eps``, ``x1..xk`` or a declared parameter; there are no conditionals or
 loops, so every expression is a pure formula.  ``abs`` and ``sign`` are exact
-at 0 (``abs(0) = 0``, ``sign(0) = 0``).  Expressions run compiled, as one
-straight-line tape per field (``field_from_spec``), which keeps g Lipschitz
-in x: ``sign`` there takes only arguments free of x1..xk.
+at 0 (``abs(0) = 0``, ``sign(0) = 0``).  A field (``field_from_spec``) runs as
+straight-line source emitted once per tape structure; g is Lipschitz in x, as
+``sign`` there takes only arguments free of x1..xk.
 """
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import cached_property, lru_cache, partial
 from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import (DimensionMismatch, DivisionByZero, DomainError,
                      ExprSyntaxError, UnknownIdentifier)
-from .odeint import PeriodicField
+from .odeint import PeriodicField, _compile
 
 __all__ = ["Expr", "Const", "Var", "Param", "Unary", "Binary", "FUNCTIONS", "parse",
            "pretty", "eval_expr", "FieldSpec", "field_from_spec"]
@@ -251,71 +250,97 @@ def pretty(e: Expr) -> str:
 
 # --- compiled evaluation --------------------------------------------------------
 
-_UNARY = {"neg": operator.neg, "sin": np.sin, "cos": np.cos, "abs": np.abs,
-          "sign": np.sign, "sqrt": np.sqrt}
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": np.divide, "^": np.power}
-_CHECKS = {   # op: (test on the arguments and the result, error, reason)
-    "sqrt": (lambda a, out: np.any(a < 0), DomainError, "square root of a negative number"),
-    "/": (lambda l, r, out: np.any(r == 0), DivisionByZero),
-    "^": (lambda l, r, out: not np.all(np.isfinite(out)), DomainError, "non-finite power"),
+# op: (value, partials d out/da and d out/db, domain check: test, error,
+# reason) as source over the argument slots {a}, {b} and the result {out}
+_OPS = {
+    "neg": ("-{a}", ("-1.0",), None),
+    "sin": ("np.sin({a})", ("np.cos({a})",), None),
+    "cos": ("np.cos({a})", ("-np.sin({a})",), None),
+    "abs": ("np.abs({a})", ("np.sign({a})",), None),
+    "sign": ("np.sign({a})", ("0.0",), None),
+    "sqrt": ("np.sqrt({a})", ("0.5 / {out}",),
+             ("np.any({a} < 0)", DomainError, "square root of a negative number")),
+    "+": ("{a} + {b}", ("1.0", "1.0"), None),
+    "-": ("{a} - {b}", ("1.0", "-1.0"), None),
+    "*": ("{a} * {b}", ("{b}", "{a}"), None),
+    "/": ("np.divide({a}, {b})", ("1.0 / {b}", "-{out} / {b}"),
+          ("np.any({b} == 0)", DivisionByZero)),
+    "^": ("np.power({a}, {b})", ("{b} * {a} ** ({b} - 1.0)", "{out} * np.log({a})"),
+          ("not np.all(np.isfinite({out}))", DomainError, "non-finite power")),
 }
 
-
-# partial derivatives of each op's result in its arguments: (a, b, out) ->
-# (d out/da, d out/db), b and d out/db None for unary ops
-_PARTIALS = {
-    "neg": lambda a, b, out: (-1.0, None),
-    "sin": lambda a, b, out: (np.cos(a), None),
-    "cos": lambda a, b, out: (-np.sin(a), None),
-    "abs": lambda a, b, out: (np.sign(a), None),
-    "sign": lambda a, b, out: (0.0, None),
-    "sqrt": lambda a, b, out: (0.5 / out, None),
-    "+": lambda a, b, out: (1.0, 1.0),
-    "-": lambda a, b, out: (1.0, -1.0),
-    "*": lambda a, b, out: (b, a),
-    "/": lambda a, b, out: (1.0 / b, -out / b),
-    "^": lambda a, b, out: (b * a ** (b - 1.0), out * np.log(a)),
-}
+_SOURCE = """\
+def make(_c, _fail):
+%(load)s    def run(r0, x, r1):
+%(x)s        with np.errstate(all="ignore"):
+%(body)s            return [%(out)s]
+    return run
+"""
 
 
-def _tangent(partials):
-    """Forward-mode rule d out = pa*da + pb*db.  A side without a tangent
-    (None) is left out, so its partial is never used: a constant exponent
-    takes a negative base, whose log is NaN."""
-    def rule(a, b, out, da, db):
-        pa, pb = partials(a, b, out)
-        return pb * db if da is None else pa * da if db is None else pa * da + pb * db
-    return rule
-
-
-def _checked(fn, e, bad, error, *reason):
-    def op(*args):
-        out = fn(*args)
-        if bad(*args, out):
-            raise error(pretty(e), *reason)
-        return out
-    return op
-
-
-def _nonfinite(*args):
-    return not np.all(np.isfinite(args[-1]))
+@lru_cache(maxsize=None)
+def _make(k, code, xdep, out, jac):
+    """``make(_c, _fail)`` -> (t, x, eps) -> the values of slots `out`, or with
+    `jac` their tangents, from the ops they read.  Slot s is ``r{s}``, its
+    tangent ``d{s}``; constants and parameters arrive in `_c`."""
+    need = set(out)
+    for s, _, args in reversed(code):
+        if s in need:
+            need.update(args)
+    values, tangents = [], []
+    for s, op, args in [c for c in code if c[0] in need]:
+        value, partials, check = _OPS[op]
+        names = {"a": f"r{args[0]}", "b": f"r{args[-1]}", "out": f"r{s}"}
+        values.append(f"r{s} = {value.format_map(names)}")
+        if check:
+            values.append(f"if {check[0].format_map(names)}: raise _fail({s})")
+        if jac and s in xdep:   # d = pa*da + pb*db less sides free of x (x^2, x < 0: NaN log)
+            tangents.append(f"d{s} = " + " + ".join(
+                f"d{a}" if p == "1.0" else f"({p.format_map(names)}) * d{a}"
+                for p, a in zip(partials, args) if a in xdep))
+            if check:
+                tangents.append(f"if not np.all(np.isfinite(d{s})): raise _fail({s}, True)")
+    xs, made = range(2, k + 2), {s for s, _, _ in code}
+    load = [f"    r{s} = _c[{s}]\n" for s in sorted(need - made) if s >= k + 2]
+    src = _SOURCE % {
+        "load": "".join(load + [f"    {''.join(f'd{i}, ' for i in xs)}= np.eye({k})\n"] * jac),
+        "x": f"        {''.join(f'r{i}, ' for i in xs)}= x if x.ndim == 1 else "
+             f"np.moveaxis(x, -1, 0)\n" * (k > 0),
+        "body": "".join(f"            {line}\n" for line in values + tangents),
+        "out": ", ".join((f"d{s}" if s in xdep else f"np.zeros({k})") if jac else f"r{s}"
+                         for s in out)}
+    return _compile(f"dsl {_make.cache_info().currsize + 1}{' tangents' * jac}", src)
 
 
 class _Tape:
     """Expressions as one straight-line program: slots for t, eps, x1..xk and the
     parameters, then one per distinct subtree in post-order, keyed on its op and
-    its children's slots (a constant on its repr, so 0.0 and -0.0 stay apart)."""
+    its children's slots (a constant on its repr, so 0.0 and -0.0 stay apart).
+
+    `emit` compiles the program through ``odeint._compile``, for ``values``
+    (the outputs), the ``abs``/``sign`` arguments of ``kinks`` and, at the first
+    ``jacobian`` call, ``tangents`` (forward mode over the slots that depend on
+    x).  Each raises in op order, ``tangents`` every value's error first."""
 
     def __init__(self, exprs, params, k):
         # names resolve to t, eps, then parameters, then x1..xk
         self.keyed = {**{f"x{i + 1}": i + 2 for i in range(k)},
                       **{p: k + 2 + j for j, p in enumerate(params)}, "t": 0, "eps": 1}
-        self.k, self.values, self.code = k, [None] * (k + 2) + list(params.values()), []
-        self.signs = []                 # (argument slot, expression) of each `sign`
+        # slots hold the values of constants and parameters, an op's subtree
+        self.k, self.slots, self.code = k, [None] * (k + 2) + list(params.values()), []
+        self.xdep = set(range(2, k + 2))        # the slots that depend on x1..xk
         self.out = [self._slot(e) for e in exprs]
-        self.switches = sorted({i for _, fn, _, i, _ in self.code if fn in (np.abs, np.sign)})
-        # kinks run the ops up to the last switching slot
-        self.switch_ops = sum(s <= max(self.switches, default=-1) for s, *_ in self.code)
+        self.switches = sorted({args[0] for _, op, args in self.code if op in ("abs", "sign")})
+        self.code, self.xdep = tuple(self.code), frozenset(self.xdep)
+        self.values = self.emit(self.out)
+
+    def emit(self, out, jac=False):
+        """The compiled (t, x, eps) -> values of slots `out`, or their tangents."""
+        return _make(self.k, self.code, self.xdep, tuple(out), jac)(self.slots, self._fail)
+
+    @cached_property
+    def tangents(self):         # left to the first call: they double a long tape's source
+        return self.emit(self.out, True)
 
     def _slot(self, root):
         # post-order off an explicit stack: a left-leaning chain is as deep as
@@ -328,65 +353,43 @@ class _Tape:
             if kids and not ready:
                 stack += [(e, True)] + [(c, False) for c in reversed(kids)]
                 continue
-            args = done[len(done) - len(kids):]
+            args = tuple(done[len(done) - len(kids):])
             del done[len(done) - len(kids):]
             key = ((e.op, *args) if kids else (Const, repr(e.value))
                    if isinstance(e, Const) else e.name)
             if key not in self.keyed:
                 if isinstance(e, (Var, Param)):
                     raise UnknownIdentifier(e.name)
-                self.keyed[key] = len(self.values)
-                self.values.append(e.value if isinstance(e, Const) else None)
+                if kids and (e.op not in _OPS or len(_OPS[e.op][1]) != len(kids)):
+                    raise UnknownIdentifier(e.op)
+                s = self.keyed[key] = len(self.slots)
+                self.slots.append(e.value if isinstance(e, Const) else e)
                 if kids:
-                    fn = (_UNARY if len(args) == 1 else _BINARY).get(e.op)
-                    if fn is None:
-                        raise UnknownIdentifier(e.op)
-                    dfn = _tangent(_PARTIALS[e.op])
-                    if e.op in _CHECKS:
-                        fn = _checked(fn, e, *_CHECKS[e.op])
-                        dfn = _checked(dfn, e, _nonfinite, DomainError, "non-finite derivative")
-                    self.code.append((self.keyed[key], fn, dfn, args[0],
-                                      args[1] if len(args) > 1 else None))
-                    if e.op == "sign":
-                        self.signs.append((args[0], e))
+                    self.code.append((s, e.op, args))
+                    if self.xdep.intersection(args):
+                        self.xdep.add(s)
             done.append(self.keyed[key])
         return done[0]
 
-    def run(self, t, x, eps, n_ops=None):
-        """Slot values at (t, x, eps) after the first `n_ops` ops (default all)."""
-        regs = self.values.copy()
-        regs[0], regs[1] = t, eps
-        for i in range(self.k):             # scalars for one state
-            regs[2 + i] = x[i] if x.ndim == 1 else x[..., i]
-        with np.errstate(all="ignore"):
-            for s, fn, _, i, j in self.code[:n_ops]:
-                regs[s] = fn(regs[i]) if j is None else fn(regs[i], regs[j])
-        return regs
+    def _fail(self, s, derivative=False):
+        """The error of op slot s's domain check, or of its non-finite tangent."""
+        e = self.slots[s]
+        error, *reason = (DomainError, "non-finite derivative") if derivative else _OPS[e.op][2][1:]
+        return error(pretty(e), *reason)
 
     def jacobian(self, t, x, eps):
         """d(outputs)/dx at x of shape (k,), in forward mode: one k-tangent per
-        slot, None for slots that do not depend on x.  A scalar t gives (k, k);
-        an array of n times runs as a column, so a slot that depends on t holds
-        (n, 1) values and (n, k) tangents, and gives (n, k, k).  Paired states
-        x of shape (n, k) run as columns too."""
+        slot that depends on x, zeros for an output that does not.  A scalar t
+        gives (k, k); an array of n times runs as a column, so a slot that
+        depends on t holds (n, 1) values and (n, k) tangents, and gives
+        (n, k, k).  Paired states x of shape (n, k) run as columns too."""
         x = np.asarray(x, dtype=float)
         rows = np.shape(t)
-        regs = self.run(np.asarray(t, dtype=float)[:, None] if rows else t,
-                        x[:, None] if x.ndim == 2 else x, eps)
-        dot = [None] * len(self.values)
-        dot[2:2 + self.k] = np.eye(self.k)
-        with np.errstate(all="ignore"):
-            for s, _, dfn, i, j in self.code:
-                da, db = dot[i], None if j is None else dot[j]
-                if da is not None or db is not None:
-                    dot[s] = dfn(regs[i], None if j is None else regs[j], regs[s], da, db)
+        dot = self.tangents(np.asarray(t, dtype=float)[:, None] if rows else t,
+                            x[:, None] if x.ndim == 2 else x, eps)
         if not rows:
-            return np.array([np.zeros(self.k) if dot[s] is None else dot[s] for s in self.out])
-        J = np.zeros(rows + (len(self.out), self.k))
-        for r, s in enumerate(self.out):
-            if dot[s] is not None:
-                J[:, r] = dot[s]
-        return J
+            return np.array(dot)
+        return np.stack([np.broadcast_to(d, rows + (self.k,)) for d in dot], axis=-2)
 
 
 def eval_expr(e: Expr, t, x, eps, params: Optional[Dict[str, float]] = None):
@@ -394,13 +397,12 @@ def eval_expr(e: Expr, t, x, eps, params: Optional[Dict[str, float]] = None):
     Raises DivisionByZero / DomainError with the offending subexpression,
     UnknownIdentifier for unbound names."""
     x = np.asarray(x, dtype=float)
-    tape = _Tape([e], params or {}, x.shape[-1] if x.ndim else 0)
-    return tape.run(t, x, eps)[tape.out[0]]
+    return _Tape([e], params or {}, x.shape[-1] if x.ndim else 0).values(t, x, eps)[0]
 
 
-def _switch_zeros(tape: _Tape, grid, v, eps) -> tuple:
-    """Zeros in [0, T) of the switching slots at frozen v: a sign scan on `grid`,
-    then Illinois regula falsi on all brackets at once (Dahlquist & Björck §6.2).
+def _switch_zeros(switching, grid, v, eps) -> tuple:
+    """Zeros in [0, T) of the values of `switching` at frozen v: a sign scan on
+    `grid`, then Illinois regula falsi on all brackets at once (Dahlquist & Björck §6.2).
     Two zeros in one scan interval leave only a grid minimum of |s| with no
     sign change beside it; a dip below zero there gives two more brackets.
     An interior minimum is searched over its two intervals.  One at the first
@@ -410,8 +412,8 @@ def _switch_zeros(tape: _Tape, grid, v, eps) -> tuple:
     rises away from the end is not searched."""
     x = np.asarray(v, dtype=float)
     def values(t):                          # (len(t), switches)
-        regs, zero = tape.run(t, x, eps, tape.switch_ops), np.zeros_like(t)
-        return np.array([regs[s] + zero for s in tape.switches]).T
+        zero = np.zeros_like(t)
+        return np.array([s + zero for s in switching(t, x, eps)]).T
 
     S = values(np.concatenate([grid, 0.5 * (grid[[0, -2]] + grid[[1, -1]])]))
     S, mid = S[:-2], S[-2:]                 # the grid, the end intervals' midpoints
@@ -505,24 +507,19 @@ def field_from_spec(spec: FieldSpec) -> PeriodicField:
     if len(spec.components) != spec.dim:
         raise DimensionMismatch(f"{len(spec.components)} components for dimension {spec.dim}")
     tape = _Tape(spec.components, dict(spec.params), spec.dim)
-    xdep = set(range(2, 2 + spec.dim))      # the slots that depend on x1..xk
-    for s, _, _, i, j in tape.code:
-        if i in xdep or j in xdep:
-            xdep.add(s)
-    for i, e in tape.signs:
-        if i in xdep:
-            raise DomainError(pretty(e), "sign of an argument in x1..xk (g must be "
-                                         "Lipschitz in x)")
-    grid = np.linspace(0.0, spec.period, KINK_SCAN + 1)
+    for s, op, args in tape.code:
+        if op == "sign" and args[0] in tape.xdep:
+            raise DomainError(pretty(tape.slots[s]), "sign of an argument in x1..xk (g must "
+                                                     "be Lipschitz in x)")
 
     def evaluate(t, x, eps):
         x = np.asarray(x, dtype=float)
-        regs = tape.run(t, x, eps)
         res = np.empty((np.shape(t) or x.shape[:-1]) + (spec.dim,))
-        for j, s in enumerate(tape.out):
-            res[..., j] = regs[s]
+        for j, v in enumerate(tape.values(t, x, eps)):
+            res[..., j] = v
         return res
 
+    kinks = partial(_switch_zeros, tape.emit(tape.switches),
+                    np.linspace(0.0, spec.period, KINK_SCAN + 1)) if tape.switches else None
     return PeriodicField(dim=spec.dim, period=spec.period, evaluate=evaluate, name="dsl",
-                         kinks=partial(_switch_zeros, tape, grid) if tape.switches else None,
-                         jacobian=tape.jacobian)
+                         kinks=kinks, jacobian=tape.jacobian)

@@ -30,10 +30,11 @@ per state length (each stage one list display, ``x[i] + h * (_A61 * k1[i] +
 cached; `_float_rhs` writes out ``e * g`` from a field's ``floats``, and the
 (x, vec Phi) products of ``variational_map`` (source transformation:
 Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 6).  No outside
-text reaches ``exec``: the source holds integer indices and this module's
-tableau names only, and the field's callable and eps are closure values.
-`_compile` registers it with ``linecache`` as ``<slowflow dopri n=6>`` and
-the like, so tracebacks, cProfile and ``inspect.getsource`` show its lines.
+text reaches ``exec``, here or from a DSL field (``exprdsl``): the source holds
+integer indices and the names of this module or of the DSL's op table only;
+callables, eps, constants and parameters are closure values.  `_compile`
+registers it with ``linecache`` as ``<slowflow dopri n=6>``, ``<slowflow dsl
+1>`` and the like, so tracebacks, cProfile and ``inspect.getsource`` show it.
 
 In both loops the Dormand-Prince stages are written out and must stay
 bit-identical to the left-to-right sums a_i1*k1 + a_i2*k2 + ... of the

@@ -1,6 +1,8 @@
+import linecache
 import math
 import re
 import time
+import traceback
 
 import numpy as np
 import pytest
@@ -513,6 +515,51 @@ def test_nesting_up_to_the_cap_parses():
     e = parse("(" * depth + "x1" + ")" * depth)
     assert e == Var("x1")
     assert eval_expr(parse("-" * depth + "x1"), 0.0, np.array([2.0]), 0.0) == -2.0
+
+
+# --- the emitted source -----------------------------------------------------------
+
+_NAMED = ["np*x1 + _c*sin(t) - r2*abs(x2 - d0)", "_fail/x2 + d2^2*x1 - sqrt(x1 + np)*eps"]
+
+
+def test_parameter_names_never_reach_the_source():
+    # parameters named like the source's own identifiers behave as neutral names
+    values = {"np": 0.3, "_c": 1.7, "_fail": -0.4, "r2": 2.5, "d2": 0.8, "d0": 0.25}
+    neutral = {f"p{i}": v for i, v in enumerate(values.values())}
+    rename = dict(zip(values, neutral))
+    comps = [re.sub(r"\b(np|_c|_fail|r2|d2|d0)\b", lambda m: rename[m.group(0)], c) for c in _NAMED]
+    f = field_from_spec(FieldSpec.from_strings(2, TWO_PI, _NAMED, values))
+    g = field_from_spec(FieldSpec.from_strings(2, TWO_PI, comps, neutral))
+    for t, x, eps in (_SHAPES[0], _SHAPES[1], _SHAPES[3]):
+        x = np.abs(x[..., :2]) + 0.5
+        assert np.array_equal(f.evaluate(t, x, eps), g.evaluate(t, x, eps))
+        assert np.array_equal(f.jacobian(t, x, eps), g.jacobian(t, x, eps))
+    assert f.kinks(np.array([1.0, 1.0]), 0.0) == g.kinks(np.array([1.0, 1.0]), 0.0)
+
+
+def test_fields_of_one_structure_keep_their_own_parameters():
+    # built alternately, they share compiled code but not constants
+    fields = []
+    for a in (0.1, 2.0, 0.1, -3.0):
+        spec = FieldSpec.from_strings(2, TWO_PI, NONSMOOTH_DSL, {"a": a, "lam": 1.0 - a})
+        fields.append((field_from_spec(spec), _ref_field(spec.components, 2, dict(spec.params))))
+    t, x, eps = _SHAPES[1][0], np.array([0.4, -1.1]), 0.05
+    for f, ref in fields:
+        assert np.array_equal(f.evaluate(t, x, eps), ref(t, x, eps))
+    assert not np.array_equal(fields[0][0].evaluate(t, x, eps), fields[1][0].evaluate(t, x, eps))
+    codes = {f.jacobian.__self__.values.__code__ for f, _ in fields}
+    assert len(codes) == 1
+
+
+@pytest.mark.parametrize("call,text", [
+    ("evaluate", "square root of a negative number"), ("jacobian", "non-finite derivative")])
+def test_domain_errors_point_into_the_emitted_source(call, text):
+    f = field_from_spec(FieldSpec.from_strings(1, TWO_PI, ["cos(t) + sqrt(x1 - 3)"]))
+    with pytest.raises(DomainError, match=text) as ei:
+        getattr(f, call)(0.5, np.array([3.0 if call == "jacobian" else 1.0]), 0.0)
+    raised = traceback.extract_tb(ei.value.__traceback__)[-1]
+    assert raised.filename.startswith("<slowflow dsl ")
+    assert "raise _fail(" in linecache.getline(raised.filename, raised.lineno)
 
 
 # --- switching structure ---------------------------------------------------------
