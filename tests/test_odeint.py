@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import inspect
 import math
 import re
@@ -12,7 +13,9 @@ from conftest import certified_forced_params, rk4
 from slowflow import certify, exprdsl, odeint, orbit, vdp
 from slowflow.errors import NonFiniteState, StepLimitExceeded
 from slowflow.odeint import (
-    IntegratorConfig, PeriodicField, flow, flow_batch, integrate,
+    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63,
+    _A64, _A65, _A71, _A73, _A74, _A75, _A76, _C_STAGES, _E1, _E3, _E4, _E5, _E6,
+    _E7, BLOWUP_NORM, IntegratorConfig, PeriodicField, flow, flow_batch, integrate,
     poincare_map, variational_map,
 )
 
@@ -437,6 +440,72 @@ def _ref_dopri(rhs, t0, t1, x0, atol, rtol):
     return np.asarray(ts), np.asarray(xs)
 
 
+# today's per-member loop, kept verbatim; the tableau is read from odeint
+@np.errstate(over="ignore", invalid="ignore")
+def _ref_members(rhs, t0, t1, x0, atol, rtol, max_steps):
+    m = x0.shape[0]
+    span = t1 - t0
+    hmin = span * 1e-14
+    x = x0.copy()
+    if not span > 0:
+        return x            # as the scalar loop; a negative h would never stop
+    t = np.full(m, float(t0))
+    h = np.full(m, span / 50.0)
+    frozen = np.zeros(m, dtype=bool)
+    k1 = rhs(t, x)
+    abs_x = np.abs(x)
+    steps = 0
+    while True:
+        h = np.minimum(h, t1 - t)
+        if not h.any():
+            break
+        if steps >= max_steps:
+            raise StepLimitExceeded(f"max_steps={max_steps} reached at "
+                                    f"t={float(np.min(t)):.6g}")
+        steps += 1
+        # stage times t + c_i*h, one row per stage
+        tc = _C_STAGES * h + t
+        t_new = np.minimum(tc[4], t1)
+        hc = h[:, None]
+        k2 = rhs(tc[0], x + hc * (_A21 * k1))
+        k3 = rhs(tc[1], x + hc * (_A31 * k1 + _A32 * k2))
+        k4 = rhs(tc[2], x + hc * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+        k5 = rhs(tc[3], x + hc * (_A51 * k1 + _A52 * k2 + _A53 * k3
+                                  + _A54 * k4))
+        k6 = rhs(t_new, x + hc * (_A61 * k1 + _A62 * k2 + _A63 * k3
+                                  + _A64 * k4 + _A65 * k5))
+        x5 = x + hc * (_A71 * k1 + _A73 * k3 + _A74 * k4 + _A75 * k5
+                       + _A76 * k6)
+        k7 = rhs(t_new, x5)
+        err = hc * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6
+                    + _E7 * k7)
+        abs_x5 = np.abs(x5)
+        scale = atol + rtol * np.maximum(abs_x, abs_x5)
+        # row max as a column fold: a reduction along a short last axis is
+        # several times slower at these sizes
+        enorm = functools.reduce(np.maximum, (np.abs(err) / scale).T)
+        acc = enorm <= 1.0
+        t = np.where(acc, t_new, t)
+        if not abs_x5.max() <= BLOWUP_NORM:
+            blown = acc & ~(abs_x5.max(axis=1) <= BLOWUP_NORM)
+            acc &= ~blown
+            frozen |= blown
+            t[blown] = t1
+        a = acc[:, None]
+        x = np.where(a, x5, x)
+        abs_x = np.where(a, abs_x5, abs_x)
+        k1 = np.where(a, k7, k1)
+        # the scalar loop's factor; fmax sends a NaN enorm (non-finite
+        # stages) to the 0.2 shrink of a rejection
+        fac = 0.9 * np.maximum(enorm, 1e-300) ** -0.2
+        h = h * np.fmin(5.0, np.fmax(0.2, fac))
+        under = (h < hmin) & (t < t1)
+        if under.any():
+            frozen |= under
+            t[under] = t1
+    x[frozen] = np.nan
+    return x
+
 def _bit_check_fields():
     dsl = exprdsl.FieldSpec.from_strings(2, TWO_PI, [
         "(-(abs(x1*sin(t)+x2*cos(t))-1)*(x1*cos(t)-x2*sin(t))"
@@ -478,6 +547,47 @@ def _counted(rhs):
         return rhs(t, x)
     return counted_rhs, calls
 
+
+def _member_check(f, t0, t1, X0, eps, cfg):
+    # flow_batch(..., shared_steps=False) against _ref_members: the same
+    # bits, or the same StepLimitExceeded, after the same field calls
+    rhs, ref_calls = _counted(odeint._make_rhs(f, eps))
+    calls = [0]
+
+    def evaluate(t, x, eps):
+        calls[0] += 1
+        return f.evaluate(t, x, eps)
+    g = dataclasses.replace(f, evaluate=evaluate)
+    cap = cfg.max_steps * max(1, math.ceil((t1 - t0) / f.period))
+    try:
+        want = _ref_members(rhs, t0, t1, X0, cfg.abs_tol, cfg.rel_tol, cap)
+    except StepLimitExceeded as exc:
+        with pytest.raises(StepLimitExceeded) as ei:
+            flow_batch(g, t0, t1, X0, eps, cfg, shared_steps=False)
+        assert str(ei.value) == str(exc) and calls == ref_calls
+        return ei.value
+    got = flow_batch(g, t0, t1, X0, eps, cfg, shared_steps=False)
+    assert got.tobytes() == want.tobytes() and calls == ref_calls
+    return got
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+def test_member_flows_bit_identical_to_reference_loop(tol):
+    cfg = IntegratorConfig(abs_tol=tol, rel_tol=tol)
+    rng = np.random.default_rng(2026)
+    fields = _bit_check_fields() + [vdp.nonsmooth_vdp_field(vdp.ForcingParams(0.0, 0.0))]
+    for f in fields:
+        for eps in (0.02, 0.1):
+            got = _member_check(f, 0.0, f.period, rng.uniform(-3.0, 3.0, (8, f.dim)), eps, cfg)
+            assert np.all(np.isfinite(got))
+    # x' = x^2 - 1: the starts above 1 blow up and come back as NaN rows
+    blowup = _field(1, 3.0, lambda t, x, eps: np.asarray(x, dtype=float) ** 2 - 1.0)
+    X0 = np.array([[0.5], [2.0], [-0.3], [1.5], [-2.5]])
+    got = _member_check(blowup, 0.0, 3.0, X0, 1.0, cfg)
+    assert np.isnan(got[:, 0]).tolist() == [False, True, False, True, False]
+    cfg = IntegratorConfig(abs_tol=tol, rel_tol=tol, max_steps=20)
+    got = _member_check(fields[0], 0.0, TWO_PI, rng.uniform(-3.0, 3.0, (8, 2)), 0.1, cfg)
+    assert isinstance(got, StepLimitExceeded)
 
 def _variational_rhs(f, eps):
     # the (x, vec Phi) field variational_map flows, written out again
