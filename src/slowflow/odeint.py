@@ -16,33 +16,36 @@ estimate localizes the damage to the few steps that straddle a corner.
 ``shared_steps=False``, with a Dormand-Prince step size and error norm per
 member; see its docstring for which suits what.
 
-One state (``x0`` of shape (k,)) with k <= ``_FLOAT_LOOP_MAX`` steps in
-`_run_dopri_floats`, on Python float lists: at these sizes a numpy call costs
-far more than its arithmetic (a flow of a field costing one numpy call ran
-about even with the numpy loop at 30 components, 2-core VM).  The cutoff of
-20 keeps the variational flow of a field with k <= 4 (k + k^2 components) on
-floats.  Ensembles and longer states take the numpy loop, `_run_dopri`.  A
-field's ``floats`` is called there on lists, any other field on an ndarray.
+One state (``x0`` of shape (k,)) with k <= ``_FLOAT_LOOP_MAX`` steps on
+Python float lists: at these sizes a numpy call costs far more than its
+arithmetic (a flow of a field costing one numpy call ran about even with the
+numpy loop at 30 components, 2-core VM).  The cutoff of 20 keeps the
+variational flow of a field with k <= 4 (k + k^2 components) on floats.
+Ensembles and longer states take the numpy loop.  A field's ``floats`` is
+called there on lists, any other field on an ndarray.
 
-Both loops are one generated kernel, `_dopri_kernel`: straight-line source
-per state length (each stage one list display, ``x[i] + h * (_A61 * k1[i] +
-... + _A65 * k5[i])`` per component) or one array form, compiled once and
-cached; `_float_rhs` writes out ``e * g`` from a field's ``floats``, and the
-(x, vec Phi) products of ``variational_map`` (source transformation:
-Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 6).  No outside
-text reaches ``exec``, here or from a DSL field (``exprdsl``): the source holds
-integer indices and the names of this module or of the DSL's op table only;
-callables, eps, constants and parameters are closure values.  `_compile`
-registers it with ``linecache`` as ``<slowflow dopri n=6>``, ``<slowflow dsl
-1>`` and the like, so tracebacks, cProfile and ``inspect.getsource`` show it.
+All three adaptive loops are layouts of one generated kernel,
+`_dopri_kernel`: straight-line source per state length (each stage one list
+display, ``x[i] + h * (_A61 * k1[i] + ... + _A65 * k5[i])`` per component),
+an array form on one shared step grid, and a per-member form with a step
+size per row, compiled once and cached; `_float_rhs` writes out ``e * g``
+from a field's ``floats``, and the (x, vec Phi) products of
+``variational_map`` (source transformation: Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., ch. 6).  No outside text reaches ``exec``, here or
+from a DSL field (``exprdsl``): the source holds integer indices and the
+names of this module or of the DSL's op table only; callables, eps,
+constants and parameters are closure values.  `_compile` registers it with
+``linecache`` as ``<slowflow dopri n=6>``, ``<slowflow dsl 1>`` and the like,
+so tracebacks, cProfile and ``inspect.getsource`` show it.
 
-In both loops the Dormand-Prince stages are written out and must stay
-bit-identical to the left-to-right sums a_i1*k1 + a_i2*k2 + ... of the
-reference loop in the tests (no BLAS dot, no FMA), so both give the same
-bits, field calls and steps for one state: whether Newton on a nonsmooth
-period map meets its residual target can depend on the last bits.  Only
-``variational_map`` on ``floats`` differs: its J*Phi float sums may round
-otherwise than numpy's ``@`` (an FMA), so Phi moves in its last bits.
+The Dormand-Prince stages, solution and error quotient are written once, as
+the kernel's parts, and must stay bit-identical to the left-to-right sums
+a_i1*k1 + a_i2*k2 + ... of the reference loops in the tests (no BLAS dot, no
+FMA), so the float and array layouts give the same bits, field calls and
+steps for one state: whether Newton on a nonsmooth period map meets its
+residual target can depend on the last bits.  Only ``variational_map`` on
+``floats`` differs: its J*Phi float sums may round otherwise than numpy's
+``@`` (an FMA), so Phi moves in its last bits.
 """
 
 from __future__ import annotations
@@ -203,109 +206,6 @@ def _run_rk4(rhs, t0, t1, x0, h, max_steps, record):
     return x
 
 
-def _run_dopri(rhs, t0, t1, x0, atol, rtol, max_steps, record):
-    """Adaptive Dormand-Prince with FSAL; error norm is a scaled max-norm.
-
-    Runs ensembles and states longer than ``_FLOAT_LOOP_MAX``; a shorter
-    single state takes `_run_dopri_floats`, which gives the same bits.  For
-    batched states the norm reduces over the whole ensemble, keeping every
-    member on a shared, accepted step sequence.
-    """
-    return _dopri_kernel(None)(rhs, t0, t1, np.array(x0, dtype=float), atol, rtol,
-                               max_steps, record)
-
-
-def _run_dopri_floats(rhs, t0, t1, x0, atol, rtol, max_steps, record, f=None):
-    """`_run_dopri` for one state of at most ``_FLOAT_LOOP_MAX`` components,
-    held as Python float lists: the same sums in the same order, so the same
-    bits, field calls and steps, without a numpy call per stage term.  `f`
-    maps (t, list) to a list; by default it is `rhs` on an ndarray."""
-    f = f or (lambda t, x: rhs(t, np.array(x)).tolist())
-    x = np.asarray(x0, dtype=float).tolist()
-    return _dopri_kernel(len(x))(f, t0, t1, x, atol, rtol, max_steps, record)
-
-
-# a field's inf or NaN goes to the error norm and blow-up tests of the loops,
-# not to a RuntimeWarning from the stage sums or the field's own arithmetic
-@np.errstate(over="ignore", invalid="ignore")
-def _run_dopri_members(rhs, t0, t1, x0, atol, rtol, max_steps):
-    """Dormand-Prince with its own step size and error control per member.
-
-    ``x0`` is an (m, k) ensemble; ``t`` and ``h`` are (m,) arrays and the
-    field is called with paired times.  Each member's error norm is its own
-    scaled max-norm, so an accepted member advances while a rejected one
-    retries, and every member's result depends on its own start alone.  A
-    finished member gets h = 0.  A member whose accepted state passes
-    ``BLOWUP_NORM`` (or is not finite), or whose step underflows, is frozen
-    (parked at t1 with h = 0) and returned as a NaN row.
-
-    A member takes the steps the scalar loop would take for it, up to
-    numpy's vectorised ``**`` differing from libm's ``pow`` in the last bit.
-    """
-    m = x0.shape[0]
-    span = t1 - t0
-    hmin = span * 1e-14
-    x = x0.copy()
-    if not span > 0:
-        return x            # as the scalar loop; a negative h would never stop
-    t = np.full(m, float(t0))
-    h = np.full(m, span / 50.0)
-    frozen = np.zeros(m, dtype=bool)
-    k1 = rhs(t, x)
-    abs_x = np.abs(x)
-    steps = 0
-    while True:
-        h = np.minimum(h, t1 - t)
-        if not h.any():
-            break
-        if steps >= max_steps:
-            raise StepLimitExceeded(f"max_steps={max_steps} reached at "
-                                    f"t={float(np.min(t)):.6g}")
-        steps += 1
-        # stage times t + c_i*h, one row per stage
-        tc = _C_STAGES * h + t
-        t_new = np.minimum(tc[4], t1)
-        hc = h[:, None]
-        k2 = rhs(tc[0], x + hc * (_A21 * k1))
-        k3 = rhs(tc[1], x + hc * (_A31 * k1 + _A32 * k2))
-        k4 = rhs(tc[2], x + hc * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-        k5 = rhs(tc[3], x + hc * (_A51 * k1 + _A52 * k2 + _A53 * k3
-                                  + _A54 * k4))
-        k6 = rhs(t_new, x + hc * (_A61 * k1 + _A62 * k2 + _A63 * k3
-                                  + _A64 * k4 + _A65 * k5))
-        x5 = x + hc * (_A71 * k1 + _A73 * k3 + _A74 * k4 + _A75 * k5
-                       + _A76 * k6)
-        k7 = rhs(t_new, x5)
-        err = hc * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6
-                    + _E7 * k7)
-        abs_x5 = np.abs(x5)
-        scale = atol + rtol * np.maximum(abs_x, abs_x5)
-        # row max as a column fold: a reduction along a short last axis is
-        # several times slower at these sizes
-        enorm = functools.reduce(np.maximum, (np.abs(err) / scale).T)
-        acc = enorm <= 1.0
-        t = np.where(acc, t_new, t)
-        if not abs_x5.max() <= BLOWUP_NORM:
-            blown = acc & ~(abs_x5.max(axis=1) <= BLOWUP_NORM)
-            acc &= ~blown
-            frozen |= blown
-            t[blown] = t1
-        a = acc[:, None]
-        x = np.where(a, x5, x)
-        abs_x = np.where(a, abs_x5, abs_x)
-        k1 = np.where(a, k7, k1)
-        # the scalar loop's factor; fmax sends a NaN enorm (non-finite
-        # stages) to the 0.2 shrink of a rejection
-        fac = 0.9 * np.maximum(enorm, 1e-300) ** -0.2
-        h = h * np.fmin(5.0, np.fmax(0.2, fac))
-        under = (h < hmin) & (t < t1)
-        if under.any():
-            frozen |= under
-            t[under] = t1
-    x[frozen] = np.nan
-    return x
-
-
 # --- generated kernels -------------------------------------------------------
 
 
@@ -377,23 +277,107 @@ def dopri(f, t, t1, x, atol, rtol, max_steps, record):
 '''
 
 
+_DOPRI_MEMBERS = '''\
+def dopri(f, t0, t1, x, atol, rtol, max_steps):
+    span = t1 - t0
+    if not span > 0:
+        return x.copy()     # as the scalar loop; a negative h would never stop
+    hmin = span * 1e-14
+    t = np.full(len(x), float(t0))
+    hs = np.full(len(x), span / 50.0)
+    frozen = np.zeros(len(x), dtype=bool)
+    k1 = f(t, x)
+    ax = %(ax0)s
+    steps = 0
+    while True:
+        hs = np.minimum(hs, t1 - t)
+        if not hs.any():
+            break
+        if steps >= max_steps:
+            raise StepLimitExceeded(f"max_steps={max_steps} reached at "
+                                    f"t={float(np.min(t)):.6g}")
+        steps += 1
+        # stage times t + c_i*h, one row per stage
+        tc = _C_STAGES * hs + t
+        t_new = np.minimum(tc[4], t1)
+        h = hs[:, None]
+        k2 = f(tc[0], %(k2)s)
+        k3 = f(tc[1], %(k3)s)
+        k4 = f(tc[2], %(k4)s)
+        k5 = f(tc[3], %(k5)s)
+        k6 = f(t_new, %(k6)s)
+        x5 = %(x5)s
+        k7 = f(t_new, x5)
+        ax5 = %(ax5)s
+        q = %(q)s
+        # row max as a column fold: a reduction along a short last axis is
+        # several times slower at these sizes
+        enorm = functools.reduce(np.maximum, q.T)
+        acc = enorm <= 1.0
+        t = np.where(acc, t_new, t)
+        if not ax5.max() <= BLOWUP_NORM:
+            blown = acc & ~(ax5.max(axis=1) <= BLOWUP_NORM)
+            acc &= ~blown
+            frozen |= blown
+            t[blown] = t1
+        a = acc[:, None]
+        x = np.where(a, x5, x)
+        ax = np.where(a, ax5, ax)
+        k1 = np.where(a, k7, k1)
+        # the scalar loop's factor; fmax sends a NaN enorm (non-finite
+        # stages) to the 0.2 shrink of a rejection
+        fac = 0.9 * np.maximum(enorm, 1e-300) ** -0.2
+        hs = hs * np.fmin(5.0, np.fmax(0.2, fac))
+        under = (hs < hmin) & (t < t1)
+        if under.any():
+            frozen |= under
+            t[under] = t1
+    x[frozen] = np.nan
+    return x
+'''
+
+
 @functools.lru_cache(maxsize=None)
 def _dopri_kernel(n):
-    """The Dormand-Prince loop on ndarrays (n None) or on lists of n floats,
-    where np.maximum is `p if p > p5 else p5` (a NaN |x_i| makes x5_i NaN)
-    and a NaN in q goes to the norm by hand, as Python's max drops it."""
-    def vec(expr):      # the array form drops the [{i}] subscripts
-        if n is None:
+    """Adaptive Dormand-Prince with FSAL and a scaled max-norm, in one of
+    three layouts that share the stage sums, x5, |x5| and error quotient q:
+
+    * n an int: one state of n <= ``_FLOAT_LOOP_MAX`` components on lists
+      of floats, `f` mapping (t, list) to a list.  The sums of the array
+      form in the same order, so the same bits, field calls and steps,
+      without a numpy call per stage term; np.maximum is `p if p > p5 else
+      p5` (a NaN |x_i| makes x5_i NaN) and a NaN in q goes to the norm by
+      hand, as Python's max drops it.
+    * n None: ndarrays, for ensembles and longer states.  For an ensemble
+      the norm reduces over the whole batch, keeping every member on a
+      shared, accepted step sequence.
+    * n ``"members"``: an (m, k) ensemble with its own step size and error
+      control per member; ``t`` and ``h`` are (m,) arrays and the field is
+      called with paired times.  Each member's error norm is its own scaled
+      max-norm, so an accepted member advances while a rejected one
+      retries, and every member's result depends on its own start alone.  A
+      finished member gets h = 0.  A member whose accepted state passes
+      ``BLOWUP_NORM`` (or is not finite), or whose step underflows, is
+      frozen (parked at t1 with h = 0) and returned as a NaN row.  A member
+      takes the steps the scalar loop would take for it, up to numpy's
+      vectorised ``**`` differing from libm's ``pow`` in the last bit.
+    """
+    arrays = not isinstance(n, int)
+
+    def vec(expr):      # the array forms drop the [{i}] subscripts
+        if arrays:
             return expr.replace("[{i}]", "")
         return _display(expr.format(i=i) for i in range(n))
 
-    fn = "np.abs" if n is None else "abs"
+    fn = "np.abs" if arrays else "abs"
     parts = {f"k{s}": vec(f"x[{{i}}] + {_stage(f'A{s}', range(1, s))}") for s in range(2, 7)}
     parts["x5"] = vec(f"x[{{i}}] + {_stage('A7', (1, 3, 4, 5, 6))}")
-    parts["ax0"] = "np.abs(x)" if n is None else "[abs(a) for a in x]"
+    parts["ax0"] = "np.abs(x)" if arrays else "[abs(a) for a in x]"
     parts["ax5"] = vec(f"{fn}(x5[{{i}}])")
-    big = "np.maximum(ax, ax5)" if n is None else "(ax[{i}] if ax[{i}] > ax5[{i}] else ax5[{i}])"
+    big = "np.maximum(ax, ax5)" if arrays else "(ax[{i}] if ax[{i}] > ax5[{i}] else ax5[{i}])"
     parts["q"] = vec(f"{fn}({_stage('E', (1, 3, 4, 5, 6, 7))}) / (atol + rtol * {big})")
+    if n == "members":
+        return _compile("dopri members", _DOPRI_MEMBERS % parts)
     parts["enorm"], parts["max"] = (("float(np.max(q))", "np.max") if n is None else
                                     ("math.nan if math.isnan(sum(q)) else max(q)", "max"))
     return _compile(f"dopri n={n}", _DOPRI % parts)
@@ -428,7 +412,9 @@ def _step_cap(f, t0, t1, cfg):
     return cfg.max_steps * max(1, math.ceil((t1 - t0) / f.period))
 
 
-@np.errstate(over="ignore", invalid="ignore")      # as in _run_dopri_members
+# a field's inf or NaN goes to the error norm and blow-up tests of the loops,
+# not to a RuntimeWarning from the stage sums or the field's own arithmetic
+@np.errstate(over="ignore", invalid="ignore")
 def _run(f, t0, t1, x0, eps, cfg, record, fl=None):
     # fl: the float loop's list right-hand side, if not from f.floats
     t0, t1 = float(t0), float(t1)       # numpy times would make numpy stages
@@ -439,8 +425,10 @@ def _run(f, t0, t1, x0, eps, cfg, record, fl=None):
         return _run_rk4(rhs, t0, t1, x0, h, cap, record)
     if x0.ndim == 1 and len(x0) <= _FLOAT_LOOP_MAX:
         fl = fl or f.floats and _float_rhs(f.dim, False)(f.floats, eps)
-        return _run_dopri_floats(rhs, t0, t1, x0, cfg.abs_tol, cfg.rel_tol, cap, record, fl)
-    return _run_dopri(rhs, t0, t1, x0, cfg.abs_tol, cfg.rel_tol, cap, record)
+        fl = fl or (lambda t, x: rhs(t, np.array(x)).tolist())
+        return _dopri_kernel(len(x0))(fl, t0, t1, x0.tolist(), cfg.abs_tol, cfg.rel_tol,
+                                      cap, record)
+    return _dopri_kernel(None)(rhs, t0, t1, x0, cfg.abs_tol, cfg.rel_tol, cap, record)
 
 
 def integrate(f: PeriodicField, t0: float, t1: float, x0, eps: float,
@@ -490,8 +478,9 @@ def flow_batch(f: PeriodicField, t0: float, t1: float, X0, eps: float,
         return _run(f, t0, t1, X0, eps, cfg, record=False)
     if not np.all(np.isfinite(X0)):
         raise NonFiniteState("initial state is not finite")
-    return _run_dopri_members(_make_rhs(f, eps), t0, t1, X0, cfg.abs_tol,
-                              cfg.rel_tol, _step_cap(f, t0, t1, cfg))
+    with np.errstate(over="ignore", invalid="ignore"):      # as in _run
+        return _dopri_kernel("members")(_make_rhs(f, eps), t0, t1, X0, cfg.abs_tol,
+                                        cfg.rel_tol, _step_cap(f, t0, t1, cfg))
 
 
 def poincare_map(f: PeriodicField, v, eps: float,

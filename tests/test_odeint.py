@@ -637,16 +637,16 @@ def test_float_loop_cutoff(monkeypatch):
     # a state of _FLOAT_LOOP_MAX components steps on floats, one more on
     # numpy arrays; both match the reference loop
     taken = []
-    for name in ("_run_dopri", "_run_dopri_floats"):
-        def spy(*args, _run=getattr(odeint, name), _name=name):
-            taken.append(_name)
-            return _run(*args)
-        monkeypatch.setattr(odeint, name, spy)
+
+    def spy(layout, _kernel=odeint._dopri_kernel):
+        taken.append(layout)
+        return _kernel(layout)
+    monkeypatch.setattr(odeint, "_dopri_kernel", spy)
 
     def evaluate(t, x, eps):
         return np.cos(t + np.arange(x.shape[-1])) - x + 0.3 * np.roll(x, 1, axis=-1)
     n = odeint._FLOAT_LOOP_MAX
-    for dim, loop in ((n, "_run_dopri_floats"), (n + 1, "_run_dopri")):
+    for dim, loop in ((n, n), (n + 1, None)):
         f = _field(dim, TWO_PI, evaluate)
         x0 = np.linspace(-2.0, 2.0, dim)
         got = flow(f, 0.0, TWO_PI, x0, 0.2)
@@ -654,7 +654,7 @@ def test_float_loop_cutoff(monkeypatch):
         ref = _ref_dopri(odeint._make_rhs(f, 0.2), 0.0, TWO_PI, x0, 1e-10, 1e-10)
         assert got.tobytes() == ref[1][-1].tobytes()
     flow_batch(f, 0.0, TWO_PI, np.ones((3, dim)), 0.2)
-    assert taken.pop() == "_run_dopri"
+    assert taken.pop() is None
 
 
 def _coupled_field(n):
@@ -745,6 +745,24 @@ def test_kernel_source_shows_in_tracebacks():
     assert len(frames) == 1 and re.fullmatch(r"k\d = f\(t \+ .*", frames[0].line)
     assert "k2 = f(t + _C2 * h, [" in inspect.getsource(odeint._dopri_kernel(2))
     assert "[\n            e * g[0],\n" in inspect.getsource(odeint._float_rhs(2, False))
+
+
+def test_member_kernel_source_shows_in_tracebacks():
+    # the same for a field that raises inside a per-member flow
+    calls = [0]
+
+    def evaluate(t, x, eps):
+        calls[0] += 1
+        if calls[0] == 30:
+            raise ZeroDivisionError("field failed")
+        return np.stack([-x[:, 1], x[:, 0]], axis=1)
+
+    f = PeriodicField(2, TWO_PI, evaluate)
+    with pytest.raises(ZeroDivisionError) as ei:
+        flow_batch(f, 0.0, TWO_PI, [[1.0, 0.0], [0.0, 2.0]], 0.5, shared_steps=False)
+    frames = [fr for fr in traceback.extract_tb(ei.tb) if fr.filename.startswith("<slowflow")]
+    assert [fr.filename for fr in frames] == ["<slowflow dopri members>"]
+    assert re.fullmatch(r"k\d = f\((tc\[\d\]|t_new), x \+ h \* \(.*", frames[0].line)
 
 
 def _float_variational_rhs(f, eps):
@@ -865,12 +883,15 @@ def test_float_loop_fails_as_the_numpy_loop():
     calls, cases = _failing_flows()
     for f, x0, t1, max_steps in cases:
         seen = []
-        for run in (odeint._run_dopri, odeint._run_dopri_floats):
+        for layout in (None, len(x0)):
             calls[0] = 0
             rhs, n = _counted(odeint._make_rhs(f, 0.5))
+            run, x = rhs, np.array(x0)
+            if layout is not None:
+                run, x = (lambda t, x: rhs(t, np.array(x)).tolist()), list(x0)
             with pytest.raises((NonFiniteState, StepLimitExceeded)) as ei, \
                     np.errstate(all="ignore"):
-                run(rhs, 0.0, t1, np.array(x0), 1e-10, 1e-10, max_steps, False)
+                odeint._dopri_kernel(layout)(run, 0.0, t1, x, 1e-10, 1e-10, max_steps, False)
             seen.append((type(ei.value), str(ei.value), n[0]))
         assert seen[0] == seen[1]
         assert seen[0][2] <= 5000
