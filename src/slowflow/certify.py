@@ -226,6 +226,8 @@ def estimate_lipschitz(f: PeriodicField, v0, delta: float,
     if not delta > 0:
         raise ValueError("delta must be positive")
     v0 = np.asarray(v0, dtype=float)
+    if not np.all(np.isfinite(v0)):
+        raise ValueError("v0 must be finite")
     rng = np.random.default_rng(seed)
     t = rng.uniform(0.0, f.period, n_samples)
     eps = rng.uniform(0.0, LIPSCHITZ_EPS_MAX, n_samples)
@@ -256,6 +258,8 @@ def uniform_limit_diagnostic(f: PeriodicField, v0, delta: float,
     verify it; this is exploration, never certification.
     """
     v0 = np.asarray(v0, dtype=float)
+    if not np.all(np.isfinite(v0)):
+        raise ValueError("v0 must be finite")
     rng = np.random.default_rng(seed)
     k = f.dim
     T = f.period

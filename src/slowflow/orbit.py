@@ -220,6 +220,8 @@ def measure_contraction(f: PeriodicField, v_star, eps: float,
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
     v_star = np.asarray(v_star, dtype=float)
+    if not np.all(np.isfinite(v_star)):
+        raise ValueError("v_star must be finite")
     rng = np.random.default_rng(seed)
     k = f.dim
     W = np.eye(k) if norm_matrix is None else smalllin.cholesky(np.asarray(norm_matrix)).T
@@ -263,6 +265,8 @@ def basin_probe(f: PeriodicField, v_star, eps: float, radius: float,
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
     v_star = np.asarray(v_star, dtype=float)
+    if not np.all(np.isfinite(v_star)):
+        raise ValueError("v_star must be finite")
     rng = np.random.default_rng(seed)
     X = v_star + radius * _ball_batch(rng, n_starts, f.dim)
     r_star = float(np.linalg.norm(v_star))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import NONSMOOTH_DSL, certified_forced_params
-from slowflow import averaging, certify, exprdsl, smalllin, vdp
+from slowflow import averaging, certify, exprdsl, orbit, smalllin, vdp
 from slowflow.certify import (
     StabilityCertificate, build_contraction_certificate,
     certify_hurwitz, estimate_lipschitz, pnorm_operator,
@@ -259,3 +259,27 @@ def test_alpha_policy_grid_bounds():
     assert certify.ALPHA_MAX == 1.0
     assert done.alpha == certify.ALPHA_MAX
     assert abs(done.q - 0.9) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name, run", [
+    ("v_star", lambda f, v: orbit.measure_contraction(f, v, 0.05, 0.1, n_pairs=4)),
+    ("v_star", lambda f, v: orbit.basin_probe(f, v, 0.05, 0.1, n_starts=4, n_periods=2)),
+    ("v0", lambda f, v: estimate_lipschitz(f, v, 0.1, n_samples=8)),
+    ("v0", lambda f, v: uniform_limit_diagnostic(f, v, 0.1, n_samples=4)),
+], ids=["measure_contraction", "basin_probe", "estimate_lipschitz",
+        "uniform_limit_diagnostic"])
+def test_sampling_entry_points_reject_a_non_finite_centre(name, run, bad):
+    # a NaN centre once gave a misleading "radius too small" or a silent 0.0,
+    # an inf centre a RuntimeWarning from inf - inf; now a ValueError naming
+    # the argument, before any field call
+    base = vdp.nonsmooth_vdp_field(vdp.ForcingParams(0.1, 1.0))
+    calls = [0]
+
+    def evaluate(t, x, eps):
+        calls[0] += 1
+        return base.evaluate(t, x, eps)
+    f = dataclasses.replace(base, evaluate=evaluate, floats=None)
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        run(f, np.array([bad, 1.0]))
+    assert calls == [0]
