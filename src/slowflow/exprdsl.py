@@ -18,9 +18,12 @@ straight-line source emitted once per tape structure; g is Lipschitz in x, as
 
 from __future__ import annotations
 
+import itertools
+import linecache
 import re
+from collections import OrderedDict
 from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
@@ -36,6 +39,7 @@ FUNCTIONS = ("sin", "cos", "abs", "sqrt", "sign")
 MAX_DEPTH = 100          # nested factors ('(', calls, '-', '^') per source
 KINK_SCAN = 64           # t intervals per period scanned for switches
 KINK_MAX_ITER = 60       # Illinois steps per refinement (about 10 suffice)
+COMPILED_MAX = 256       # emitted programs kept for fields of one structure to share
 
 
 class _Node:
@@ -278,11 +282,20 @@ def make(_c, _fail):
 """
 
 
-@lru_cache(maxsize=None)
+_made = OrderedDict()        # (k, code, xdep, out, jac) -> make, least recent first
+_serial = itertools.count(1)
+
+
 def _make(k, code, xdep, out, jac):
     """``make(_c, _fail)`` -> (t, x, eps) -> the values of slots `out`, or with
     `jac` their tangents, from the ops they read.  Slot s is ``r{s}``, its
-    tangent ``d{s}``; constants and parameters arrive in `_c`."""
+    tangent ``d{s}``; constants and parameters arrive in `_c`.  The last
+    ``COMPILED_MAX`` programs are kept; an evicted one leaves ``linecache``,
+    and a field that holds it keeps running it."""
+    key = (k, code, xdep, out, jac)
+    if key in _made:
+        _made.move_to_end(key)
+        return _made[key]
     need = set(out)
     for s, _, args in reversed(code):
         if s in need:
@@ -309,7 +322,10 @@ def _make(k, code, xdep, out, jac):
         "body": "".join(f"            {line}\n" for line in values + tangents),
         "out": ", ".join((f"d{s}" if s in xdep else f"np.zeros({k})") if jac else f"r{s}"
                          for s in out)}
-    return _compile(f"dsl {_make.cache_info().currsize + 1}{' tangents' * jac}", src)
+    made = _made[key] = _compile(f"dsl {next(_serial)}{' tangents' * jac}", src)
+    if len(_made) > COMPILED_MAX:
+        linecache.cache.pop(_made.popitem(last=False)[1].__code__.co_filename, None)
+    return made
 
 
 class _Tape:

@@ -18,6 +18,7 @@ from slowflow.errors import (
     ExprSyntaxError,
     UnknownIdentifier,
 )
+from slowflow import exprdsl
 from slowflow.exprdsl import (
     MAX_DEPTH, Binary, Const, FieldSpec, Param, Unary, Var, _Tape,
     eval_expr, field_from_spec, parse, pretty,
@@ -549,6 +550,31 @@ def test_fields_of_one_structure_keep_their_own_parameters():
     assert not np.array_equal(fields[0][0].evaluate(t, x, eps), fields[1][0].evaluate(t, x, eps))
     codes = {f.jacobian.__self__.values.__code__ for f, _ in fields}
     assert len(codes) == 1
+
+
+def test_compiled_programs_stay_within_their_bound():
+    # more distinct structures than the bound (a chain of sin and cos, one
+    # per bit pattern): the kept programs and their linecache entries stay
+    # within it, and the first field keeps its program and its bits
+    def chain(i):
+        e = "x1"
+        for j in range(9):
+            e = f"{'sin' if i >> j & 1 else 'cos'}({e})"
+        return e
+
+    x, jac = np.array([0.7]), lambda f: f.jacobian(0.3, x, 0.0).tobytes()
+    first = field_from_spec(FieldSpec.from_strings(1, TWO_PI, [chain(0)]))
+    want = first.evaluate(0.3, x, 0.0).tobytes(), jac(first)
+    names = set()
+    for i in range(exprdsl.COMPILED_MAX):
+        f = field_from_spec(FieldSpec.from_strings(1, TWO_PI, [chain(i + 1)]))
+        jac(f)
+        names.add(f.jacobian.__self__.values.__code__.co_filename)
+    assert len(names) == exprdsl.COMPILED_MAX       # the names stay unique
+    assert len(exprdsl._made) == exprdsl.COMPILED_MAX
+    dsl = [name for name in linecache.cache if name.startswith("<slowflow dsl ")]
+    assert len(dsl) <= exprdsl.COMPILED_MAX
+    assert (first.evaluate(0.3, x, 0.0).tobytes(), jac(first)) == want
 
 
 @pytest.mark.parametrize("call,text", [
