@@ -43,6 +43,7 @@ _INTEGRATOR_KEYS = {"method", "h", "abs_tol", "rel_tol", "max_steps"}
 _SYSTEM_KEYS = {"dim", "period", "components", "params"}
 
 BUILTINS = ("nonsmooth_vdp", "classical_vdp", "linear_test")
+SVG_WIDTH, SVG_HEIGHT = 640, 480      # resonance_svg canvas
 
 
 @dataclass
@@ -65,6 +66,9 @@ class RunConfig:
             if self.system == "classical_vdp":
                 return vdp.classical_vdp_field(self._forcing())
             if self.system == "linear_test":
+                if self.params:
+                    raise ConfigError(f"unknown params for builtin linear_test: "
+                                      f"{sorted(self.params)}")
                 return vdp.linear_test_field()
             raise ConfigError(f"unknown builtin system {self.system!r}; "
                               f"choose one of {BUILTINS} or give a DSL spec")
@@ -307,14 +311,13 @@ def resonance_csv_lines(points: List[vdp.ResonancePoint]) -> List[str]:
     return lines
 
 
-def resonance_svg(points: List[vdp.ResonancePoint], model: str,
-                  lam: float, width: int = 640, height: int = 480) -> str:
+def resonance_svg(points: List[vdp.ResonancePoint], model: str, lam: float) -> str:
     """Hand-emitted scatter of amplitude vs detuning.
 
     Stable points are solid, unstable hollow, degenerate crossed; no plotting
     dependency.
     """
-    pad = 50.0
+    width, height, pad = SVG_WIDTH, SVG_HEIGHT, 50.0
     xs = [p.a for p in points] or [0.0]
     ys = [p.A for p in points] or [0.0]
     x0, x1 = min(xs), max(xs)

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -107,6 +108,46 @@ def test_numerical_failure_exits_4(tmp_path, capsys):
 def test_bad_arguments_exit_2_with_one_line(tmp_path, capsys, argv, message):
     cfg = _write_cfg(tmp_path, {"system": "linear_test"})
     assert main([argv[0], "--config", cfg, *argv[1:]]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and len(out.err.splitlines()) == 1
+    assert out.err.startswith("config error: ") and message in out.err
+
+
+_DSL_1D = {"dim": 1, "period": 1.0, "components": ["-x1"]}
+
+
+@pytest.mark.parametrize("payload, argv, message", [
+    ({"system": "bogus"}, [], "unknown builtin system 'bogus'"),
+    (None, [], "cannot read config"),
+    ([1, 2], [], "config root must be a JSON object"),
+    ({"system": {**_DSL_1D, "bogus": 1}}, [], "unknown system keys: ['bogus']"),
+    ({"system": {"dim": 1, "components": ["-x1"]}}, [], "DSL system spec is missing 'period'"),
+    ({"system": 3}, [], "system must be a builtin name or a DSL object"),
+    ({"params": [1]}, [], "params must be an object"),
+    ({"integrator": 3}, [], "integrator must be an object"),
+    ({"integrator": {"method": "euler"}}, [], "bad integrator settings: unknown method 'euler'"),
+    ({"root_tol": "tight"}, [], "bad value for root_tol: 'tight'"),
+    ({"quadrature_nodes": 33}, [], "quadrature_nodes must be even and >= 16"),
+    ({"quadrature_nodes": 8}, [], "quadrature_nodes must be even and >= 16"),
+    ({"root_tol": 0}, [], "root_tol must be positive"),
+    ({"system": "linear_test", "params": {"bogus": 3}}, [],
+     "unknown params for builtin linear_test: ['bogus']"),
+    ({"system": "nonsmooth_vdp", "params": {"bogus": 3}}, [],
+     "unknown params for builtin oscillator: ['bogus']"),
+    ({"system": "nonsmooth_vdp"}, ["roots", "--box", "-1", "1"], "--box needs 4 numbers"),
+    ({}, ["resonance", "--model", "nonsmooth", "--lambda", "0.4", "--a", "0", "1",
+          "--n", "100001"], "--n must be <= 100000"),
+], ids=["unknown_builtin", "unreadable_file", "non_object_root", "unknown_system_key",
+        "missing_dsl_key", "system_not_str_or_object", "params_not_object",
+        "integrator_not_object", "bad_integrator_settings", "bad_typed_value",
+        "odd_quadrature_nodes", "small_quadrature_nodes", "root_tol_not_positive",
+        "linear_test_params", "oscillator_params", "box_count", "resonance_n"])
+def test_config_errors_exit_2_with_one_line(tmp_path, capsys, payload, argv, message):
+    path = str(tmp_path / "missing.json") if payload is None else _write_cfg(tmp_path, payload)
+    argv = argv or ["avg", "--point", "0"]
+    if argv[0] != "resonance":
+        argv = [argv[0], "--config", path, *argv[1:]]
+    assert main(argv) == 2
     out = capsys.readouterr()
     assert out.out == "" and len(out.err.splitlines()) == 1
     assert out.err.startswith("config error: ") and message in out.err
@@ -306,6 +347,18 @@ def test_resonance_svg_markers(tmp_path):
     # lam=0.3 at a=0 has a stable top branch and two unstable branches
     assert len(solid) == 1
     assert len(hollow) == 2
+
+
+def test_resonance_svg_crosses_a_degenerate_row(tmp_path):
+    # a = lambda = 0: the one row is the unforced cycle, degenerate (its
+    # phase direction), drawn as a cross rather than a circle
+    svg = tmp_path / "r.svg"
+    assert main(["resonance", "--model", "nonsmooth", "--lambda", "0", "--a", "0", "0",
+                 "--n", "1", "--out", str(tmp_path / "r.csv"), "--svg", str(svg)]) == 0
+    root = ET.fromstring(svg.read_text())
+    assert not [el for el in root.iter() if el.tag.endswith("circle")]
+    (cross,) = [el for el in root.iter() if el.tag.endswith("path")]
+    assert re.fullmatch(r"(M \S+ \S+ L \S+ \S+ ?){2}", cross.get("d"))
 
 
 def test_cli_flag_overrides_config_nodes(tmp_path, capsys):
