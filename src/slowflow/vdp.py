@@ -50,6 +50,7 @@ UNFORCED_AMPLITUDE = {"nonsmooth": 3.0 * math.pi / 4.0, "classical": 2.0}
 
 AMP_MATCH_TOL = 1e-6          # recovered root must match the amplitude this well
 DEGENERATE_BAND = 1e-9        # |indicator| below this is flagged degenerate
+AMPLITUDE_SCAN = 2048         # grid intervals of the amplitude_roots sign scan
 
 
 @dataclass(frozen=True)
@@ -266,8 +267,7 @@ def _bisect(fun, lo, hi, tol=1e-15, max_iter=200):
     return 0.5 * (lo + hi)
 
 
-def amplitude_roots(model: str, a: float, lam: float,
-                    n_scan: int = 2048) -> List[float]:
+def amplitude_roots(model: str, a: float, lam: float) -> List[float]:
     """All positive amplitudes solving the resonance equation at (a, lam).
 
     Simple roots come from a sign scan over one array evaluation of the
@@ -280,7 +280,7 @@ def amplitude_roots(model: str, a: float, lam: float,
         raise ValueError("lam must be >= 0")
     base = UNFORCED_AMPLITUDE[model] if model in UNFORCED_AMPLITUDE else 2.0
     a_max = base + lam + abs(a) + 1.0
-    grid = np.linspace(0.0, a_max, n_scan + 1)
+    grid = np.linspace(0.0, a_max, AMPLITUDE_SCAN + 1)
     vals = amplitude_equation(model, grid, a, lam)
     scale = max(1.0, lam * lam, float(np.max(np.abs(vals))))
     roots: List[float] = []
