@@ -184,6 +184,28 @@ def _closed_form_root(a, lam, model="nonsmooth"):
                            np.array([0.0, lam * math.pi]))
 
 
+@pytest.mark.parametrize("eps", [0.03, 0.08])
+def test_dsl_linear_solve_is_the_builtins(linear_field, eps):
+    # cos(t) - x1 in the DSL takes linear_test's steps: the same bits
+    dsl = field_from_spec(FieldSpec.from_strings(1, TWO_PI, ["cos(t) - x1"]))
+    r, rb = (find_periodic(f, np.array([0.0]), eps) for f in (dsl, linear_field))
+    assert r.v_star.tobytes() == rb.v_star.tobytes()
+    assert r.multipliers.tobytes() == rb.multipliers.tobytes()
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.05, 0.025])
+def test_dsl_twin_solve_matches_the_builtin(eps):
+    # the forced twin from the closed-form root: its J*Phi sums may round
+    # otherwise than the built-in's, the orbit stays put
+    a, lam = 0.1, 1.0
+    root = _closed_form_root(a, lam)
+    twin = field_from_spec(FieldSpec.from_strings(2, TWO_PI, NONSMOOTH_DSL, {"a": a, "lam": lam}))
+    r = find_periodic(twin, root, eps, v0=root)
+    rb = find_periodic(vdp.nonsmooth_vdp_field(vdp.ForcingParams(a, lam)), root, eps, v0=root)
+    assert np.max(np.abs(r.v_star - rb.v_star)) <= 1e-12
+    assert np.max(np.abs(np.sort_complex(r.multipliers) - np.sort_complex(rb.multipliers))) <= 1e-10
+
+
 def test_forced_solve_evaluation_count():
     root = _closed_form_root(0.1, 1.0)
     f, calls = _counted(vdp.nonsmooth_vdp_field(vdp.ForcingParams(0.1, 1.0)))
