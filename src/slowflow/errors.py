@@ -48,6 +48,10 @@ class DimensionMismatch(SlowflowError):
     pass
 
 
+class ParameterError(SlowflowError):
+    """A DSL parameter named as a variable, or valued as no finite real."""
+
+
 # --- integration ------------------------------------------------------------
 
 class StepLimitExceeded(SlowflowError):

@@ -9,18 +9,24 @@ unary minus; factors nest at most ``MAX_DEPTH`` deep)::
     atom   := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
 
 Recognized functions: ``sin cos abs sqrt sign``.  Free names must be ``t``,
-``eps``, ``x1..xk`` or a declared parameter; there are no conditionals or
-loops, so every expression is a pure formula.  ``abs`` and ``sign`` are exact
-at 0 (``abs(0) = 0``, ``sign(0) = 0``).  A field (``field_from_spec``) runs as
-straight-line source emitted once per tape structure; g is Lipschitz in x, as
-``sign`` there takes only arguments free of x1..xk.
+``eps``, ``x1..xk`` or a declared parameter, whose name is none of the
+others and whose value is a finite real; there are no conditionals or loops,
+so every expression is a pure formula.  ``abs`` and ``sign`` are exact at 0
+(``abs(0) = 0``, ``sign(0) = 0``).  A field (``field_from_spec``) runs as
+straight-line source emitted once per tape structure, on numpy for
+``evaluate`` and ``jacobian`` and on Python floats for ``floats``, which
+one-state flows call; g is Lipschitz in x, as ``sign`` there takes only
+arguments free of x1..xk.
 """
 
 from __future__ import annotations
 
 import itertools
 import linecache
+import math
+import numbers
 import re
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from functools import cached_property, partial
@@ -29,7 +35,7 @@ from typing import Dict, Optional, Sequence, Union
 import numpy as np
 
 from .errors import (DimensionMismatch, DivisionByZero, DomainError,
-                     ExprSyntaxError, UnknownIdentifier)
+                     ExprSyntaxError, ParameterError, UnknownIdentifier)
 from .odeint import PeriodicField, _compile
 
 __all__ = ["Expr", "Const", "Var", "Param", "Unary", "Binary", "FUNCTIONS", "parse",
@@ -255,23 +261,44 @@ def pretty(e: Expr) -> str:
 # --- compiled evaluation --------------------------------------------------------
 
 # op: (value, partials d out/da and d out/db, domain check: test, error,
-# reason) as source over the argument slots {a}, {b} and the result {out}
+# reason) as source over the argument slots {a}, {b} and the result {out}; each
+# source is a pair, the numpy form and the float form, which gives numpy's bits
+# on Python floats (math's sin, cos and sqrt do, its pow and log do not)
+_SIGN = "(1.0 if {a} > 0 else -1.0 if {a} < 0 else 0.0 if {a} == 0 else {a})"
 _OPS = {
-    "neg": ("-{a}", ("-1.0",), None),
-    "sin": ("np.sin({a})", ("np.cos({a})",), None),
-    "cos": ("np.cos({a})", ("-np.sin({a})",), None),
-    "abs": ("np.abs({a})", ("np.sign({a})",), None),
-    "sign": ("np.sign({a})", ("0.0",), None),
-    "sqrt": ("np.sqrt({a})", ("0.5 / {out}",),
-             ("np.any({a} < 0)", DomainError, "square root of a negative number")),
-    "+": ("{a} + {b}", ("1.0", "1.0"), None),
-    "-": ("{a} - {b}", ("1.0", "-1.0"), None),
-    "*": ("{a} * {b}", ("{b}", "{a}"), None),
-    "/": ("np.divide({a}, {b})", ("1.0 / {b}", "-{out} / {b}"),
-          ("np.any({b} == 0)", DivisionByZero)),
-    "^": ("np.power({a}, {b})", ("{b} * {a} ** ({b} - 1.0)", "{out} * np.log({a})"),
-          ("not np.all(np.isfinite({out}))", DomainError, "non-finite power")),
+    "neg": (("-{a}",) * 2, [("-1.0",) * 2], None),
+    "sin": (("np.sin({a})", "math.sin({a})"), [("np.cos({a})", "math.cos({a})")], None),
+    "cos": (("np.cos({a})", "math.cos({a})"), [("-np.sin({a})", "-math.sin({a})")], None),
+    "abs": (("np.abs({a})", "abs({a})"), [("np.sign({a})", _SIGN)], None),
+    "sign": (("np.sign({a})", _SIGN), [("0.0",) * 2], None),
+    "sqrt": (("np.sqrt({a})", "math.sqrt({a})"), [("0.5 / {out}",) * 2],
+             (("np.any({a} < 0)", "{a} < 0"), DomainError, "square root of a negative number")),
+    "+": (("{a} + {b}",) * 2, [("1.0",) * 2] * 2, None),
+    "-": (("{a} - {b}",) * 2, [("1.0",) * 2, ("-1.0",) * 2], None),
+    "*": (("{a} * {b}",) * 2, [("{b}",) * 2, ("{a}",) * 2], None),
+    "/": (("np.divide({a}, {b})", "{a} / {b}"), [("1.0 / {b}",) * 2, ("-{out} / {b}",) * 2],
+          (("np.any({b} == 0)", "{b} == 0"), DivisionByZero)),
+    "^": (("np.power({a}, {b})", "_power({a}, {b})"),
+          [("{b} * {a} ** ({b} - 1.0)", "{b} * math.pow({a}, {b} - 1.0)"),
+           ("{out} * np.log({a})", "{out} * _log({a})")],
+          (("not np.all(np.isfinite({out}))", "not math.isfinite({out})"), DomainError,
+           "non-finite power")),
 }
+
+
+def _power(a, b):
+    """np.power's bits on floats; it raises where numpy would warn: at a
+    non-finite argument, and where math.pow raises."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("non-finite power argument")
+    math.pow(a, b)
+    return float(np.power(a, b))
+
+
+def _log(a):
+    """np.log's bits on floats; math.log raises at a <= 0, where numpy warns."""
+    return float(np.log(a)) if 0.0 < a < math.inf else math.log(a)
+
 
 _SOURCE = """\
 def make(_c, _fail):
@@ -281,18 +308,32 @@ def make(_c, _fail):
     return run
 """
 
+_FLOATS = """\
+def make(_c, _fail, _numpy):
+%(load)s    def floats(r0, x, r1, jac=False):
+%(x)s        try:
+%(values)s            if not jac:
+                return [%(out)s]
+%(tangents)s            return [%(out)s], [%(rows)s]
+        except (ArithmeticError, ValueError):     # a float op that numpy runs through
+            return _numpy(r0, x, r1, jac)
+    return floats
+"""
 
-_made = OrderedDict()        # (k, code, xdep, out, jac) -> make, least recent first
+
+_made = OrderedDict()        # (k, code, xdep, out, kind) -> make, least recent first
 _serial = itertools.count(1)
 
 
-def _make(k, code, xdep, out, jac):
-    """``make(_c, _fail)`` -> (t, x, eps) -> the values of slots `out`, or with
-    `jac` their tangents, from the ops they read.  Slot s is ``r{s}``, its
-    tangent ``d{s}``; constants and parameters arrive in `_c`.  The last
-    ``COMPILED_MAX`` programs are kept; an evicted one leaves ``linecache``,
-    and a field that holds it keeps running it."""
-    key = (k, code, xdep, out, jac)
+def _make(k, code, xdep, out, kind):
+    """``make(_c, _fail)`` -> (t, x, eps) -> the values of slots `out` (kind
+    ``"values"``) or their tangents (``"tangents"``), from the ops they read;
+    ``make(_c, _fail, _numpy)`` -> ``floats(t, x, eps, jac=False)`` for kind
+    ``"floats"``, both on Python floats and with k scalars per tangent.  Slot s
+    is ``r{s}``, its tangent ``d{s}`` (``d{s}_{i}`` on floats); constants and
+    parameters arrive in `_c`.  The last ``COMPILED_MAX`` programs are kept; an
+    evicted one leaves ``linecache``, and a field that holds it keeps running it."""
+    key = (k, code, xdep, out, kind)
     if key in _made:
         _made.move_to_end(key)
         return _made[key]
@@ -300,29 +341,55 @@ def _make(k, code, xdep, out, jac):
     for s, _, args in reversed(code):
         if s in need:
             need.update(args)
+    fl, xs = kind == "floats", range(2, k + 2)
+    comps = [f"_{i}" for i in range(k)] if fl else [""]
     values, tangents = [], []
     for s, op, args in [c for c in code if c[0] in need]:
         value, partials, check = _OPS[op]
         names = {"a": f"r{args[0]}", "b": f"r{args[-1]}", "out": f"r{s}"}
-        values.append(f"r{s} = {value.format_map(names)}")
+        values.append(f"r{s} = {value[fl].format_map(names)}")
+        if check:   # before the value, unless it reads it: math.sqrt and / raise
+            values.insert(len(values) - ("{out}" not in check[0][0]),
+                          f"if {check[0][fl].format_map(names)}: raise _fail({s})")
+        if kind == "values" or s not in xdep:
+            continue
+        # d = pa*da + pb*db less sides free of x (x^2, x < 0: NaN log)
+        sides = []
+        for j, (p, a) in enumerate(zip(partials, args)):
+            p = p[fl].format_map(names)
+            if a not in xdep:
+                continue
+            if fl and not re.fullmatch(r"-?[\w.]+", p):     # once, for k products
+                tangents.append(f"p{j} = {p}")
+                p = f"p{j}"
+            sides.append(f"d{a}{{i}}" if p == "1.0" else f"({p}) * d{a}{{i}}")
+        tangents += [f"d{s}{i} = " + " + ".join(sides).format(i=i) for i in comps]
         if check:
-            values.append(f"if {check[0].format_map(names)}: raise _fail({s})")
-        if jac and s in xdep:   # d = pa*da + pb*db less sides free of x (x^2, x < 0: NaN log)
-            tangents.append(f"d{s} = " + " + ".join(
-                f"d{a}" if p == "1.0" else f"({p.format_map(names)}) * d{a}"
-                for p, a in zip(partials, args) if a in xdep))
-            if check:
-                tangents.append(f"if not np.all(np.isfinite(d{s})): raise _fail({s}, True)")
-    xs, made = range(2, k + 2), {s for s, _, _ in code}
-    load = [f"    r{s} = _c[{s}]\n" for s in sorted(need - made) if s >= k + 2]
-    src = _SOURCE % {
-        "load": "".join(load + [f"    {''.join(f'd{i}, ' for i in xs)}= np.eye({k})\n"] * jac),
-        "x": f"        {''.join(f'r{i}, ' for i in xs)}= x if x.ndim == 1 else "
-             f"np.moveaxis(x, -1, 0)\n" * (k > 0),
-        "body": "".join(f"            {line}\n" for line in values + tangents),
-        "out": ", ".join((f"d{s}" if s in xdep else f"np.zeros({k})") if jac else f"r{s}"
-                         for s in out)}
-    made = _made[key] = _compile(f"dsl {next(_serial)}{' tangents' * jac}", src)
+            finite = (f"({' and '.join(f'math.isfinite(d{s}{i})' for i in comps)})" if fl else
+                      f"np.all(np.isfinite(d{s}))")
+            tangents.append(f"if not {finite}: raise _fail({s}, True)")
+    made = {s for s, _, _ in code}
+    load = "".join(f"    r{s} = _c[{s}]\n" for s in sorted(need - made) if s >= k + 2)
+    unpack = f"        {''.join(f'r{i}, ' for i in xs)}= x" if k > 0 else ""
+    if fl:
+        eye = [f"d{i}_{j} = {float(i - 2 == j)}" for i in xs for j in range(k)]
+        src = _FLOATS % {
+            "load": load, "x": unpack + "\n" * (k > 0),
+            "values": "".join(f"            {line}\n" for line in values),
+            "tangents": "".join(f"            {line}\n" for line in eye + tangents),
+            "out": ", ".join(f"r{s}" for s in out),
+            "rows": ", ".join("[" + ", ".join(f"d{s}_{i}" if s in xdep else "0.0"
+                                              for i in range(k)) + "]" for s in out)}
+    else:
+        jac = kind == "tangents"
+        src = _SOURCE % {
+            "load": load + f"    {''.join(f'd{i}, ' for i in xs)}= np.eye({k})\n" * jac,
+            "x": f"{unpack} if x.ndim == 1 else np.moveaxis(x, -1, 0)\n" * (k > 0),
+            "body": "".join(f"            {line}\n" for line in values + tangents),
+            "out": ", ".join((f"d{s}" if s in xdep else f"np.zeros({k})") if jac else f"r{s}"
+                             for s in out)}
+    name = f"dsl {next(_serial)}" + ("" if kind == "values" else f" {kind}")
+    made = _made[key] = _compile(name, src, globals())
     if len(_made) > COMPILED_MAX:
         linecache.cache.pop(_made.popitem(last=False)[1].__code__.co_filename, None)
     return made
@@ -334,9 +401,10 @@ class _Tape:
     its children's slots (a constant on its repr, so 0.0 and -0.0 stay apart).
 
     `emit` compiles the program through ``odeint._compile``, for ``values``
-    (the outputs), the ``abs``/``sign`` arguments of ``kinks`` and, at the first
-    ``jacobian`` call, ``tangents`` (forward mode over the slots that depend on
-    x).  Each raises in op order, ``tangents`` every value's error first."""
+    (the outputs), the ``abs``/``sign`` arguments of ``kinks`` and, at their
+    first call, ``tangents`` (forward mode over the slots that depend on x)
+    and `floats` (both at one point on Python floats).  Each raises in op
+    order, ``tangents`` every value's error first."""
 
     def __init__(self, exprs, params, k):
         # names resolve to t, eps, then parameters, then x1..xk
@@ -350,13 +418,27 @@ class _Tape:
         self.code, self.xdep = tuple(self.code), frozenset(self.xdep)
         self.values = self.emit(self.out)
 
-    def emit(self, out, jac=False):
-        """The compiled (t, x, eps) -> values of slots `out`, or their tangents."""
-        return _make(self.k, self.code, self.xdep, tuple(out), jac)(self.slots, self._fail)
+    def emit(self, out, kind="values", *numpy):
+        """The compiled program of `kind` for slots `out` (see `_make`)."""
+        return _make(self.k, self.code, self.xdep, tuple(out), kind)(self.slots, self._fail, *numpy)
 
     @cached_property
     def tangents(self):         # left to the first call: they double a long tape's source
-        return self.emit(self.out, True)
+        return self.emit(self.out, "tangents")
+
+    @cached_property
+    def _floats(self):
+        return self.emit(self.out, "floats", self._numpy)
+
+    def floats(self, t, x, eps, jac=False):
+        """The outputs at float t and a list x of k floats, and with `jac` their
+        tangents as k rows: the bits and errors of ``values`` and `jacobian`."""
+        return self._floats(t, x, eps, jac)
+
+    def _numpy(self, t, x, eps, jac):       # where a float op raises (math.sin(inf))
+        x = np.array(x)
+        g = [float(v) for v in self.values(t, x, eps)]
+        return (g, self.jacobian(t, x, eps).tolist()) if jac else g
 
     def _slot(self, root):
         # post-order off an explicit stack: a left-leaning chain is as deep as
@@ -501,6 +583,17 @@ class FieldSpec:
     components: tuple
     params: tuple = ()                 # ((name, value), ...) for hashability
 
+    def __post_init__(self):
+        # a parameter named t, eps or x1..xk, or valued as no finite real (a
+        # bool is none), would shadow a variable or fail late in numpy
+        for name, value in self.params:
+            if name in ("t", "eps") or name in (f"x{i + 1}" for i in range(self.dim)):
+                raise ParameterError(f"parameter {name!r} shadows a variable of the field")
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not abs(value) <= sys.float_info.max):
+                raise ParameterError(f"parameter {name!r} must be a finite real, not {value!r}")
+        object.__setattr__(self, "params", tuple((n, float(v)) for n, v in self.params))
+
     @staticmethod
     def from_strings(dim: int, period: float, components: Sequence[str],
                      params: Optional[Dict[str, float]] = None) -> "FieldSpec":
@@ -515,8 +608,9 @@ def field_from_spec(spec: FieldSpec) -> PeriodicField:
     Every free name of every component must resolve to t, eps, x1..xk or a
     declared parameter; the component count must match the dimension.  The
     field publishes ``kinks`` when a component calls ``abs`` or ``sign``, and
-    always ``jacobian``, by forward mode over the tape with abs' = sign; a
-    derivative that is not finite raises ``DomainError``.  ``sign`` of an
+    always ``jacobian``, by forward mode over the tape with abs' = sign, and
+    ``floats``, values and jacobian on Python floats; a derivative that is not
+    finite raises ``DomainError``.  ``sign`` of an
     argument in x1..xk raises ``DomainError``: its jump would move with x,
     which no period-map derivative follows; ``sign`` of t, eps and
     parameters jumps at fixed times, which ``kinks`` publishes."""
@@ -538,4 +632,4 @@ def field_from_spec(spec: FieldSpec) -> PeriodicField:
     kinks = partial(_switch_zeros, tape.emit(tape.switches),
                     np.linspace(0.0, spec.period, KINK_SCAN + 1)) if tape.switches else None
     return PeriodicField(dim=spec.dim, period=spec.period, evaluate=evaluate, name="dsl",
-                         kinks=kinks, jacobian=tape.jacobian)
+                         kinks=kinks, jacobian=tape.jacobian, floats=tape.floats)

@@ -17,35 +17,33 @@ estimate localizes the damage to the few steps that straddle a corner.
 member; see its docstring for which suits what.
 
 One state (``x0`` of shape (k,)) with k <= ``_FLOAT_LOOP_MAX`` steps on
-Python float lists: at these sizes a numpy call costs far more than its
-arithmetic (a flow of a field costing one numpy call ran about even with the
-numpy loop at 30 components, 2-core VM).  The cutoff of 20 keeps the
-variational flow of a field with k <= 4 (k + k^2 components) on floats.
-Ensembles and longer states take the numpy loop.  A field's ``floats`` is
-called there on lists, any other field on an ndarray.
+local Python floats: at these sizes a numpy call costs far more than its
+arithmetic.  The cutoff of 20 keeps the variational flow of a field with
+k <= 4 (k + k^2 components) on floats.  Ensembles and longer states take the
+numpy loop.  The float loop calls a field's ``floats`` (the built-ins' and
+every DSL field's) itself, and writes out ``e * g`` and the (x, vec Phi)
+products of ``variational_map``; any other field it calls on an ndarray.
 
 All three adaptive loops are layouts of one generated kernel,
-`_dopri_kernel`: straight-line source per state length (each stage one list
-display, ``x[i] + h * (_A61 * k1[i] + ... + _A65 * k5[i])`` per component),
+`_dopri_kernel`: straight-line source per state length, with one local per
+component and stage (``y_1 = x_1 + h * (_A61 * k1_1 + ... + _A65 * k5_1)``),
 an array form on one shared step grid, and a per-member form with a step
-size per row, compiled once and cached; `_float_rhs` writes out ``e * g``
-from a field's ``floats``, and the (x, vec Phi) products of
-``variational_map`` (source transformation: Griewank & Walther, *Evaluating
-Derivatives*, 2nd ed., ch. 6).  No outside text reaches ``exec``, here or
-from a DSL field (``exprdsl``): the source holds integer indices and the
-names of this module or of the DSL's op table only; callables, eps,
-constants and parameters are closure values.  `_compile` registers it with
-``linecache`` as ``<slowflow dopri n=6>``, ``<slowflow dsl 1>`` and the like,
-so tracebacks, cProfile and ``inspect.getsource`` show it.
+size per row, compiled once and cached (source transformation: Griewank &
+Walther, *Evaluating Derivatives*, 2nd ed., ch. 6).  No outside text
+reaches ``exec``, here or from a DSL field (``exprdsl``): the source holds
+integer indices and the names of this module or of the DSL's op table only;
+callables, eps, constants and parameters are values.  `_compile` registers
+it with ``linecache`` as ``<slowflow dopri n=6>``, ``<slowflow dsl 1>`` and
+the like, so tracebacks, cProfile and ``inspect.getsource`` show it.
 
-The Dormand-Prince stages, solution and error quotient are written once, as
-the kernel's parts, and must stay bit-identical to the left-to-right sums
-a_i1*k1 + a_i2*k2 + ... of the reference loops in the tests (no BLAS dot, no
-FMA), so the float and array layouts give the same bits, field calls and
-steps for one state: whether Newton on a nonsmooth period map meets its
-residual target can depend on the last bits.  Only ``variational_map`` on
-``floats`` differs: its J*Phi float sums may round otherwise than numpy's
-``@`` (an FMA), so Phi moves in its last bits.
+The Dormand-Prince stages, solution and error quotient are written once and
+must stay bit-identical to the left-to-right sums a_i1*k1 + a_i2*k2 + ... of
+the reference loops in the tests (no BLAS dot, no FMA), so the float and
+array layouts give the same bits, field calls and steps for one state:
+whether Newton on a nonsmooth period map meets its residual target can
+depend on the last bits.  Only ``variational_map`` on ``floats`` differs:
+its J*Phi float sums may round otherwise than numpy's ``@`` (an FMA), so Phi
+moves in its last bits.
 """
 
 from __future__ import annotations
@@ -110,9 +108,10 @@ class PeriodicField:
     move with x, so ``jacobian`` and the variational flow stay exact there.
 
     ``floats``, when given, maps float ``t`` and a list of k floats to g as
-    a new list, and ``floats(t, x, eps, True)`` to ``(g, J)``, J as k rows:
-    the bits of ``evaluate`` and ``jacobian``, which one-state flows and
-    ``variational_map`` then never call.  Fields without it are unchanged.
+    a list, and ``floats(t, x, eps, True)`` to ``(g, J)``, J as k rows: the
+    bits of ``evaluate`` and ``jacobian``.  The float loop of one-state flows
+    and of ``variational_map`` calls it once per stage, and never those two.
+    The built-ins and DSL fields publish it.
     """
 
     dim: int
@@ -209,62 +208,45 @@ def _run_rk4(rhs, t0, t1, x0, h, max_steps, record):
 # --- generated kernels -------------------------------------------------------
 
 
-def _compile(name, src):
+def _compile(name, src, scope=None):
     """The function `src` defines, compiled as ``<slowflow name>`` and
-    registered with linecache; its globals are this module's."""
+    registered with linecache; its globals are `scope`, or this module's."""
     filename = f"<slowflow {name}>"
     linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
-    scope = {}
-    exec(compile(src, filename, "exec"), globals(), scope)
-    return scope.popitem()[1]
-
-
-def _display(entries):
-    """A list display, one entry per line (in a statement indented 8)."""
-    return "[\n" + "".join(f"            {e},\n" for e in entries) + "        ]"
+    out = {}
+    exec(compile(src, filename, "exec"), globals() if scope is None else scope, out)
+    return out.popitem()[1]
 
 
 def _stage(row, stages):
-    """h * (row_j1 * kj1[{i}] + ...), summed left to right."""
-    return "h * (" + " + ".join(f"_{row}{j} * k{j}[{{i}}]" for j in stages) + ")"
+    """h * (row_j1 * kj1{i} + ...), summed left to right; {i} is the component."""
+    return "h * (" + " + ".join(f"_{row}{j} * k{j}{{i}}" for j in stages) + ")"
 
 
 _DOPRI = '''\
-def dopri(f, t, t1, x, atol, rtol, max_steps, record):
+def dopri(f, t, t1, x, atol, rtol, max_steps, record, e=None):
     span = t1 - t
     h = span / 50.0
     hmin = span * 1e-14
-    k1 = f(t, x)
-    ax = %(ax0)s
+%(start)s
     ts = [t] if record else None
-    xs = [x] if record else None
+    xs = [%(x)s] if record else None
     steps = 0
     while t < t1:
         if steps >= max_steps:
             raise StepLimitExceeded(f"max_steps={max_steps} reached at t={t:.6g}")
         steps += 1
         h = min(h, t1 - t)
-        k2 = f(t + _C2 * h, %(k2)s)
-        k3 = f(t + _C3 * h, %(k3)s)
-        k4 = f(t + _C4 * h, %(k4)s)
-        k5 = f(t + _C5 * h, %(k5)s)
-        k6 = f(t + h, %(k6)s)
-        x5 = %(x5)s
-        k7 = f(t + h, x5)
-        ax5 = %(ax5)s
-        q = %(q)s
-        enorm = %(enorm)s
+%(stages)s
         if enorm <= 1.0:
             t = t + h
-            x = x5
-            ax = ax5
-            k1 = k7
+%(accept)s
             # a NaN in x5 made its q NaN and the step rejected, so max sees none
-            if not %(max)s(ax) <= BLOWUP_NORM:
+            if not %(max)s <= BLOWUP_NORM:
                 raise NonFiniteState(f"state blew up near t={t:.6g}")
             if record:
                 ts.append(t)
-                xs.append(x)
+                xs.append(%(x)s)
         # a NaN norm (non-finite stages) shrinks as a rejection does
         fac = 0.9 * enorm ** -0.2 if enorm > 0 else 5.0 if enorm == 0 else 0.2
         h = h * min(5.0, max(0.2, fac))
@@ -273,7 +255,7 @@ def dopri(f, t, t1, x, atol, rtol, max_steps, record):
     if record:
         ts[-1] = t1
         return np.asarray(ts), np.asarray(xs)
-    return np.array(x)
+    return np.array(%(x)s)
 '''
 
 
@@ -338,16 +320,19 @@ def dopri(f, t0, t1, x, atol, rtol, max_steps):
 
 
 @functools.lru_cache(maxsize=None)
-def _dopri_kernel(n):
+def _dopri_kernel(n, k=None):
     """Adaptive Dormand-Prince with FSAL and a scaled max-norm, in one of
     three layouts that share the stage sums, x5, |x5| and error quotient q:
 
-    * n an int: one state of n <= ``_FLOAT_LOOP_MAX`` components on lists
-      of floats, `f` mapping (t, list) to a list.  The sums of the array
-      form in the same order, so the same bits, field calls and steps,
-      without a numpy call per stage term; np.maximum is `p if p > p5 else
-      p5` (a NaN |x_i| makes x5_i NaN) and a NaN in q goes to the norm by
-      hand, as Python's max drops it.
+    * n an int: one state of n <= ``_FLOAT_LOOP_MAX`` components on local
+      floats ``x_0, k1_0, ...``.  Without `k`, `f` maps (t, list) to the n
+      rates as a list.  With `k`, `f` is a field's ``floats``, called with
+      eps `e` on x (n = k) or, for (g, J), on the x of (x, vec Phi) (n = k +
+      k^2), and the loop writes out ``e * g`` and ``e * (J_i0 * Phi_0j +
+      J_i1 * Phi_1j + ...)``.  The sums of the array form in the same order,
+      so the same bits, field calls and steps; np.maximum is `p if p > p5
+      else p5` (a NaN |x_i| makes x5_i NaN) and a NaN in q goes to the norm
+      by hand, as Python's max drops it.
     * n None: ndarrays, for ensembles and longer states.  For an ensemble
       the norm reduces over the whole batch, keeping every member on a
       shared, accepted step sequence.
@@ -363,40 +348,56 @@ def _dopri_kernel(n):
       vectorised ``**`` differing from libm's ``pow`` in the last bit.
     """
     arrays = not isinstance(n, int)
-
-    def vec(expr):      # the array forms drop the [{i}] subscripts
-        if arrays:
-            return expr.replace("[{i}]", "")
-        return _display(expr.format(i=i) for i in range(n))
-
+    comps = [""] if arrays else [f"_{i}" for i in range(n)]
     fn = "np.abs" if arrays else "abs"
-    parts = {f"k{s}": vec(f"x[{{i}}] + {_stage(f'A{s}', range(1, s))}") for s in range(2, 7)}
-    parts["x5"] = vec(f"x[{{i}}] + {_stage('A7', (1, 3, 4, 5, 6))}")
-    parts["ax0"] = "np.abs(x)" if arrays else "[abs(a) for a in x]"
-    parts["ax5"] = vec(f"{fn}(x5[{{i}}])")
-    big = "np.maximum(ax, ax5)" if arrays else "(ax[{i}] if ax[{i}] > ax5[{i}] else ax5[{i}])"
-    parts["q"] = vec(f"{fn}({_stage('E', (1, 3, 4, 5, 6, 7))}) / (atol + rtol * {big})")
+    big = "np.maximum(ax, ax5)" if arrays else "(ax{i} if ax{i} > ax5{i} else ax5{i})"
+    sums = {f"y{s}": f"x{{i}} + {_stage(f'A{s}', range(1, s))}" for s in range(2, 7)}
+    sums["x5"] = f"x{{i}} + {_stage('A7', (1, 3, 4, 5, 6))}"
+    sums["ax5"] = f"{fn}(x5{{i}})"
+    sums["q"] = f"{fn}({_stage('E', (1, 3, 4, 5, 6, 7))}) / (atol + rtol * {big})"
     if n == "members":
-        return _compile("dopri members", _DOPRI_MEMBERS % parts)
-    parts["enorm"], parts["max"] = (("float(np.max(q))", "np.max") if n is None else
-                                    ("math.nan if math.isnan(sum(q)) else max(q)", "max"))
-    return _compile(f"dopri n={n}", _DOPRI % parts)
+        parts = {name.replace("y", "k"): v.format(i="") for name, v in sums.items()}
+        return _compile("dopri members", _DOPRI_MEMBERS % {**parts, "ax0": "np.abs(x)"})
 
+    def listed(name, m=n):
+        return ", ".join(f"{name}{i}" for i in comps[:m])
 
-@functools.lru_cache(maxsize=None)
-def _float_rhs(k, variational):
-    """``make(fl, e)``: the list right-hand side ``e * g`` from ``floats``
-    `fl` on k components, or that of (x, vec Phi) with `variational`."""
-    if variational:
-        call = f"g, ({', '.join(f'J{i}' for i in range(k))},) = fl(t, y[:{k}], e, True)"
-        jphi = [" + ".join(f"J{r}[{i}] * y[{k + i * k + j}]" for i in range(k))
-                for r in range(k) for j in range(k)]
-    else:
-        call, jphi = "g = fl(t, y, e)", []
-    out = [f"e * g[{i}]" for i in range(k)] + [f"e * ({s})" for s in jphi]
-    src = (f"def make(fl, e):\n    def rhs(t, y):\n        {call}\n"
-           f"        return {_display(out)}\n    return rhs\n")
-    return _compile(f"rhs k={k}{' variational' if variational else ''}", src)
+    def call(dest, at, y):      # the stage's rates, k{s}{i}, at time `at` and state y{i}
+        if arrays:
+            return [f"{dest} = f({at}, {y})"]
+        if k is None:
+            return [f"{dest} = f({at}, [{listed(y)}])", f"{listed(dest)}, = {dest}"]
+        rows = ", ".join(f"({', '.join(f'J_{r}_{i}' for i in range(k))},)" for r in range(k))
+        rates = [f"{dest}_{i}" for i in range(k)] + [
+            "(" + " + ".join(f"J_{r}_{i} * {y}_{k + i * k + j}" for i in range(k)) + ")"
+            for r in range(k) for j in range(k) if n > k]
+        return ([f"{dest} = f({at}, [{listed(y)}], e)"] if k == n else
+                [f"{dest}, J = f({at}, [{listed(y, k)}], e, True)", f"{rows}, = J"]) + [
+            f"{listed(dest, k)}, = {dest}"] + [f"{dest}_{i} = e * {v}" for i, v in enumerate(rates)]
+
+    def each(name, src):        # one statement per component
+        return [f"{name}{i} = {sums[src].format(i=i)}" for i in comps]
+
+    stages = []
+    for s in range(2, 7):
+        stages += each("y", f"y{s}") + call(f"k{s}", f"t + _C{s} * h" if s < 6 else "t + h", "y")
+    stages += each("x5", "x5") + call("k7", "t + h", "x5") + each("ax5", "ax5") + each("q", "q")
+    stages.append("enorm = float(np.max(q))" if arrays else
+                  f"enorm = math.nan if math.isnan({listed('q').replace(', ', ' + ')}) "
+                  f"else max(({listed('q')},))")
+    start = ([] if arrays else [f"{listed('x')}, = x"]) + call("k1", "t", "x")
+    start += [f"ax{i} = {fn}(x{i})" for i in comps]
+    accept = [f"{v}{i} = {w}{i}" for v, w in (("x", "x5"), ("ax", "ax5"), ("k1", "k7"))
+              for i in comps]
+    src = _DOPRI % {
+        "start": "\n".join("    " + line for line in start),
+        "stages": "\n".join("        " + line for line in stages),
+        "accept": "\n".join("            " + line for line in accept),
+        "x": "x" if arrays else f"[{listed('x')}]",
+        "max": "np.max(ax)" if arrays else f"max(({listed('ax')},))"}
+    name = f"dopri n={n}" + (" lists" if k is None and not arrays else
+                             f" k={k}" if k is not None and k < n else "")
+    return _compile(name, src)
 
 
 def _make_rhs(f: PeriodicField, eps: float):
@@ -412,23 +413,39 @@ def _step_cap(f, t0, t1, cfg):
     return cfg.max_steps * max(1, math.ceil((t1 - t0) / f.period))
 
 
+def _start(f, x0, eps, batch=False):
+    """x0 as floats, checked before any field call: of shape (k,), or (m, k)
+    with `batch`, and finite, as eps must be."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim != 1 + batch or x0.shape[-1] != f.dim:
+        raise ValueError(f"X0 must have shape (m, {f.dim})" if batch else
+                         f"x0 must have shape ({f.dim},)")
+    if not np.all(np.isfinite(x0)):
+        raise NonFiniteState("initial state is not finite")
+    if not math.isfinite(eps):
+        raise ValueError("eps must be finite")
+    return x0
+
+
 # a field's inf or NaN goes to the error norm and blow-up tests of the loops,
 # not to a RuntimeWarning from the stage sums or the field's own arithmetic
 @np.errstate(over="ignore", invalid="ignore")
-def _run(f, t0, t1, x0, eps, cfg, record, fl=None):
-    # fl: the float loop's list right-hand side, if not from f.floats
+def _run(f, t0, t1, x0, eps, cfg, record, fl=None, batch=False):
+    # fl: (floats, k) for the float loop, if not f's own floats on all of x0
+    x0 = _start(f, x0, eps, batch)
     t0, t1 = float(t0), float(t1)       # numpy times would make numpy stages
     rhs = _make_rhs(f, eps)
     cap = _step_cap(f, t0, t1, cfg)
     if cfg.method == "rk4-fixed":
         h = cfg.h if cfg.h is not None else f.period / 2000.0
         return _run_rk4(rhs, t0, t1, x0, h, cap, record)
-    if x0.ndim == 1 and len(x0) <= _FLOAT_LOOP_MAX:
-        fl = fl or f.floats and _float_rhs(f.dim, False)(f.floats, eps)
-        fl = fl or (lambda t, x: rhs(t, np.array(x)).tolist())
-        return _dopri_kernel(len(x0))(fl, t0, t1, x0.tolist(), cfg.abs_tol, cfg.rel_tol,
-                                      cap, record)
-    return _dopri_kernel(None)(rhs, t0, t1, x0, cfg.abs_tol, cfg.rel_tol, cap, record)
+    if x0.ndim == 2 or len(x0) > _FLOAT_LOOP_MAX:
+        return _dopri_kernel(None)(rhs, t0, t1, x0, cfg.abs_tol, cfg.rel_tol, cap, record)
+    args = (t0, t1, x0.tolist(), cfg.abs_tol, cfg.rel_tol, cap, record)
+    fl, k = fl or (f.floats, f.dim)
+    if fl:
+        return _dopri_kernel(len(x0), k)(fl, *args, float(eps))
+    return _dopri_kernel(len(x0))(lambda t, x: rhs(t, np.array(x)).tolist(), *args)
 
 
 def integrate(f: PeriodicField, t0: float, t1: float, x0, eps: float,
@@ -436,18 +453,13 @@ def integrate(f: PeriodicField, t0: float, t1: float, x0, eps: float,
     """Integrate x' = eps*g(t,x,eps) from (t0, x0) to t1, recording samples."""
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (f.dim,):
-        raise ValueError(f"x0 must have shape ({f.dim},)")
-    if not np.all(np.isfinite(x0)):
-        raise NonFiniteState("initial state is not finite")
     return Trajectory(*_run(f, t0, t1, x0, eps, cfg, record=True))
 
 
 def flow(f: PeriodicField, t0: float, t1: float, x0, eps: float,
          cfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
     """Final state only (no sample storage); same stepping as `integrate`."""
-    return _run(f, t0, t1, np.asarray(x0, dtype=float), eps, cfg, record=False)
+    return _run(f, t0, t1, x0, eps, cfg, record=False)
 
 
 def flow_batch(f: PeriodicField, t0: float, t1: float, X0, eps: float,
@@ -471,13 +483,9 @@ def flow_batch(f: PeriodicField, t0: float, t1: float, X0, eps: float,
     is called with paired times (``t`` of shape (m,) with ``x`` of shape
     (m, k)).  ``rk4-fixed`` has one step size anyway and ignores the flag.
     """
-    X0 = np.asarray(X0, dtype=float)
-    if X0.ndim != 2 or X0.shape[1] != f.dim:
-        raise ValueError(f"X0 must have shape (m, {f.dim})")
     if shared_steps or cfg.method == "rk4-fixed":
-        return _run(f, t0, t1, X0, eps, cfg, record=False)
-    if not np.all(np.isfinite(X0)):
-        raise NonFiniteState("initial state is not finite")
+        return _run(f, t0, t1, X0, eps, cfg, record=False, batch=True)
+    X0 = _start(f, X0, eps, batch=True)
     with np.errstate(over="ignore", invalid="ignore"):      # as in _run
         return _dopri_kernel("members")(_make_rhs(f, eps), t0, t1, X0, cfg.abs_tol,
                                         cfg.rel_tol, _step_cap(f, t0, t1, cfg))
@@ -511,16 +519,17 @@ def variational_map(f: PeriodicField, v, eps: float,
     the 2k states x +- h*e_j at scalar t.  Across a corner the difference
     ramps oddly about the crossing, so its error in Phi is second order in h.
     With ``floats`` and ``jacobian``, (x, vec Phi) flows on Python floats
-    through `_float_rhs`: one ``floats(t, x, eps, True)`` call per stage and
-    eps*(J_i0*Phi_0j + J_i1*Phi_1j + ...) summed left to right.
+    in the float loop of `_dopri_kernel`: one ``floats(t, x, eps, True)``
+    call per stage and eps*(J_i0*Phi_0j + J_i1*Phi_1j + ...) summed left to
+    right.
     """
-    v = np.asarray(v, dtype=float)
+    v = _start(f, v, eps)
     k = f.dim
     if eps == 0.0:
         return v.copy(), np.eye(k)
     ev, jac, eye = f.evaluate, f.jacobian, np.eye(k)
     # floats(..., True) stands in for a jacobian only
-    fl = jac and f.floats and k + k * k <= _FLOAT_LOOP_MAX and _float_rhs(k, True)(f.floats, eps)
+    fl = jac and f.floats and k + k * k <= _FLOAT_LOOP_MAX and (f.floats, k)
     if jac is None:
         def jac(t, x, eps):
             h = FD_STEP_SCALE * (1.0 + float(np.linalg.norm(x)))

@@ -495,3 +495,21 @@ def test_certify_not_hurwitz_verdict(capsys):
     rep = json.loads(capsys.readouterr().out)
     validate_schema(rep, _schema("theorem_report.schema.json"))
     assert rep["verdict"] == "failed(not Hurwitz: max Re eigenvalue 3.142e+00)"
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"t": 5}, "parameter 't' shadows a variable"),
+    ({"eps": 0.1}, "parameter 'eps' shadows a variable"),
+    ({"x1": 5}, "parameter 'x1' shadows a variable"),
+    ({"c": "abc"}, "parameter 'c' must be a finite real, not 'abc'"),
+    ({"c": math.nan}, "parameter 'c' must be a finite real, not nan"),
+    ({"c": True}, "parameter 'c' must be a finite real, not True"),
+], ids=["t", "eps", "x1", "string", "nan", "bool"])
+def test_dsl_params_are_checked(tmp_path, capsys, params, message):
+    # a parameter named as a variable, or valued as no finite real, is a
+    # config error (it used to shadow t or x1, or fail late in numpy)
+    cfg = _write_cfg(tmp_path, {"system": {"dim": 1, "period": 1.0, "components": ["-x1 + t"]},
+                                "params": params})
+    assert main(["avg", "--config", cfg, "--point", "0.0", "--jacobian"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and message in out.err

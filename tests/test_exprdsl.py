@@ -16,9 +16,11 @@ from slowflow.errors import (
     DivisionByZero,
     DomainError,
     ExprSyntaxError,
+    ParameterError,
     UnknownIdentifier,
 )
 from slowflow import exprdsl
+from slowflow.odeint import flow
 from slowflow.exprdsl import (
     MAX_DEPTH, Binary, Const, FieldSpec, Param, Unary, Var, _Tape,
     eval_expr, field_from_spec, parse, pretty,
@@ -432,6 +434,88 @@ def test_jacobian_bit_identical_to_forward_mode_tree_walk():
             raised += got[1] is not None
             checked += 1
     assert checked > 900 and raised > 0
+
+
+def _bits(outcome):
+    """An outcome with its NaNs made one NaN, for a comparison of bits."""
+    if outcome[1] is not None:
+        return outcome[1]
+    a = np.asarray(outcome[0], dtype=float)
+    return a.shape, np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+def _float_parity(f, t, x, eps):
+    # floats at one point against evaluate, and with jac against both
+    plain = _outcome(lambda: f.floats(t, x.tolist(), eps))
+    full = _outcome(lambda: np.concatenate([np.ravel(v) for v in f.floats(t, x.tolist(), eps, True)]))
+    assert _bits(plain) == _bits(_outcome(lambda: f.evaluate(t, x, eps)))
+    assert _bits(full) == _bits(_outcome(
+        lambda: np.concatenate([f.evaluate(t, x, eps), f.jacobian(t, x, eps).ravel()])))
+    return plain[1] is not None, full[1] is not None
+
+
+def test_floats_bit_identical_to_evaluate_and_jacobian():
+    # the random trees of the tape test, alone and in threes, at scalar t and
+    # a 1-D x: the float program gives the bits and errors of the numpy ones
+    rng = np.random.default_rng(2024)
+    params = {"lam": 0.7, "mu": -1.3}
+    trees = [_random_tree(rng, int(rng.integers(1, 7)), ("lam", "mu")) for _ in range(300)]
+    zero = Const(0.0)
+    groups = [(tree, zero, zero) for tree in trees] + [tuple(trees[i:i + 3]) for i in range(0, 300, 3)]
+    points = [_SHAPES[0], (0.0, np.array([0.0, 1.0, -1.0]), 0.0)]
+    raised = [0, 0]
+    for comps in groups:
+        if any(map(_sign_of_state, comps)):
+            continue
+        f = field_from_spec(FieldSpec(3, TWO_PI, comps, tuple(params.items())))
+        for t, x, eps in points:
+            for j, r in enumerate(_float_parity(f, t, x, eps)):
+                raised[j] += r
+    assert min(raised) > 0 and raised[1] > raised[0]
+
+
+@pytest.mark.parametrize("source,x", [
+    ("sin(x1 * 1e300 * 1e300)", 1.0),       # math.sin(inf) raises, numpy gives NaN
+    ("sqrt(x1)", 0.0),                      # 0.5 / 0.0 raises, numpy's inf fails the check
+    ("x1 ^ 0.5", -8.0),                     # a complex power in Python
+    ("2 ^ x1", 2000.0),                     # an overflow
+    ("0.0 ^ x1", -1.0),                     # 0.0 ** -1 raises
+    ("x1 ^ x1", 0.0),                       # log(0) in the tangent
+    ("(x1 - x1) ^ 2.0 + x1 ^ 3", 1.5),      # powers numpy's pow and math.pow may round apart
+])
+def test_floats_fall_back_to_numpy_where_floats_raise(source, x):
+    f = field_from_spec(FieldSpec.from_strings(1, TWO_PI, [source]))
+    _float_parity(f, 0.3, np.array([x]), 0.0)
+
+
+def test_float_program_shows_in_tracebacks():
+    # x1 falls through 0 mid-flow, and sqrt(x1) fails in the float program
+    f = field_from_spec(FieldSpec.from_strings(1, TWO_PI, ["sqrt(x1) - 1"]))
+    with pytest.raises(DomainError, match="square root of a negative number") as ei:
+        flow(f, 0.0, TWO_PI, [0.5], 1.0)
+    frames = traceback.extract_tb(ei.value.__traceback__)
+    assert "<slowflow dopri n=1>" in [fr.filename for fr in frames]
+    assert re.fullmatch(r"<slowflow dsl \d+ floats>", frames[-1].filename)
+    assert "raise _fail(" in frames[-1].line
+
+
+@pytest.mark.parametrize("params,text", [
+    ({"t": 5.0}, "parameter 't' shadows a variable"),
+    ({"eps": 5.0}, "parameter 'eps' shadows a variable"),
+    ({"x2": 5.0}, "parameter 'x2' shadows a variable"),
+    ({"c": "abc"}, "parameter 'c' must be a finite real"),
+    ({"c": math.inf}, "parameter 'c' must be a finite real"),
+    ({"c": True}, "parameter 'c' must be a finite real"),
+    ({"c": 10 ** 400}, "parameter 'c' must be a finite real"),
+])
+def test_parameters_are_checked(params, text):
+    with pytest.raises(ParameterError, match=re.escape(text)):
+        FieldSpec.from_strings(2, TWO_PI, ["-x1 + t", "x2"], params)
+    with pytest.raises(ParameterError, match=re.escape(text)):
+        field_from_spec(FieldSpec(2, TWO_PI, (parse("-x1"), parse("x2")), tuple(params.items())))
+    # x3 names no variable of a 2-dimensional field, and an int is a real
+    f = field_from_spec(FieldSpec.from_strings(2, TWO_PI, ["x3 - x1", "2 ^ c"], {"x3": 1, "c": -1}))
+    assert f.evaluate(0.0, np.zeros(2), 0.0).tolist() == [1.0, 0.5]
 
 
 @pytest.mark.parametrize("source,error,subexpr", [

@@ -9,7 +9,7 @@ import traceback
 import numpy as np
 import pytest
 
-from conftest import certified_forced_params, rk4
+from conftest import NONSMOOTH_DSL, certified_forced_params, rk4
 from slowflow import certify, exprdsl, odeint, orbit, vdp
 from slowflow.errors import NonFiniteState, StepLimitExceeded
 from slowflow.odeint import (
@@ -254,12 +254,15 @@ def test_non_finite_flow_raises_within_bounded_field_calls():
     def turns_nan(t, x, eps):           # finite for 40 calls, NaN from then on
         return np.where(calls > 40, np.nan, base.evaluate(t, x, eps))
 
-    for fn, x0 in ((base.evaluate, [np.nan, 1.0]), (turns_nan, [0.5, 1.2])):
-        calls = 0
-        with pytest.raises(StepLimitExceeded, match="underflow"):
-            flow(counted(fn), 0.0, 5 * TWO_PI, np.array(x0), 0.05)
-        assert calls <= 200
     calls = 0
+    with pytest.raises(StepLimitExceeded, match="underflow"):
+        flow(counted(turns_nan), 0.0, 5 * TWO_PI, np.array([0.5, 1.2]), 0.05)
+    assert calls <= 200
+    # a NaN start is refused before the first field call
+    calls = 0
+    with pytest.raises(NonFiniteState, match="initial state is not finite"):
+        flow(counted(base.evaluate), 0.0, 5 * TWO_PI, np.array([np.nan, 1.0]), 0.05)
+    assert calls == 0
     with pytest.raises(ValueError, match="v0_guess must be finite"):
         orbit.find_periodic(counted(base.evaluate), np.array([np.nan, 1.0]), 0.05)
     assert calls == 0
@@ -744,7 +747,7 @@ def test_kernel_source_shows_in_tracebacks():
     frames = [fr for fr in traceback.extract_tb(ei.tb) if fr.filename == "<slowflow dopri n=2>"]
     assert len(frames) == 1 and re.fullmatch(r"k\d = f\(t \+ .*", frames[0].line)
     assert "k2 = f(t + _C2 * h, [" in inspect.getsource(odeint._dopri_kernel(2))
-    assert "[\n            e * g[0],\n" in inspect.getsource(odeint._float_rhs(2, False))
+    assert "\n        k2_0 = e * k2_0\n" in inspect.getsource(odeint._dopri_kernel(2, 2))
 
 
 def test_member_kernel_source_shows_in_tracebacks():
@@ -837,6 +840,74 @@ def test_builtin_flows_take_the_floats_path(f):
     P0, DP0 = variational_map(twin, x0, eps, cfg)
     assert np.max(np.abs(P - P0)) <= 1e-13
     assert np.max(np.abs(DP - DP0)) <= 1e-9
+
+
+def _dsl_fields():
+    # the twin of the forced nonsmooth oscillator, and of linear_test
+    twin = exprdsl.FieldSpec.from_strings(2, TWO_PI, NONSMOOTH_DSL, {"a": 0.1, "lam": 1.0})
+    linear = exprdsl.FieldSpec.from_strings(1, TWO_PI, ["cos(t) - x1"])
+    return [exprdsl.field_from_spec(twin), exprdsl.field_from_spec(linear)]
+
+
+@pytest.mark.parametrize("f", _dsl_fields(), ids=["twin", "linear"])
+def test_dsl_flows_take_the_floats_path(f, monkeypatch):
+    # plain, recorded and variational flows of a DSL field call only its
+    # `floats`, as often as the reference loop calls its field, and its float
+    # program never hands a call to numpy
+    handed = []
+    tape = f.floats.__self__
+    monkeypatch.setattr(tape, "_numpy", lambda *args: handed.append(args))
+    cfg = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12)
+    x0, eps = np.array([0.5, 1.2][:f.dim]), 0.05
+    g, twin, calls = _counting_twins(f)
+    for run in (lambda h: flow(h, 0.0, f.period, x0, eps, cfg),
+                lambda h: integrate(h, 0.3, 0.3 + 2.0 * f.period, x0, eps, cfg).states):
+        calls.update(dict.fromkeys(calls, 0))
+        got = run(g)
+        fast = dict(calls)
+        calls.update(dict.fromkeys(calls, 0))
+        assert got.tobytes() == run(twin).tobytes()
+        assert fast == {"evaluate": 0, "jacobian": 0, "floats": calls["evaluate"]}
+    rhs, ref_calls = _counted(_float_variational_rhs(f, eps))
+    y0 = np.concatenate([x0, np.eye(f.dim).ravel()])
+    y = _ref_dopri(rhs, 0.0, f.period, y0, 1e-12, 1e-12)[1][-1]
+    calls.update(dict.fromkeys(calls, 0))
+    P, DP = variational_map(g, x0, eps, cfg)
+    assert np.concatenate([P, DP.ravel()]).tobytes() == y.tobytes()
+    assert calls == {"evaluate": 0, "jacobian": 0, "floats": ref_calls[0]}
+    assert handed == []
+
+
+def test_flows_check_their_start_before_any_field_call():
+    # a start that is not finite or of the wrong shape, or an eps that is not
+    # finite, raises before the first field call, on every path
+    g, _, calls = _counting_twins(vdp.nonsmooth_vdp_field(vdp.ForcingParams(0.1, 1.0)))
+    v, T, bad = np.array([0.5, 1.2]), TWO_PI, [np.nan, 1.0]
+    cases = [
+        (NonFiniteState, lambda: flow(g, 0.0, T, bad, 0.05)),
+        (NonFiniteState, lambda: flow(g, 0.0, T, [1.0, -np.inf], 0.05, rk4(0.01))),
+        (NonFiniteState, lambda: integrate(g, 0.0, T, bad, 0.05)),
+        (NonFiniteState, lambda: poincare_map(g, [np.inf, 1.0], 0.05)),
+        (NonFiniteState, lambda: variational_map(g, bad, 0.05)),
+        (NonFiniteState, lambda: flow_batch(g, 0.0, T, [v, bad], 0.05)),
+        (NonFiniteState, lambda: flow_batch(g, 0.0, T, [v, bad], 0.05, shared_steps=False)),
+        (ValueError, lambda: poincare_map(g, v, np.nan)),
+        (ValueError, lambda: poincare_map(g, v, np.inf)),
+        (ValueError, lambda: variational_map(g, v, -np.inf)),
+        (ValueError, lambda: flow_batch(g, 0.0, T, [v], np.inf, shared_steps=False)),
+        (ValueError, lambda: orbit.find_periodic(g, v, np.inf)),
+        (ValueError, lambda: orbit.eps_sweep(g, v, [np.inf, 0.1, 0.05])),
+        (ValueError, lambda: flow(g, 0.0, T, [0.5, 1.2, 0.0], 0.05)),
+        (ValueError, lambda: flow(g, 0.0, T, 0.5, 0.05)),
+        (ValueError, lambda: variational_map(g, [0.5], 0.05)),
+        (ValueError, lambda: variational_map(g, [v], 0.05)),
+        (ValueError, lambda: flow_batch(g, 0.0, T, v, 0.05)),
+    ]
+    for error, run in cases:
+        with pytest.raises(error) as ei:
+            run()
+        assert type(ei.value) is error
+    assert calls == {"evaluate": 0, "jacobian": 0, "floats": 0}
 
 
 def test_float_path_coerces_numpy_end_times():
