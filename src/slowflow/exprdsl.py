@@ -328,11 +328,12 @@ _serial = itertools.count(1)
 def _make(k, code, xdep, out, kind):
     """``make(_c, _fail)`` -> (t, x, eps) -> the values of slots `out` (kind
     ``"values"``) or their tangents (``"tangents"``), from the ops they read;
-    ``make(_c, _fail, _numpy)`` -> ``floats(t, x, eps, jac=False)`` for kind
-    ``"floats"``, both on Python floats and with k scalars per tangent.  Slot s
-    is ``r{s}``, its tangent ``d{s}`` (``d{s}_{i}`` on floats); constants and
-    parameters arrive in `_c`.  The last ``COMPILED_MAX`` programs are kept; an
-    evicted one leaves ``linecache``, and a field that holds it keeps running it."""
+    for kind ``"floats"``, ``make(_c, _fail, _numpy)`` -> ``floats(t, x, eps,
+    jac=False)``, values and tangents at one point on Python floats.  Slot s
+    is ``r{s}``, its tangent ``d{s}`` (k scalars ``d{s}_{i}`` on floats);
+    constants and parameters arrive in `_c`.  The last ``COMPILED_MAX``
+    programs are kept; an evicted one leaves ``linecache``, and a field that
+    holds it keeps running it."""
     key = (k, code, xdep, out, kind)
     if key in _made:
         _made.move_to_end(key)
@@ -420,7 +421,8 @@ class _Tape:
 
     def emit(self, out, kind="values", *numpy):
         """The compiled program of `kind` for slots `out` (see `_make`)."""
-        return _make(self.k, self.code, self.xdep, tuple(out), kind)(self.slots, self._fail, *numpy)
+        make = _make(self.k, self.code, self.xdep, tuple(out), kind)
+        return make(self.slots, self._fail, *numpy)
 
     @cached_property
     def tangents(self):         # left to the first call: they double a long tape's source
@@ -610,10 +612,10 @@ def field_from_spec(spec: FieldSpec) -> PeriodicField:
     field publishes ``kinks`` when a component calls ``abs`` or ``sign``, and
     always ``jacobian``, by forward mode over the tape with abs' = sign, and
     ``floats``, values and jacobian on Python floats; a derivative that is not
-    finite raises ``DomainError``.  ``sign`` of an
-    argument in x1..xk raises ``DomainError``: its jump would move with x,
-    which no period-map derivative follows; ``sign`` of t, eps and
-    parameters jumps at fixed times, which ``kinks`` publishes."""
+    finite raises ``DomainError``.  ``sign`` of an argument in x1..xk raises
+    ``DomainError``: its jump would move with x, which no period-map
+    derivative follows; ``sign`` of t, eps and parameters jumps at fixed
+    times, which ``kinks`` publishes."""
     if len(spec.components) != spec.dim:
         raise DimensionMismatch(f"{len(spec.components)} components for dimension {spec.dim}")
     tape = _Tape(spec.components, dict(spec.params), spec.dim)

@@ -371,9 +371,10 @@ def _dopri_kernel(n, k=None):
         rates = [f"{dest}_{i}" for i in range(k)] + [
             "(" + " + ".join(f"J_{r}_{i} * {y}_{k + i * k + j}" for i in range(k)) + ")"
             for r in range(k) for j in range(k) if n > k]
-        return ([f"{dest} = f({at}, [{listed(y)}], e)"] if k == n else
-                [f"{dest}, J = f({at}, [{listed(y, k)}], e, True)", f"{rows}, = J"]) + [
-            f"{listed(dest, k)}, = {dest}"] + [f"{dest}_{i} = e * {v}" for i, v in enumerate(rates)]
+        lines = ([f"{dest} = f({at}, [{listed(y)}], e)"] if k == n else
+                 [f"{dest}, J = f({at}, [{listed(y, k)}], e, True)", f"{rows}, = J"])
+        return lines + [f"{listed(dest, k)}, = {dest}"] + [
+            f"{dest}_{i} = e * {v}" for i, v in enumerate(rates)]
 
     def each(name, src):        # one statement per component
         return [f"{name}{i} = {sums[src].format(i=i)}" for i in comps]

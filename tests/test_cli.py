@@ -114,6 +114,7 @@ def test_bad_arguments_exit_2_with_one_line(tmp_path, capsys, argv, message):
 
 
 _DSL_1D = {"dim": 1, "period": 1.0, "components": ["-x1"]}
+_DSL_T = {"dim": 1, "period": 1.0, "components": ["-x1 + t"]}
 
 
 @pytest.mark.parametrize("payload, argv, message", [
@@ -137,11 +138,23 @@ _DSL_1D = {"dim": 1, "period": 1.0, "components": ["-x1"]}
     ({"system": "nonsmooth_vdp"}, ["roots", "--box", "-1", "1"], "--box needs 4 numbers"),
     ({}, ["resonance", "--model", "nonsmooth", "--lambda", "0.4", "--a", "0", "1",
           "--n", "100001"], "--n must be <= 100000"),
+    # a DSL parameter named as a variable, or valued as no finite real
+    ({"system": _DSL_T, "params": {"t": 5}}, [], "parameter 't' shadows a variable"),
+    ({"system": _DSL_T, "params": {"eps": 0.1}}, [], "parameter 'eps' shadows a variable"),
+    ({"system": _DSL_T, "params": {"x1": 5}}, [], "parameter 'x1' shadows a variable"),
+    ({"system": _DSL_T, "params": {"c": "abc"}}, [],
+     "parameter 'c' must be a finite real, not 'abc'"),
+    ({"system": _DSL_T, "params": {"c": math.nan}}, [],
+     "parameter 'c' must be a finite real, not nan"),
+    ({"system": _DSL_T, "params": {"c": True}}, [],
+     "parameter 'c' must be a finite real, not True"),
 ], ids=["unknown_builtin", "unreadable_file", "non_object_root", "unknown_system_key",
         "missing_dsl_key", "system_not_str_or_object", "params_not_object",
         "integrator_not_object", "bad_integrator_settings", "bad_typed_value",
         "odd_quadrature_nodes", "small_quadrature_nodes", "root_tol_not_positive",
-        "linear_test_params", "oscillator_params", "box_count", "resonance_n"])
+        "linear_test_params", "oscillator_params", "box_count", "resonance_n",
+        "dsl_param_t", "dsl_param_eps", "dsl_param_x1", "dsl_param_string",
+        "dsl_param_nan", "dsl_param_bool"])
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, payload, argv, message):
     path = str(tmp_path / "missing.json") if payload is None else _write_cfg(tmp_path, payload)
     argv = argv or ["avg", "--point", "0"]
@@ -495,21 +508,3 @@ def test_certify_not_hurwitz_verdict(capsys):
     rep = json.loads(capsys.readouterr().out)
     validate_schema(rep, _schema("theorem_report.schema.json"))
     assert rep["verdict"] == "failed(not Hurwitz: max Re eigenvalue 3.142e+00)"
-
-
-@pytest.mark.parametrize("params, message", [
-    ({"t": 5}, "parameter 't' shadows a variable"),
-    ({"eps": 0.1}, "parameter 'eps' shadows a variable"),
-    ({"x1": 5}, "parameter 'x1' shadows a variable"),
-    ({"c": "abc"}, "parameter 'c' must be a finite real, not 'abc'"),
-    ({"c": math.nan}, "parameter 'c' must be a finite real, not nan"),
-    ({"c": True}, "parameter 'c' must be a finite real, not True"),
-], ids=["t", "eps", "x1", "string", "nan", "bool"])
-def test_dsl_params_are_checked(tmp_path, capsys, params, message):
-    # a parameter named as a variable, or valued as no finite real, is a
-    # config error (it used to shadow t or x1, or fail late in numpy)
-    cfg = _write_cfg(tmp_path, {"system": {"dim": 1, "period": 1.0, "components": ["-x1 + t"]},
-                                "params": params})
-    assert main(["avg", "--config", cfg, "--point", "0.0", "--jacobian"]) == 2
-    out = capsys.readouterr()
-    assert out.out == "" and message in out.err

@@ -447,7 +447,8 @@ def _bits(outcome):
 def _float_parity(f, t, x, eps):
     # floats at one point against evaluate, and with jac against both
     plain = _outcome(lambda: f.floats(t, x.tolist(), eps))
-    full = _outcome(lambda: np.concatenate([np.ravel(v) for v in f.floats(t, x.tolist(), eps, True)]))
+    full = _outcome(lambda: np.concatenate([np.ravel(v)
+                                            for v in f.floats(t, x.tolist(), eps, True)]))
     assert _bits(plain) == _bits(_outcome(lambda: f.evaluate(t, x, eps)))
     assert _bits(full) == _bits(_outcome(
         lambda: np.concatenate([f.evaluate(t, x, eps), f.jacobian(t, x, eps).ravel()])))
