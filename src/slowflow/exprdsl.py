@@ -9,14 +9,12 @@ unary minus; factors nest at most ``MAX_DEPTH`` deep)::
     atom   := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
 
 Recognized functions: ``sin cos abs sqrt sign``.  Free names must be ``t``,
-``eps``, ``x1..xk`` or a declared parameter, whose name is none of the
-others and whose value is a finite real; there are no conditionals or loops,
-so every expression is a pure formula.  ``abs`` and ``sign`` are exact at 0
-(``abs(0) = 0``, ``sign(0) = 0``).  A field (``field_from_spec``) runs as
-straight-line source emitted once per tape structure, on numpy for
-``evaluate`` and ``jacobian`` and on Python floats for ``floats``, which
-one-state flows call; g is Lipschitz in x, as ``sign`` there takes only
-arguments free of x1..xk.
+``eps``, ``x1..xk`` or a declared parameter (a finite real, named none of
+those); there are no conditionals or loops, so every expression is a pure
+formula.  ``abs`` and ``sign`` are exact at 0 (``abs(0) = 0``, ``sign(0) =
+0``).  A field (``field_from_spec``) runs as straight-line source emitted
+once per tape structure, on numpy and, for ``floats``, on Python floats; g
+is Lipschitz in x, as ``sign`` there takes only arguments free of x1..xk.
 """
 
 from __future__ import annotations
@@ -263,7 +261,9 @@ def pretty(e: Expr) -> str:
 # op: (value, partials d out/da and d out/db, domain check: test, error,
 # reason) as source over the argument slots {a}, {b} and the result {out}; each
 # source is a pair, the numpy form and the float form, which gives numpy's bits
-# on Python floats (math's sin, cos and sqrt do, its pow and log do not)
+# on Python floats: math's sin, cos and sqrt give the ufuncs', math.pow numpy
+# scalars' ``**``, and np.power and np.log run silent, as in the numpy programs
+_ufunc = np.errstate(all="ignore")(lambda fn, *args: float(fn(*args)))
 _SIGN = "(1.0 if {a} > 0 else -1.0 if {a} < 0 else 0.0 if {a} == 0 else {a})"
 _OPS = {
     "neg": (("-{a}",) * 2, [("-1.0",) * 2], None),
@@ -278,46 +278,18 @@ _OPS = {
     "*": (("{a} * {b}",) * 2, [("{b}",) * 2, ("{a}",) * 2], None),
     "/": (("np.divide({a}, {b})", "{a} / {b}"), [("1.0 / {b}",) * 2, ("-{out} / {b}",) * 2],
           (("np.any({b} == 0)", "{b} == 0"), DivisionByZero)),
-    "^": (("np.power({a}, {b})", "_power({a}, {b})"),
+    "^": (("np.power({a}, {b})", "_ufunc(np.power, {a}, {b})"),
           [("{b} * {a} ** ({b} - 1.0)", "{b} * math.pow({a}, {b} - 1.0)"),
-           ("{out} * np.log({a})", "{out} * _log({a})")],
+           ("{out} * np.log({a})", "{out} * _ufunc(np.log, {a})")],
           (("not np.all(np.isfinite({out}))", "not math.isfinite({out})"), DomainError,
            "non-finite power")),
 }
 
 
-def _power(a, b):
-    """np.power's bits on floats; it raises where numpy would warn: at a
-    non-finite argument, and where math.pow raises."""
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("non-finite power argument")
-    math.pow(a, b)
-    return float(np.power(a, b))
-
-
-def _log(a):
-    """np.log's bits on floats; math.log raises at a <= 0, where numpy warns."""
-    return float(np.log(a)) if 0.0 < a < math.inf else math.log(a)
-
-
 _SOURCE = """\
 def make(_c, _fail):
-%(load)s    def run(r0, x, r1):
-%(x)s        with np.errstate(all="ignore"):
-%(body)s            return [%(out)s]
-    return run
-"""
-
-_FLOATS = """\
-def make(_c, _fail, _numpy):
-%(load)s    def floats(r0, x, r1, jac=False):
-%(x)s        try:
-%(values)s            if not jac:
-                return [%(out)s]
-%(tangents)s            return [%(out)s], [%(rows)s]
-        except (ArithmeticError, ValueError):     # a float op that numpy runs through
-            return _numpy(r0, x, r1, jac)
-    return floats
+%(load)s    def run(r0, x, r1, jac=False):
+%(body)s    return run
 """
 
 
@@ -326,14 +298,12 @@ _serial = itertools.count(1)
 
 
 def _make(k, code, xdep, out, kind):
-    """``make(_c, _fail)`` -> (t, x, eps) -> the values of slots `out` (kind
-    ``"values"``) or their tangents (``"tangents"``), from the ops they read;
-    for kind ``"floats"``, ``make(_c, _fail, _numpy)`` -> ``floats(t, x, eps,
-    jac=False)``, values and tangents at one point on Python floats.  Slot s
-    is ``r{s}``, its tangent ``d{s}`` (k scalars ``d{s}_{i}`` on floats);
-    constants and parameters arrive in `_c`.  The last ``COMPILED_MAX``
-    programs are kept; an evicted one leaves ``linecache``, and a field that
-    holds it keeps running it."""
+    """``make(_c, _fail)`` -> (t, x, eps) -> the values of slots `out`, their
+    tangents, or with `kind` ``"floats"`` both at one point on Python floats
+    (``jac=True``), from the ops they read.  Slot s is ``r{s}``, its tangent
+    ``d{s}`` (k scalars ``d{s}_{i}`` on floats); constants and parameters
+    arrive in `_c`.  The last ``COMPILED_MAX`` programs are kept; an evicted
+    one leaves ``linecache``, and a field that holds it keeps running it."""
     key = (k, code, xdep, out, kind)
     if key in _made:
         _made.move_to_end(key)
@@ -370,25 +340,24 @@ def _make(k, code, xdep, out, kind):
                       f"np.all(np.isfinite(d{s}))")
             tangents.append(f"if not {finite}: raise _fail({s}, True)")
     made = {s for s, _, _ in code}
-    load = "".join(f"    r{s} = _c[{s}]\n" for s in sorted(need - made) if s >= k + 2)
-    unpack = f"        {''.join(f'r{i}, ' for i in xs)}= x" if k > 0 else ""
+    load = [f"r{s} = _c[{s}]" for s in sorted(need - made) if s >= k + 2]
+    outs = ", ".join(f"r{s}" for s in out)
+    body = [f"{''.join(f'r{i}, ' for i in xs)}= x" +
+            ("" if fl else " if x.ndim == 1 else np.moveaxis(x, -1, 0)")] * (k > 0)
     if fl:
-        eye = [f"d{i}_{j} = {float(i - 2 == j)}" for i in xs for j in range(k)]
-        src = _FLOATS % {
-            "load": load, "x": unpack + "\n" * (k > 0),
-            "values": "".join(f"            {line}\n" for line in values),
-            "tangents": "".join(f"            {line}\n" for line in eye + tangents),
-            "out": ", ".join(f"r{s}" for s in out),
-            "rows": ", ".join("[" + ", ".join(f"d{s}_{i}" if s in xdep else "0.0"
-                                              for i in range(k)) + "]" for s in out)}
+        rows = ", ".join("[" + ", ".join(f"d{s}_{i}" if s in xdep else "0.0" for i in range(k))
+                         + "]" for s in out)
+        body += values + ["if not jac:", f"    return [{outs}]"] + [
+            f"d{i}_{j} = {float(i - 2 == j)}" for i in xs for j in range(k)] + tangents + [
+            f"return [{outs}], [{rows}]"]
     else:
-        jac = kind == "tangents"
-        src = _SOURCE % {
-            "load": load + f"    {''.join(f'd{i}, ' for i in xs)}= np.eye({k})\n" * jac,
-            "x": f"{unpack} if x.ndim == 1 else np.moveaxis(x, -1, 0)\n" * (k > 0),
-            "body": "".join(f"            {line}\n" for line in values + tangents),
-            "out": ", ".join((f"d{s}" if s in xdep else f"np.zeros({k})") if jac else f"r{s}"
-                             for s in out)}
+        if kind == "tangents":
+            load.append(f"{''.join(f'd{i}, ' for i in xs)}= np.eye({k})")
+            outs = ", ".join(f"d{s}" if s in xdep else f"np.zeros({k})" for s in out)
+        body += ['with np.errstate(all="ignore"):'] + [
+            f"    {line}" for line in values + tangents + [f"return [{outs}]"]]
+    src = _SOURCE % {"load": "".join(f"    {line}\n" for line in load),
+                     "body": "".join(f"        {line}\n" for line in body)}
     name = f"dsl {next(_serial)}" + ("" if kind == "values" else f" {kind}")
     made = _made[key] = _compile(name, src, globals())
     if len(_made) > COMPILED_MAX:
@@ -419,10 +388,9 @@ class _Tape:
         self.code, self.xdep = tuple(self.code), frozenset(self.xdep)
         self.values = self.emit(self.out)
 
-    def emit(self, out, kind="values", *numpy):
+    def emit(self, out, kind="values"):
         """The compiled program of `kind` for slots `out` (see `_make`)."""
-        make = _make(self.k, self.code, self.xdep, tuple(out), kind)
-        return make(self.slots, self._fail, *numpy)
+        return _make(self.k, self.code, self.xdep, tuple(out), kind)(self.slots, self._fail)
 
     @cached_property
     def tangents(self):         # left to the first call: they double a long tape's source
@@ -430,15 +398,17 @@ class _Tape:
 
     @cached_property
     def _floats(self):
-        return self.emit(self.out, "floats", self._numpy)
+        return self.emit(self.out, "floats")
 
     def floats(self, t, x, eps, jac=False):
         """The outputs at float t and a list x of k floats, and with `jac` their
         tangents as k rows: the bits and errors of ``values`` and `jacobian`."""
-        return self._floats(t, x, eps, jac)
+        try:
+            return self._floats(t, x, eps, jac)
+        except (ArithmeticError, ValueError):   # a float op numpy runs through (math.sin(inf))
+            return self._numpy(t, np.array(x), eps, jac)
 
-    def _numpy(self, t, x, eps, jac):       # where a float op raises (math.sin(inf))
-        x = np.array(x)
+    def _numpy(self, t, x, eps, jac):
         g = [float(v) for v in self.values(t, x, eps)]
         return (g, self.jacobian(t, x, eps).tolist()) if jac else g
 
@@ -586,8 +556,7 @@ class FieldSpec:
     params: tuple = ()                 # ((name, value), ...) for hashability
 
     def __post_init__(self):
-        # a parameter named t, eps or x1..xk, or valued as no finite real (a
-        # bool is none), would shadow a variable or fail late in numpy
+        # else it would shadow a variable, or fail late in numpy (a bool is no real)
         for name, value in self.params:
             if name in ("t", "eps") or name in (f"x{i + 1}" for i in range(self.dim)):
                 raise ParameterError(f"parameter {name!r} shadows a variable of the field")

@@ -325,14 +325,13 @@ def _dopri_kernel(n, k=None):
     three layouts that share the stage sums, x5, |x5| and error quotient q:
 
     * n an int: one state of n <= ``_FLOAT_LOOP_MAX`` components on local
-      floats ``x_0, k1_0, ...``.  Without `k`, `f` maps (t, list) to the n
-      rates as a list.  With `k`, `f` is a field's ``floats``, called with
-      eps `e` on x (n = k) or, for (g, J), on the x of (x, vec Phi) (n = k +
-      k^2), and the loop writes out ``e * g`` and ``e * (J_i0 * Phi_0j +
-      J_i1 * Phi_1j + ...)``.  The sums of the array form in the same order,
-      so the same bits, field calls and steps; np.maximum is `p if p > p5
-      else p5` (a NaN |x_i| makes x5_i NaN) and a NaN in q goes to the norm
-      by hand, as Python's max drops it.
+      floats ``x_0, k1_0, ...``, `f` mapping (t, list) to the n rates; with
+      `k`, `f` is a field's ``floats`` on x (n = k) or on the x of (x, vec
+      Phi) (n = k + k^2), and the loop writes out ``e * g`` and ``e * (J_i0
+      * Phi_0j + J_i1 * Phi_1j + ...)``.  The sums of the array form in the
+      same order, so the same bits, field calls and steps; np.maximum is `p
+      if p > p5 else p5` (a NaN |x_i| makes x5_i NaN) and a NaN in q goes to
+      the norm by hand, as Python's max drops it.
     * n None: ndarrays, for ensembles and longer states.  For an ensemble
       the norm reduces over the whole batch, keeping every member on a
       shared, accepted step sequence.
@@ -396,9 +395,8 @@ def _dopri_kernel(n, k=None):
         "accept": "\n".join("            " + line for line in accept),
         "x": "x" if arrays else f"[{listed('x')}]",
         "max": "np.max(ax)" if arrays else f"max(({listed('ax')},))"}
-    name = f"dopri n={n}" + (" lists" if k is None and not arrays else
-                             f" k={k}" if k is not None and k < n else "")
-    return _compile(name, src)
+    layout = "" if k == n else " lists" if k is None else f" k={k}"
+    return _compile(f"dopri n={n}{layout}", src)
 
 
 def _make_rhs(f: PeriodicField, eps: float):
@@ -498,7 +496,7 @@ def poincare_map(f: PeriodicField, v, eps: float,
 
     At eps = 0 the flow is frozen and the map is the identity.
     """
-    v = np.asarray(v, dtype=float)
+    v = _start(f, v, eps)
     if eps == 0.0:
         return v.copy()
     return flow(f, 0.0, f.period, v, eps, cfg)
@@ -519,10 +517,9 @@ def variational_map(f: PeriodicField, v, eps: float,
     ``evaluate`` with step ``FD_STEP_SCALE * (1 + |x|)``: one call on
     the 2k states x +- h*e_j at scalar t.  Across a corner the difference
     ramps oddly about the crossing, so its error in Phi is second order in h.
-    With ``floats`` and ``jacobian``, (x, vec Phi) flows on Python floats
-    in the float loop of `_dopri_kernel`: one ``floats(t, x, eps, True)``
-    call per stage and eps*(J_i0*Phi_0j + J_i1*Phi_1j + ...) summed left to
-    right.
+    With ``floats`` and ``jacobian``, (x, vec Phi) flows in the float loop
+    of `_dopri_kernel`: one ``floats(t, x, eps, True)`` call per stage, and
+    eps*(J_i0*Phi_0j + J_i1*Phi_1j + ...) summed left to right.
     """
     v = _start(f, v, eps)
     k = f.dim

@@ -29,7 +29,6 @@ those of R(-tau)Phi; on a cycle one of them is the neutral phase multiplier 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -100,7 +99,7 @@ def find_periodic(f: PeriodicField, v0_guess, eps: float,
     distance; it defaults to the initial guess.  ``newton.solve`` raises
     ``SingularJacobian`` or ``MaxIterations`` when the solve fails.
     """
-    if not 0.0 < eps < math.inf:
+    if not 0.0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")
     if not np.all(np.isfinite(v0_guess)):
         raise ValueError("v0_guess must be finite")
@@ -182,7 +181,7 @@ def eps_sweep(f: PeriodicField, v0, eps_list: Sequence[float],
         raise ValueError("eps_list needs at least 3 values")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    if not all(0.0 < e < math.inf for e in eps_list):
+    if not all(0.0 < e < np.inf for e in eps_list):
         raise ValueError("eps must be positive and finite")
     v0 = np.asarray(v0, dtype=float)
     guess = v0.copy()

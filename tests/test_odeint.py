@@ -888,7 +888,9 @@ def test_flows_check_their_start_before_any_field_call():
         (NonFiniteState, lambda: flow(g, 0.0, T, [1.0, -np.inf], 0.05, rk4(0.01))),
         (NonFiniteState, lambda: integrate(g, 0.0, T, bad, 0.05)),
         (NonFiniteState, lambda: poincare_map(g, [np.inf, 1.0], 0.05)),
+        (NonFiniteState, lambda: poincare_map(g, bad, 0.0)),
         (NonFiniteState, lambda: variational_map(g, bad, 0.05)),
+        (NonFiniteState, lambda: variational_map(g, bad, 0.0)),
         (NonFiniteState, lambda: flow_batch(g, 0.0, T, [v, bad], 0.05)),
         (NonFiniteState, lambda: flow_batch(g, 0.0, T, [v, bad], 0.05, shared_steps=False)),
         (ValueError, lambda: poincare_map(g, v, np.nan)),
