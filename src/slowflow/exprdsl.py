@@ -285,7 +285,6 @@ _OPS = {
            "non-finite power")),
 }
 
-
 _SOURCE = """\
 def make(_c, _fail):
 %(load)s    def run(r0, x, r1, jac=False):
@@ -373,8 +372,8 @@ class _Tape:
     `emit` compiles the program through ``odeint._compile``, for ``values``
     (the outputs), the ``abs``/``sign`` arguments of ``kinks`` and, at their
     first call, ``tangents`` (forward mode over the slots that depend on x)
-    and `floats` (both at one point on Python floats).  Each raises in op
-    order, ``tangents`` every value's error first."""
+    and `floats` (values and tangents at one point on Python floats).  Each
+    raises in op order, ``tangents`` every value's error first."""
 
     def __init__(self, exprs, params, k):
         # names resolve to t, eps, then parameters, then x1..xk
@@ -556,7 +555,7 @@ class FieldSpec:
     params: tuple = ()                 # ((name, value), ...) for hashability
 
     def __post_init__(self):
-        # else it would shadow a variable, or fail late in numpy (a bool is no real)
+        # a variable's name would shadow it; a bool, a string or inf would fail late
         for name, value in self.params:
             if name in ("t", "eps") or name in (f"x{i + 1}" for i in range(self.dim)):
                 raise ParameterError(f"parameter {name!r} shadows a variable of the field")

@@ -843,13 +843,17 @@ def test_builtin_flows_take_the_floats_path(f):
 
 
 def _dsl_fields():
-    # the twin of the forced nonsmooth oscillator, and of linear_test
+    # the twin of the forced nonsmooth oscillator, of linear_test, and a
+    # coupled 3-state field, whose three-term J*Phi sums pin their order
     twin = exprdsl.FieldSpec.from_strings(2, TWO_PI, NONSMOOTH_DSL, {"a": 0.1, "lam": 1.0})
     linear = exprdsl.FieldSpec.from_strings(1, TWO_PI, ["cos(t) - x1"])
-    return [exprdsl.field_from_spec(twin), exprdsl.field_from_spec(linear)]
+    coupled = exprdsl.FieldSpec.from_strings(3, TWO_PI, [
+        "-x1 + 0.7 * x2 * cos(t) - 0.3 * x3", "-x2 + 1.3 * x3 * sin(t) + 0.1 * x1 * x3",
+        "-x3 + 0.5 * abs(x1 - x2) + 0.2 * x2 * x2"])
+    return [exprdsl.field_from_spec(spec) for spec in (twin, linear, coupled)]
 
 
-@pytest.mark.parametrize("f", _dsl_fields(), ids=["twin", "linear"])
+@pytest.mark.parametrize("f", _dsl_fields(), ids=["twin", "linear", "coupled"])
 def test_dsl_flows_take_the_floats_path(f, monkeypatch):
     # plain, recorded and variational flows of a DSL field call only its
     # `floats`, as often as the reference loop calls its field, and its float
@@ -858,7 +862,7 @@ def test_dsl_flows_take_the_floats_path(f, monkeypatch):
     tape = f.floats.__self__
     monkeypatch.setattr(tape, "_numpy", lambda *args: handed.append(args))
     cfg = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12)
-    x0, eps = np.array([0.5, 1.2][:f.dim]), 0.05
+    x0, eps = np.array([0.5, 1.2, -0.7][:f.dim]), 0.05
     g, twin, calls = _counting_twins(f)
     for run in (lambda h: flow(h, 0.0, f.period, x0, eps, cfg),
                 lambda h: integrate(h, 0.3, 0.3 + 2.0 * f.period, x0, eps, cfg).states):
